@@ -67,21 +67,14 @@ class ReceivedPowers:
     total: float
 
 
-@dataclass(frozen=True)
-class StageRates:
-    stage1_min_relay_rate: float
-    stage1_max_eaves_rate: float
-    stage2_legit_rate: float
-    stage2_max_eaves_rate: float
-    p_l: float
-    max_p_e: float
-    total_relay_power: float
-
-
 def select_relays(legit_points: np.ndarray, a_l: float, n_r: int,
                   rng: np.random.Generator) -> RelaySelection:
     """Recruit n_r relays uniformly at random among the legitimate points
-    inside the disc of radius a_l around the transmitter (origin)."""
+    inside the disc of radius a_l around the transmitter (origin).
+
+    This is the brute-force recruitment over a full point process; the
+    trial sampler draws the disc directly and is tested against it.
+    """
     pts = np.asarray(legit_points, dtype=float).reshape(-1, 2)
     inside = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) <= a_l)
     if len(inside) < n_r:
@@ -113,19 +106,6 @@ def stage1_rates(realization: NetworkRealization, p_t: float, gamma: float,
         max_rate = math.log2(1.0 + float(snr_e.max()))
         violated = bool(np.any(r.eaves_dist_tx <= a_e))
     return min_rate, max_rate, violated
-
-
-def beamform_weights(dist_rx: np.ndarray, h_rx: np.ndarray,
-                     phase_rx: np.ndarray, gamma: float) -> np.ndarray:
-    """Conjugate weights w_i = (1/sqrt(n_r)) * d_i**(-gamma/2) * h_i * e^{-j*theta_i},
-    the complex conjugate of each relay's channel to the receiver scaled by
-    1/sqrt(n_r)."""
-    d = np.asarray(dist_rx, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("relay-receiver distances must be positive")
-    n_r = len(d)
-    return (d ** (-gamma / 2.0) * np.asarray(h_rx)
-            * np.exp(-1j * np.asarray(phase_rx))) / math.sqrt(n_r)
 
 
 def received_powers(realization: NetworkRealization, p_t: float,

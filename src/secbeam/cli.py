@@ -90,12 +90,29 @@ def cmd_plan(args) -> int:
     return 0 if ok else 2
 
 
-def cmd_simulate(args) -> int:
+def _load_checked_plan(path):
+    """Load a plan file and rerun validate_plan on it.
+
+    Returns (cfg, target, plan), or None after printing why the file is
+    unusable: unreadable, malformed, or violating a design constraint.
+    """
     try:
-        cfg, target, p = planner.load_plan(args.plan)
-    except (OSError, ValueError, KeyError) as exc:
+        cfg, target, p = planner.load_plan(path)
+        checks = planner.validate_plan(cfg, target, p)
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"cannot load plan: {exc}", file=sys.stderr)
+        return None
+    violated = [c for c in checks if not c.satisfied]
+    for c in violated:
+        print(f"plan violates {c.name}: margin={c.margin:.6g}", file=sys.stderr)
+    return None if violated else (cfg, target, p)
+
+
+def cmd_simulate(args) -> int:
+    loaded = _load_checked_plan(args.plan)
+    if loaded is None:
         return 2
+    cfg, target, p = loaded
     outcomes = []
     report = montecarlo.estimate_outage(p, cfg, target, args.trials, args.seed,
                                         collect=outcomes.append)
@@ -129,7 +146,10 @@ def cmd_verify(args) -> int:
             if abs(z) >= 5.0:
                 failures.append(f"{c.name} z={z:+.2f}")
     elif args.what == "theorem4":
-        cfg, _target, p = planner.load_plan(args.plan)
+        loaded = _load_checked_plan(args.plan)
+        if loaded is None:
+            return 2
+        cfg, _target, p = loaded
         checks = montecarlo.verify_power_bounds(p, cfg, args.samples, args.seed)
         for c in checks:
             status = "ok" if c.respected else "VIOLATED"
@@ -140,7 +160,7 @@ def cmd_verify(args) -> int:
         rng = np.random.default_rng(args.seed)
         per_instance = max(2, args.samples // max(args.instances, 1))
         for i in range(args.instances):
-            dist = _random_distribution(rng)
+            dist = moments.random_distribution(rng)
             gap = moments.third_moment_gap(dist)
             if gap < -1e-12:
                 failures.append(f"third-moment gap {gap} < 0 (instance {i})")
@@ -153,20 +173,6 @@ def cmd_verify(args) -> int:
     for f in failures:
         print(f"  FAIL {f}", file=sys.stderr)
     return 0 if not failures else 1
-
-
-def _random_distribution(rng: np.random.Generator):
-    kind = rng.integers(3)
-    if kind == 0:
-        return moments.RayleighDist(rng.uniform(0.1, 3.0))
-    if kind == 1:
-        lo = rng.uniform(0.0, 1.0)
-        return moments.TwoPointDist(lo, lo + rng.uniform(0.1, 3.0),
-                                    rng.uniform(0.05, 0.95))
-    k = int(rng.integers(1, 4))
-    edges = np.sort(rng.uniform(0.0, 3.0, 2 * k))
-    intervals = [(edges[2 * i], edges[2 * i + 1] + 0.01) for i in range(k)]
-    return moments.UniformMixtureDist(intervals, rng.uniform(0.2, 1.0, k))
 
 
 SWEEPABLE = ["rate", "outage", "power", "mu", "gamma", "dtr", "lambda_l"]

@@ -1,5 +1,6 @@
 """Network geometry: the square deployment region, Poisson sampling and the
-dyadic annulus layering used to bound eavesdropper rates per distance band."""
+areas of the dyadic annuli used to bound eavesdropper rates per distance
+band."""
 
 from __future__ import annotations
 
@@ -49,29 +50,12 @@ class NetworkConfig:
         return math.sqrt(self.n_legit / self.lambda_l)
 
 
-@dataclass(frozen=True)
-class Annulus:
-    """k-th layer of the dyadic ring decomposition outside the disc of
-    radius ``a_e`` (1-based index; radii double per layer)."""
-
-    index: int
-    a_e: float
-
-    @property
-    def inner(self) -> float:
-        return 2.0 ** (self.index - 1) * self.a_e
-
-    @property
-    def outer(self) -> float:
-        return 2.0 ** self.index * self.a_e
-
-    @property
-    def area(self) -> float:
-        return layer_area(self.index, self.a_e)
-
-
 def sample_ppp(density: float, side: float, rng: np.random.Generator) -> np.ndarray:
     """Sample a homogeneous Poisson point process on the centered square.
+
+    Together with ``beamform.select_relays`` this is the brute-force
+    reference that the relay-disc shortcut of
+    ``montecarlo.sample_realization`` is tested against.
 
     Parameters
     ----------
@@ -89,30 +73,6 @@ def sample_ppp(density: float, side: float, rng: np.random.Generator) -> np.ndar
         raise ValueError(f"side must be finite and > 0, got {side}")
     n = rng.poisson(density * side * side)
     return (rng.random((n, 2)) - 0.5) * side
-
-
-def points_in_disc(points: np.ndarray, center, radius: float) -> np.ndarray:
-    """Points within Euclidean distance ``radius`` of ``center`` (boundary
-    inclusive), in their original order."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
-    return pts[d <= radius]
-
-
-def layer_index(distance: float, a_e: float) -> int:
-    """Index k of the annulus containing ``distance``: the unique k with
-    2**(k-1)*a_e <= distance < 2**k*a_e (lower edge inclusive).
-
-    Distances below ``a_e`` belong to the eavesdropper-free disc and have no
-    layer; they raise ValueError.
-    """
-    if a_e <= 0:
-        raise ValueError(f"a_e must be positive, got {a_e}")
-    if distance < a_e:
-        raise ValueError(f"distance {distance} < a_e {a_e}: inside the inner disc")
-    return int(math.floor(math.log2(distance / a_e))) + 1
 
 
 def layer_area(k: int, a_e: float) -> float:

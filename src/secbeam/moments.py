@@ -2,6 +2,11 @@
 path-loss mean/variance envelope bounds, and the two variance inequalities
 they rest on, expressed as testable predicates.
 
+Channel model: fading magnitudes are Rayleigh with parameter mu, so the
+squared magnitude is exponential with mean 2*mu.  Phases are uniform on
+[0, 2*pi).  Rates are in bits per channel use with unit noise power, and the
+path loss law is d**(-gamma) with unit constant.
+
 ``P_l`` is the coherently combined power at the receiver and ``P_e`` the
 incoherent power at one eavesdropper, both normalized by the transmit power
 (``p_t = 1``) and with all distances set to one.
@@ -14,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import rayleigh_moment
+
+def rayleigh_moment(mu: float, p: int) -> float:
+    """E{H^p} for H Rayleigh with parameter mu: (2*mu)**(p/2) * Gamma(1 + p/2)."""
+    if not (mu > 0 and math.isfinite(mu)):
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+    if p < 0:
+        raise ValueError(f"moment order must be >= 0, got {p}")
+    return (2.0 * mu) ** (p / 2.0) * math.gamma(1.0 + p / 2.0)
 
 
 def mean_pl_nopath(n_r: int, mu: float) -> float:
@@ -166,6 +178,23 @@ class UniformMixtureDist:
         lo = np.array([iv[0] for iv in self.intervals])[comp]
         hi = np.array([iv[1] for iv in self.intervals])[comp]
         return lo + (hi - lo) * rng.random(size)
+
+
+def random_distribution(rng: np.random.Generator):
+    """One random instance of the three families for the randomized
+    inequality suites: a Rayleigh law, a two-point law, or a mixture of one
+    to three uniform intervals, with parameters drawn from ``rng``."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return RayleighDist(rng.uniform(0.1, 3.0))
+    if kind == 1:
+        lo = rng.uniform(0.0, 1.0)
+        return TwoPointDist(lo, lo + rng.uniform(0.1, 3.0),
+                            rng.uniform(0.05, 0.95))
+    k = int(rng.integers(1, 4))
+    edges = np.sort(rng.uniform(0.0, 3.0, 2 * k))
+    intervals = [(edges[2 * i], edges[2 * i + 1] + 0.01) for i in range(k)]
+    return UniformMixtureDist(intervals, rng.uniform(0.2, 1.0, k))
 
 
 def third_moment_gap(dist) -> float:

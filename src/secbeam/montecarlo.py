@@ -352,7 +352,8 @@ def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
     reductions: at the planned relay counts the realization arrays dominate
     the runtime, and the float32 quantization (about 1e-7 relative per
     element, averaging out across relays) sits orders of magnitude below the
-    gaps of the bounds being checked.
+    gaps of the bounds being checked.  The bounds themselves are computed
+    in double precision from the plan and the configuration.
     """
     rng = np.random.default_rng([seed, 1])
     g = np.float32(cfg.gamma)
@@ -425,8 +426,8 @@ def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
         zim = sim.sum(axis=1, dtype=np.float64)
         p_e[done:done + m] = (zre * zre + zim * zim) / n_r
         done += m
-    b = moments.power_moment_bounds(g, cfg.d_tr, plan.eta, plan.nu, n_r,
-                                    plan.a_l, plan.a_e)
+    b = moments.power_moment_bounds(cfg.gamma, cfg.d_tr, plan.eta, plan.nu,
+                                    n_r, plan.a_l, plan.a_e)
     return [
         BoundCheck("mean_P_l_lower", b.mean_pl_lower, float(p_l.mean()), "lower"),
         BoundCheck("mean_P_e_upper", b.mean_pe_upper, float(p_e.mean()), "upper"),

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
-
-import numpy as np
 
 from .geometry import NetworkConfig
 from . import moments
@@ -25,9 +24,6 @@ FORMAT_VERSION = "secbeam-plan-1"
 #: relative slack applied to strict real-valued inequalities so that a plan
 #: re-validates with strictly positive margin
 STRICT_MARGIN = 1e-9
-
-#: scan range for certifying the variance constant nu
-NU_SCAN_CAP = 100_000
 
 
 class InfeasiblePlanError(ValueError):
@@ -185,16 +181,19 @@ def eta_constant(mu: float) -> float:
     return 4.0 * mu * mu
 
 
-def nu_constant(mu: float, n_r_cap: int = NU_SCAN_CAP) -> float:
+def nu_constant(mu: float) -> float:
     """Smallest nu whose square dominates Var(P_l)/(n_r*p_t**2) and
-    Var(P_e)/p_t**2 (no path loss) for every relay count up to the cap,
-    certified by exhaustive evaluation of the exact variance formulas."""
-    if n_r_cap < 1:
-        raise ValueError("n_r_cap must be >= 1")
-    n = np.arange(1, n_r_cap + 1, dtype=float)
-    nu_sq = max(float(np.max(moments.var_pl_nopath(n, mu) / n)),
-                float(np.max(moments.var_pe_nopath(n, mu))))
-    return math.sqrt(nu_sq)
+    Var(P_e)/p_t**2 (no path loss) for every relay count n_r >= 1.
+
+    With E{H^(2k)} = (2*mu)**k * k!, the exact variances in units of
+    (2*mu)**4 are Var(P_l)/n = 4 + 10/n + 6/n**2 and Var(P_e) = 1 + 2/n.
+    Both strictly decrease in n, so n = 1 binds for every relay count and
+    nu**2 = Var(P_l)/1 = 20*(2*mu)**4.  Evaluating the exact formulas at
+    n = 1, rather than writing 8*sqrt(5)*mu**2, keeps nu bit-identical to a
+    scan of those formulas over n.
+    """
+    return math.sqrt(max(moments.var_pl_nopath(1, mu),
+                         moments.var_pe_nopath(1, mu)))
 
 
 def n_r_bound_general(cfg: NetworkConfig, target: SecrecyTarget, eta: float,
@@ -395,9 +394,13 @@ def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
     doc = plan_document(cfg, target, p)
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    # Overwrite in place, then cut off any old tail.  Opening with O_TRUNC
+    # instead makes ext4 start writeback when a file emptied that way is
+    # closed, and the next save's truncation then waits for that disk write.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.truncate()
 
 
 def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:

@@ -105,31 +105,16 @@ def test_criterion_5_variance_inequality_suites():
     rng = np.random.default_rng(5)
     failures = []
 
-    def random_distribution():
-        kind = rng.integers(3)
-        if kind == 0:
-            return moments.RayleighDist(rng.uniform(0.1, 3.0))
-        if kind == 1:
-            lo = rng.uniform(0.0, 1.0)
-            return moments.TwoPointDist(lo, lo + rng.uniform(0.1, 3.0),
-                                        rng.uniform(0.05, 0.95))
-        lo = rng.uniform(0.0, 2.0)
-        mid = lo + rng.uniform(0.1, 1.0)
-        return moments.UniformMixtureDist(
-            [(lo, mid), (mid + rng.uniform(0.1, 1.0),
-                         mid + rng.uniform(1.2, 3.0))],
-            rng.uniform(0.2, 1.0, 2))
-
     # third-moment inequality: exact moments of 10^3 random instances
     for i in range(1000):
-        dist = random_distribution()
+        dist = moments.random_distribution(rng)
         if moments.third_moment_gap(dist) < -1e-12:
             failures.append(f"third-moment gap negative at instance {i}")
 
     # weighted variance cap: 10^3 random (a, b, family) triples, sampled
     # with a 5-standard-error allowance, plus the exact closed form
     for i in range(1000):
-        dist = random_distribution()
+        dist = moments.random_distribution(rng)
         a = rng.uniform(0.05, 0.95)
         b = rng.uniform(a + 0.05, 2.0)
         lhs, rhs = moments.weighted_variance_exact(a, b, dist)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secbeam.beamform import (NetworkRealization, beamform_weights,
-                              received_powers, select_relays, stage1_rates,
-                              stage2_rates)
+from secbeam.beamform import (NetworkRealization, received_powers,
+                              select_relays, stage1_rates, stage2_rates)
 from secbeam.moments import mean_pl_nopath, mean_pe_nopath
 
 
@@ -27,15 +26,20 @@ def random_realization(n_relays, n_eaves, rng, mu=0.5):
     )
 
 
+def conjugate_weights(r, gamma):
+    """Oracle weights w_i = d_i^{-gamma/2} h_i e^{-j theta_i} / sqrt(n_r),
+    the conjugate of each relay's channel to the receiver."""
+    return (r.relay_dist_rx ** (-gamma / 2.0) * r.relay_h_rx
+            * np.exp(-1j * r.relay_phase_rx)) / math.sqrt(r.n_relays)
+
+
 def complex_channel_powers(r, p_t, gamma):
     """Raw complex-arithmetic oracle for the stage-2 powers.
 
     Builds the actual channel gains g_i = d_i^{-gamma/2} h_i e^{j theta_i},
     the conjugate weights, and evaluates |sum w_i g_i|^2 * p_t directly.
     """
-    n_r = r.n_relays
-    w = (r.relay_dist_rx ** (-gamma / 2.0) * r.relay_h_rx
-         * np.exp(-1j * r.relay_phase_rx)) / math.sqrt(n_r)
+    w = conjugate_weights(r, gamma)
     g_rx = (r.relay_dist_rx ** (-gamma / 2.0) * r.relay_h_rx
             * np.exp(1j * r.relay_phase_rx))
     p_l = abs(np.dot(w, g_rx)) ** 2 * p_t
@@ -136,22 +140,12 @@ def test_stage1_min_is_worst_relay():
 
 # --- weights ---------------------------------------------------------------
 
-def test_beamform_weights_values():
-    w = beamform_weights(np.array([1.0]), np.array([2.0]), np.array([0.0]), 2.0)
-    assert w[0] == pytest.approx(2.0 + 0j)
-    w = beamform_weights(np.array([4.0, 4.0]), np.array([1.0, 1.0]),
-                         np.array([0.0, math.pi]), 2.0)
-    assert w[0] == pytest.approx(0.25 / math.sqrt(2))
-    assert w[1] == pytest.approx(-0.25 / math.sqrt(2))
-    with pytest.raises(ValueError):
-        beamform_weights(np.array([0.0]), np.array([1.0]), np.array([0.0]), 2.0)
-
-
 def test_weights_align_channel_phase():
-    # w_i * g_i is real positive for every relay: perfect co-phasing
+    # the oracle's conjugate weights co-phase: w_i * g_i is real positive
+    # for every relay
     rng = np.random.default_rng(4)
     r = random_realization(10, 0, rng)
-    w = beamform_weights(r.relay_dist_rx, r.relay_h_rx, r.relay_phase_rx, 2.0)
+    w = conjugate_weights(r, 2.0)
     g = (r.relay_dist_rx ** -1.0 * r.relay_h_rx * np.exp(1j * r.relay_phase_rx))
     prod = w * g
     assert np.all(prod.real > 0)
@@ -239,7 +233,7 @@ def test_total_power_identity():
     rng = np.random.default_rng(13)
     r = random_realization(12, 3, rng)
     p = received_powers(r, 3.0, 2.0)
-    w = beamform_weights(r.relay_dist_rx, r.relay_h_rx, r.relay_phase_rx, 2.0)
+    w = conjugate_weights(r, 2.0)
     assert p.total == pytest.approx(float((np.abs(w) ** 2).sum()) * 3.0, rel=1e-12)
 
 

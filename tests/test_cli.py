@@ -17,6 +17,14 @@ def run_plan(tmp_path, extra=()):
     return code, out
 
 
+def edit_plan(path, drop=(), **changes):
+    doc = json.loads(path.read_text())
+    for key in drop:
+        del doc[key]
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+
+
 # --- argument handling -----------------------------------------------------
 
 def test_missing_subcommand_errors():
@@ -100,11 +108,32 @@ def test_simulate_missing_plan_file(tmp_path, capsys):
 
 def test_simulate_rejects_stale_plan_version(tmp_path, capsys):
     _, out = run_plan(tmp_path)
-    doc = json.loads(out.read_text())
-    doc["format_version"] = "something-else"
-    out.write_text(json.dumps(doc))
+    edit_plan(out, format_version="something-else")
     code = main(["simulate", "--plan", str(out), "--trials", "5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("drop,changes", [(["cfg_mu"], {}), ([], {"n_r": 0})],
+                         ids=["missing_config_key", "zero_relays"])
+def test_simulate_rejects_unusable_plan(tmp_path, capsys, drop, changes):
+    _, out = run_plan(tmp_path)
+    edit_plan(out, drop=drop, **changes)
+    code = main(["simulate", "--plan", str(out), "--trials", "5"])
+    assert code == 2
+    assert "cannot load plan" in capsys.readouterr().err
+
+
+def test_edited_plan_fails_validation(tmp_path, capsys):
+    # too few relays for the stage-2 Chebyshev bound
+    _, out = run_plan(tmp_path)
+    edit_plan(out, n_r=50)
+    capsys.readouterr()
+    for argv in (["simulate", "--plan", str(out), "--trials", "5"],
+                 ["verify", "theorem4", "--plan", str(out), "--samples", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "plan violates n_r_bound" in captured.err
+        assert captured.out == ""
 
 
 def test_simulate_outputs(tmp_path, capsys):
@@ -161,6 +190,12 @@ def test_verify_theorem4(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mean_P_l_lower" in out
     assert "VIOLATED" not in out
+
+
+def test_verify_theorem4_missing_plan_file(tmp_path, capsys):
+    code = main(["verify", "theorem4", "--plan", str(tmp_path / "nope.json")])
+    assert code == 2
+    assert "cannot load plan" in capsys.readouterr().err
 
 
 def test_verify_lemmas(capsys):

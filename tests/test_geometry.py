@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from secbeam.geometry import (Annulus, NetworkConfig, layer_area, layer_index,
-                              num_layers, points_in_disc, sample_ppp)
+from secbeam.geometry import NetworkConfig, layer_area, num_layers, sample_ppp
 
 
 def test_config_validation():
@@ -74,31 +73,6 @@ def test_sample_ppp_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_points_in_disc_boundary_inclusive():
-    pts = np.array([[0.0, 0.0]])
-    assert len(points_in_disc(pts, (0.0, 0.0), 0.0)) == 1
-
-
-def test_points_in_disc_345():
-    pts = np.array([[3.0, 4.0]])
-    assert len(points_in_disc(pts, (0.0, 0.0), 5.0)) == 1
-    assert len(points_in_disc(pts, (0.0, 0.0), 4.999)) == 0
-
-
-def test_points_in_disc_preserves_order():
-    pts = np.array([[1.0, 0.0], [5.0, 0.0], [0.0, 2.0]])
-    kept = points_in_disc(pts, (0.0, 0.0), 3.0)
-    np.testing.assert_array_equal(kept, np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-
-def test_layer_index_edges():
-    assert layer_index(1.0, 1.0) == 1
-    assert layer_index(2.0, 1.0) == 2     # boundary belongs to the next layer
-    assert layer_index(7.0, 1.0) == 3     # 4 <= 7 < 8
-    with pytest.raises(ValueError):
-        layer_index(0.5, 1.0)
-
-
 def test_layer_area_values():
     assert layer_area(1, 1.0) == pytest.approx(3 * math.pi)
     assert layer_area(2, 1.0) == pytest.approx(12 * math.pi)
@@ -126,37 +100,14 @@ def test_num_layers():
     assert num_layers(0.1 * a_e, a_e) == 1  # minimum clamp
 
 
-def test_annulus_fields():
-    ann = Annulus(index=3, a_e=2.0)
-    assert ann.inner == 8.0
-    assert ann.outer == 16.0
-    assert ann.area == pytest.approx(layer_area(3, 2.0))
-    assert ann.inner < ann.outer
-
-
-@settings(max_examples=200)
-@given(dist=st.floats(min_value=1e-6, max_value=1e6),
-       a_e=st.floats(min_value=1e-6, max_value=1e6))
-def test_layer_partition(dist, a_e):
-    # every distance >= a_e lands in exactly one annulus
-    if dist < a_e:
-        with pytest.raises(ValueError):
-            layer_index(dist, a_e)
-        return
-    k = layer_index(dist, a_e)
-    assert k >= 1
-    assert 2.0 ** (k - 1) * a_e <= dist
-    # the upper edge may be hit exactly through float rounding of log2;
-    # allow one ulp of slack on the strict side
-    assert dist < 2.0 ** k * a_e * (1 + 1e-12)
-
-
 def test_every_point_gets_one_layer(reference_config):
+    # the num_layers annuli around the inner disc reach every point of the
+    # square, so each point outside a_e has a layer k in 1..K
     rng = np.random.default_rng(7)
     pts = sample_ppp(5.0, reference_config.side, rng)
     a_e = 0.8
     big_k = num_layers(reference_config.side, a_e)
     d = np.hypot(pts[:, 0], pts[:, 1])
     outside = d[d >= a_e]
-    ks = np.array([layer_index(x, a_e) for x in outside])
+    ks = np.floor(np.log2(outside / a_e)) + 1
     assert np.all((1 <= ks) & (ks <= big_k))

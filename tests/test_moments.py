@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secbeam.channel import rayleigh_moment
 from secbeam.moments import (PowerBounds, RayleighDist, TwoPointDist,
                              UniformMixtureDist, mean_pe_nopath,
                              mean_pl_nopath, power_moment_bounds,
+                             random_distribution, rayleigh_moment,
                              third_moment_gap, var_pe_nopath, var_pl_nopath,
                              weighted_variance_check, weighted_variance_exact)
 
@@ -26,6 +26,28 @@ def brute_force_powers(n_r, mu, n_samples, rng):
     amp = (np.sqrt(h2) * g * np.exp(1j * phi)).sum(axis=1)
     p_e = np.abs(amp) ** 2 / n_r
     return p_l, p_e
+
+
+# --- Rayleigh magnitude moments ---------------------------------------------
+
+def test_rayleigh_moment_values():
+    assert rayleigh_moment(0.5, 2) == pytest.approx(1.0)
+    assert rayleigh_moment(0.5, 8) == pytest.approx(24.0)
+    assert rayleigh_moment(0.7, 0) == pytest.approx(1.0)
+
+
+def test_rayleigh_moment_even_identity():
+    # E{H^{2k}} = (2*mu)^k * k!
+    for mu in (0.25, 0.5, 2.0):
+        for k in range(1, 5):
+            assert rayleigh_moment(mu, 2 * k) == pytest.approx(
+                (2 * mu) ** k * math.factorial(k))
+
+
+@given(mu=st.floats(min_value=1e-3, max_value=1e3))
+def test_third_moment_dominates(mu):
+    # E{H^3} >= E{H^2} E{H} for any nonnegative variable
+    assert rayleigh_moment(mu, 3) >= rayleigh_moment(mu, 2) * rayleigh_moment(mu, 1)
 
 
 # --- exact spot values at mu = 0.5 (E{H^2} = 1) ----------------------------
@@ -190,6 +212,15 @@ def test_family_samples_match_moments():
             xp = x ** p
             se = xp.std(ddof=1) / math.sqrt(len(xp))
             assert abs(xp.mean() - dist.moment(p)) < 5 * se
+
+
+def test_random_distribution_draws_every_family():
+    rng = np.random.default_rng(12)
+    drawn = [random_distribution(rng) for _ in range(300)]
+    assert {type(d) for d in drawn} == {RayleighDist, TwoPointDist,
+                                        UniformMixtureDist}
+    mixtures = [d for d in drawn if isinstance(d, UniformMixtureDist)]
+    assert {len(d.intervals) for d in mixtures} == {1, 2, 3}
 
 
 # --- third-moment inequality (Chebyshev's sum inequality) ------------------

@@ -1,11 +1,14 @@
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from secbeam.geometry import NetworkConfig
+from secbeam.beamform import select_relays
+from secbeam.geometry import NetworkConfig, sample_ppp
 from secbeam.montecarlo import (CSV_COLUMNS, EVENT_NAMES, estimate_outage,
                                 run_trial, sample_realization, verify_moments,
                                 verify_power_bounds, wilson_interval,
@@ -85,6 +88,38 @@ def test_sample_realization_count_statistics():
     lam = cfg.lambda_l * math.pi * plan.a_l ** 2
     se = math.sqrt(lam / len(counts))
     assert abs(np.mean(counts) - lam) < 5 * se
+
+
+def test_disc_shortcut_matches_full_process_oracle():
+    # oracle: the full Poisson process on the square, then recruitment from
+    # the disc; the sampler draws the disc count and positions directly
+    plan = small_plan(n_r=20)
+    cfg = small_cfg(lambda_l=16.0, lambda_e=0.0, n_legit=256)  # side 4
+    lam = cfg.lambda_l * math.pi * plan.a_l ** 2  # about 50 points
+    n_seeds = 2000
+    counts = {"oracle": [], "shortcut": []}
+    radii = {"oracle": [], "shortcut": []}
+    for seed in range(n_seeds):
+        rng = np.random.default_rng([seed, 0])
+        pts = sample_ppp(cfg.lambda_l, cfg.side, rng)
+        sel = select_relays(pts, plan.a_l, plan.n_r, rng)
+        counts["oracle"].append(sel.available)
+        if not sel.shortfall:
+            radii["oracle"].append(np.hypot(*pts[sel.indices].T))
+        realization, n_in_bl = sample_realization(
+            plan, cfg, np.random.default_rng([seed, 1]))
+        counts["shortcut"].append(n_in_bl)
+        if n_in_bl >= plan.n_r:
+            radii["shortcut"].append(realization.relay_dist_tx)
+    # Poisson(lam): variance lam, fourth central moment lam*(1 + 3*lam)
+    se_mean = math.sqrt(lam / n_seeds)
+    se_var = math.sqrt((lam * (1 + 3 * lam) - lam * lam) / n_seeds)
+    for c in counts.values():
+        assert abs(np.mean(c) - lam) < 5 * se_mean
+        assert abs(np.var(c, ddof=1) - lam) < 5 * se_var
+    _, p_value = stats.ks_2samp(np.concatenate(radii["oracle"]),
+                                np.concatenate(radii["shortcut"]))
+    assert p_value > 1e-3
 
 
 # --- trials ----------------------------------------------------------------
@@ -247,6 +282,14 @@ def test_verify_power_bounds_directions():
     assert [c.direction for c in checks] == ["lower", "upper", "upper", "upper"]
     for c in checks:
         assert c.respected, f"{c.name}: estimate {c.estimate} vs bound {c.bound}"
+
+
+def test_power_bounds_are_json_floats():
+    checks = verify_power_bounds(small_plan(), small_cfg(), n_samples=200, seed=61)
+    for c in checks:
+        assert type(c.bound) is float, (c.name, type(c.bound))
+        assert type(c.estimate) is float, (c.name, type(c.estimate))
+    json.dumps([dataclasses.asdict(c) for c in checks])
 
 
 def test_bound_check_semantics():

@@ -147,17 +147,26 @@ def test_eta():
 
 def test_nu_small_cap():
     # n_r = 1: max(Var(P_l)/1, Var(P_e)) = max(20, 3) = 20 at mu = 0.5
-    assert nu_constant(0.5, 1) == pytest.approx(math.sqrt(20.0))
+    assert nu_constant(0.5) == pytest.approx(math.sqrt(20.0))
 
 
-def test_nu_nondecreasing_in_cap():
-    vals = [nu_constant(0.5, c) for c in (1, 10, 100, 1000)]
-    assert all(a <= b + 1e-15 for b, a in zip(vals, vals[1:]))
+def nu_scan(mu, cap):
+    """Reference: nu from an exhaustive scan of the exact variance formulas
+    over relay counts 1..cap."""
+    n = np.arange(1, cap + 1, dtype=float)
+    return math.sqrt(max(float(np.max(moments.var_pl_nopath(n, mu) / n)),
+                         float(np.max(moments.var_pe_nopath(n, mu)))))
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.25, 0.5, 1.0, 2.0, 7.3])
+def test_nu_equals_scan(mu):
+    # the scan reaches past the reference plan's n_r = 110446
+    assert nu_constant(mu) == nu_scan(mu, 200_000)
 
 
 def test_nu_certifies_scan():
     mu, cap = 0.5, 10_000
-    nu = nu_constant(mu, cap)
+    nu = nu_constant(mu)
     n = np.arange(1, cap + 1, dtype=float)
     assert np.all(nu ** 2 >= moments.var_pl_nopath(n, mu) / n - 1e-12)
     assert np.all(nu ** 2 >= moments.var_pe_nopath(n, mu) - 1e-12)
@@ -394,6 +403,18 @@ def test_plan_round_trip(tmp_path, reference_plan, reference_target,
     assert cfg2 == reference_config
     assert target2 == reference_target
     assert plan2 == reference_plan
+
+
+def test_save_plan_overwrites_longer_file(tmp_path, reference_plan,
+                                          reference_target, reference_config):
+    import json
+    path = tmp_path / "plan.json"
+    path.write_text("x" * 10_000)
+    planner.save_plan(path, reference_config, reference_target, reference_plan)
+    doc = planner.plan_document(reference_config, reference_target, reference_plan)
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert planner.load_plan(path) == (reference_config, reference_target,
+                                       reference_plan)
 
 
 def test_plan_version_mismatch(tmp_path, reference_plan, reference_target,

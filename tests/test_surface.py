@@ -1,0 +1,58 @@
+"""Guard on the public surface: the library names and CLI subcommands that
+users rely on, and every attribute the benchmark's tracer swaps."""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import secbeam
+from secbeam import beamform, cli, moments, montecarlo, planner
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+MODULES = {"cli": cli, "planner": planner, "moments": moments,
+           "montecarlo": montecarlo, "beamform": beamform}
+
+
+def traced_attributes() -> dict:
+    """TRACED of the tracer module, loaded from its file (it imports only
+    the standard library); the mapping is read, never changed."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED
+
+
+def test_public_names_exported():
+    for name in ("plan", "validate_plan", "estimate_outage", "run_trial",
+                 "NetworkConfig", "SecrecyTarget", "Plan", "InfeasiblePlanError"):
+        assert name in secbeam.__all__, name
+        assert callable(getattr(secbeam, name)), name
+
+
+def test_cli_subcommands():
+    parser = cli.build_parser()
+    subs = [a for a in parser._actions if a.dest == "command"]
+    assert len(subs) == 1
+    assert set(subs[0].choices) == {"plan", "simulate", "verify", "sweep"}
+
+
+@pytest.mark.parametrize("layer,attr", [
+    (layer, attr) for layer, attrs in traced_attributes().items() for attr in attrs])
+def test_traced_attribute_resolves(layer, attr):
+    assert callable(getattr(MODULES[layer], attr))
+
+
+@pytest.mark.parametrize("qualname,leading", [
+    # the tracer reads these arguments by position
+    ("montecarlo.verify_power_bounds", ["plan", "cfg", "n_samples"]),
+    ("montecarlo._sample_powers_nopath", ["mu", "n_r", "n_samples"]),
+    ("beamform.received_powers", ["realization"]),
+    ("planner.nu_constant", ["mu"]),
+    ("moments.var_pl_nopath", ["n_r", "mu"]),
+])
+def test_traced_positional_signature(qualname, leading):
+    layer, attr = qualname.split(".")
+    params = list(inspect.signature(getattr(MODULES[layer], attr)).parameters)
+    assert params[:len(leading)] == leading
