@@ -31,28 +31,35 @@ class RelaySelection:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """Sampled geometry and fading for one trial.
+    """Sampled geometry and fading for one trial, reduced to what the two
+    stages read.
 
-    Stage-1 arrays describe transmitter->relay and transmitter->eavesdropper
-    links; stage-2 arrays describe relay->receiver and relay->eavesdropper
-    links.  Shapes: relay arrays (n,), eavesdropper arrays (m,), cross
-    arrays (m, n).
+    Distances and fading powers are stored squared: ``*_d2_*`` are squared
+    distances and ``*_h2_*`` squared fading magnitudes ``h**2``.
+
+    Stage 1 needs only the worst relay, so the realization carries
+    ``relay_min_gain = min_i h_tx,i**2 * d_tx,i**-gamma`` itself (drawn under
+    the configuration's path-loss exponent) next to the squared
+    transmitter->relay distances ``relay_d2_tx``.  Stage 2 reads the
+    relay->receiver links.  Each relay->eavesdropper link enters P_e only
+    through ``h_ij * e^{j(phi_ij - theta_i)}``, its fading times the phase
+    the relay's conjugate weight applies, stored complex as
+    ``eaves_fading_relay``.  Shapes: relay arrays (n,), eavesdropper arrays
+    (m,), cross arrays (m, n).
     """
 
-    relay_dist_tx: np.ndarray
-    relay_h_tx: np.ndarray
-    relay_dist_rx: np.ndarray
-    relay_h_rx: np.ndarray
-    relay_phase_rx: np.ndarray
+    relay_d2_tx: np.ndarray
+    relay_min_gain: float
+    relay_d2_rx: np.ndarray
+    relay_h2_rx: np.ndarray
     eaves_dist_tx: np.ndarray
-    eaves_h_tx: np.ndarray
-    eaves_dist_relay: np.ndarray
-    eaves_h_relay: np.ndarray
-    eaves_phase_relay: np.ndarray
+    eaves_h2_tx: np.ndarray
+    eaves_d2_relay: np.ndarray
+    eaves_fading_relay: np.ndarray
 
     @property
     def n_relays(self) -> int:
-        return len(self.relay_dist_tx)
+        return len(self.relay_d2_rx)
 
     @property
     def n_eaves(self) -> int:
@@ -88,21 +95,18 @@ def stage1_rates(realization: NetworkRealization, p_t: float, gamma: float,
     """Worst relay rate, best eavesdropper rate and the disc-violation flag
     for the broadcast stage.
 
-    The eavesdropper maximum runs over every sampled eavesdropper, inside or
+    The worst relay rate reads the realization's minimum relay gain.  The
+    eavesdropper maximum runs over every sampled eavesdropper, inside or
     outside the protected disc; the flag reports whether any lies inside so
-    the two failure modes can be scored separately.  Empty maxima are 0.
+    the two failure modes can be scored separately.  Empty extrema are 0.
     """
     r = realization
-    if r.n_relays == 0:
-        min_rate = 0.0
-    else:
-        snr = p_t * r.relay_h_tx ** 2 * r.relay_dist_tx ** (-gamma)
-        min_rate = math.log2(1.0 + float(snr.min()))
+    min_rate = math.log2(1.0 + p_t * r.relay_min_gain) if r.n_relays else 0.0
     if r.n_eaves == 0:
         max_rate = 0.0
         violated = False
     else:
-        snr_e = p_t * r.eaves_h_tx ** 2 * r.eaves_dist_tx ** (-gamma)
+        snr_e = p_t * r.eaves_h2_tx * r.eaves_dist_tx ** (-gamma)
         max_rate = math.log2(1.0 + float(snr_e.max()))
         violated = bool(np.any(r.eaves_dist_tx <= a_e))
     return min_rate, max_rate, violated
@@ -112,29 +116,32 @@ def received_powers(realization: NetworkRealization, p_t: float,
                     gamma: float) -> ReceivedPowers:
     """Received powers of the beamforming stage from the closed-form sums.
 
-    P_l   = ((1/sqrt(n_r)) * sum_i d_i**(-gamma) h_i**2)**2 * p_t
-    P_e_j = |(1/sqrt(n_r)) * sum_i d_i**(-gamma/2) d_ij**(-gamma/2) h_i h_ij
-              e^{j(theta_ij - theta_i)}|**2 * p_t
-    P_i   = d_i**(-gamma) h_i**2 * p_t / n_r
+    With g_i = d_i**(-gamma) h_i**2 the relay->receiver gain of relay i,
+    S = sum_i g_i and c_ij = h_ij e^{j(phi_ij - theta_i)}:
+
+    P_l   = p_t * S**2 / n_r
+    P_e_j = p_t * |sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij|**2 / n_r
+    P_i   = p_t * g_i / n_r,  total = p_t * S / n_r
+
+    Per-relay terms keep the realization's precision; S and the
+    eavesdropper sums are accumulated in double precision.
     """
     r = realization
-    if np.any(r.relay_dist_rx <= 0) or (r.n_eaves and np.any(r.eaves_dist_relay <= 0)):
+    if np.any(r.relay_d2_rx <= 0) or (r.n_eaves and np.any(r.eaves_d2_relay <= 0)):
         raise ValueError("distances must be positive")
-    n_r = r.n_relays
-    atten = r.relay_dist_rx ** (-gamma)
-    per_relay = atten * r.relay_h_rx ** 2 * p_t / n_r
-    coherent = float((atten * r.relay_h_rx ** 2).sum()) / math.sqrt(n_r)
-    p_l = coherent * coherent * p_t
+    scale = p_t / r.n_relays
+    gain = r.relay_d2_rx ** (-gamma / 2.0)
+    gain *= r.relay_h2_rx
+    s = float(gain.sum(dtype=np.float64))
     if r.n_eaves:
-        amp = ((r.relay_dist_rx ** (-gamma / 2.0) * r.relay_h_rx)[None, :]
-               * r.eaves_dist_relay ** (-gamma / 2.0) * r.eaves_h_relay)
-        z = (amp * np.exp(1j * (r.eaves_phase_relay - r.relay_phase_rx[None, :]))
-             ).sum(axis=1) / math.sqrt(n_r)
-        p_e = np.abs(z) ** 2 * p_t
+        amp = r.eaves_d2_relay ** (-gamma / 4.0)
+        amp *= np.sqrt(gain)
+        z = np.einsum("ij,ij->i", amp, r.eaves_fading_relay)
+        p_e = (z.real ** 2 + z.imag ** 2) * scale
     else:
         p_e = np.empty(0)
-    return ReceivedPowers(p_l=p_l, p_e=p_e, per_relay=per_relay,
-                          total=float(per_relay.sum()))
+    return ReceivedPowers(p_l=s * s * scale, p_e=p_e, per_relay=gain * scale,
+                          total=s * scale)
 
 
 def stage2_rates(p_l: float, p_e: np.ndarray) -> tuple[float, float]:

@@ -13,13 +13,16 @@ echoing the exact invocation for reproducibility.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
+import platform
 import sys
 
 import numpy as np
 
+from . import __version__
 from .geometry import NetworkConfig
 from . import planner
 from . import montecarlo
@@ -113,14 +116,29 @@ def cmd_simulate(args) -> int:
     if loaded is None:
         return 2
     cfg, target, p = loaded
-    outcomes = []
-    report = montecarlo.estimate_outage(p, cfg, target, args.trials, args.seed,
-                                        collect=outcomes.append)
-    if args.csv:
-        montecarlo.write_trials_csv(args.csv, outcomes)
+    if 2.0 * p.a_l > cfg.side:
+        print(f"cannot simulate: the relay disc (diameter {2.0 * p.a_l:.6g}) "
+              f"does not fit inside the network square (side {cfg.side:.6g})",
+              file=sys.stderr)
+        return 2
+    with contextlib.ExitStack() as stack:
+        collect = None
+        if args.csv:
+            try:
+                fh = stack.enter_context(open(args.csv, "w", newline=""))
+            except OSError as exc:
+                print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
+                return 2
+            collect = montecarlo.csv_row_writer(fh)
+        report = montecarlo.estimate_outage(p, cfg, target, args.trials,
+                                            args.seed, collect=collect)
     doc = report.to_dict()
     doc["manifest"] = _manifest("simulate", args,
                                 [x for x in (args.csv, args.json) if x])
+    doc["manifest"]["versions"] = {"python": platform.python_version(),
+                                   "numpy": np.__version__,
+                                   "secbeam": __version__}
+    doc["manifest"]["stream_version"] = montecarlo.STREAM_VERSION
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)

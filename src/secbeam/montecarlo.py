@@ -4,7 +4,8 @@ empirical outage rates with confidence intervals.
 
 Per-trial randomness is derived from (master seed, trial index) through
 numpy's SeedSequence so trials are order-independent and the whole report is
-bit-reproducible for a given seed and trial count.
+bit-reproducible for a given seed and trial count.  ``STREAM_VERSION`` names
+what a seed draws; it changes whenever the sampler draws differently.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ CSV_COLUMNS = [
 ]
 
 EVENT_NAMES = ["E1", "E2", "E3", "E4", "E5", "E6", "E7"]
+
+#: version of the per-trial random stream: 1 drew every per-relay link in
+#: float64; 2 draws the sufficient statistics of ``sample_realization``
+STREAM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -117,50 +122,110 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial_index])
 
 
+def draw_min_gain(d2_tx: np.ndarray, gamma: float, mu: float,
+                  rng: np.random.Generator) -> float:
+    """Draw min_i h_i**2 * d_i**-gamma over relays at squared distances
+    ``d2_tx`` from the transmitter, h_i**2 i.i.d. exponential with mean 2*mu.
+
+    Given the distances the terms are independent exponentials with rates
+    d_i**gamma / (2*mu), so their minimum is exponential with the summed
+    rate: 2*mu * Exp(1) / sum_i d_i**gamma, drawn exactly with one variate.
+    The minimum over no relays is +inf.
+    """
+    rate = float(np.sum(d2_tx ** (gamma / 2.0), dtype=np.float64))
+    gain = 2.0 * mu * rng.standard_exponential()
+    return gain / rate if rate > 0 else math.inf
+
+
 def sample_realization(plan: Plan, cfg: NetworkConfig,
                        rng: np.random.Generator):
-    """Sample one trial's geometry and fading.
+    """Sample one trial's geometry and fading, drawing only what the two
+    stages read.
 
     Legitimate nodes are sampled restricted to the relay disc: nodes outside
     it enter no statistic, and conditioning a homogeneous Poisson process on
-    the disc gives a Poisson count with i.i.d. uniform positions, which is
-    exactly what is drawn here.  Eavesdroppers are sampled on the full
-    square.  Returns (realization, n_in_bl) where the realization carries
+    the disc gives a Poisson count with i.i.d. uniform positions.  Per relay
+    this draws u = (r/a_l)**2 uniform, the polar angle theta and the
+    receiver-link power h**2 ~ Exp(mean 2*mu); the squared receiver distance
+    comes from the law of cosines written without cancellation,
+    (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2.  The stage-1 minimum is drawn
+    exactly by ``draw_min_gain``.  Eavesdroppers are sampled on the full
+    square.  Only when there are some are the relay positions and the
+    relay->eavesdropper arrays built.  Each combined fading
+    h_ij e^{j(phi_ij - theta_i)} is circular Gaussian CN(0, 2*mu), i.i.d.
+    over (i, j) and independent of the receiver links: rotating i.i.d.
+    circular Gaussians by the common phase theta_i leaves them i.i.d.  So no
+    receiver-link phase is drawn; the combined fading is drawn in polar
+    form, magnitude sqrt(2*mu*Exp(1)) and a uniform phase, which costs
+    numpy less than two float32 normals.
+
+    Precision: per-relay values (u, angle, h**2, squared distances, the
+    combined fading) are float32, about 1e-7 relative each; every reduction
+    over relays is float64.  Relay->eavesdropper distances are float64,
+    since an eavesdropper can sit arbitrarily close to a relay.
+
+    Returns (realization, n_in_bl) where the realization carries
     min(n_in_bl, n_r) relays (all available nodes when short).
     """
     side = cfg.side
     if 2.0 * plan.a_l > side:
         raise ValueError("relay disc does not fit inside the network square")
+    f32 = np.float32
     n_in_bl = int(rng.poisson(cfg.lambda_l * math.pi * plan.a_l ** 2))
-    k = min(n_in_bl, plan.n_r)
-    radii = plan.a_l * np.sqrt(rng.random(k))
-    angles = rng.random(k) * 2.0 * math.pi
-    relay_x = radii * np.cos(angles)
-    relay_y = radii * np.sin(angles)
-    relay_h_tx = rng.rayleigh(math.sqrt(cfg.mu), k)
-
     n_e = int(rng.poisson(cfg.lambda_e * side * side))
+    k = min(n_in_bl, plan.n_r)
+
+    d2_tx = rng.random(k, dtype=f32)
+    d2_tx *= f32(plan.a_l ** 2)
+    turn = rng.random(k, dtype=f32)  # theta / (2*pi)
+    h2_rx = rng.standard_exponential(k, dtype=f32)
+    h2_rx *= f32(2.0 * cfg.mu)
+    min_gain = draw_min_gain(d2_tx, cfg.gamma, cfg.mu, rng)
+
+    r = np.sqrt(d2_tx)
+    # d_rx**2 = (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2
+    sin2 = turn * f32(math.pi)
+    np.sin(sin2, out=sin2)
+    sin2 *= sin2
+    sin2 *= r
+    sin2 *= f32(4.0 * cfg.d_tr)
+    d2_rx = r - f32(cfg.d_tr)
+    d2_rx *= d2_rx
+    d2_rx += sin2
+
     eaves_x = (rng.random(n_e) - 0.5) * side
     eaves_y = (rng.random(n_e) - 0.5) * side
-    eaves_dist_tx = np.hypot(eaves_x, eaves_y)
-    eaves_h_tx = rng.rayleigh(math.sqrt(cfg.mu), n_e)
-
-    relay_dist_rx = np.hypot(relay_x - cfg.d_tr, relay_y)
-    relay_h_rx = rng.rayleigh(math.sqrt(cfg.mu), k)
-    relay_phase_rx = rng.random(k) * 2.0 * math.pi
-
-    eaves_dist_relay = np.hypot(relay_x[None, :] - eaves_x[:, None],
-                                relay_y[None, :] - eaves_y[:, None])
-    eaves_h_relay = rng.rayleigh(math.sqrt(cfg.mu), (n_e, k))
-    eaves_phase_relay = rng.random((n_e, k)) * 2.0 * math.pi
+    eaves_h2_tx = rng.standard_exponential(n_e) * (2.0 * cfg.mu)
+    if n_e:
+        angle = turn * f32(2.0 * math.pi)
+        x = np.cos(angle)
+        x *= r
+        y = np.sin(angle, out=angle)
+        y *= r
+        # float32 positions, float64 differences
+        d2_cross = x - eaves_x[:, None]
+        d2_cross *= d2_cross
+        dy = y - eaves_y[:, None]
+        dy *= dy
+        d2_cross += dy
+        magnitude = rng.standard_exponential((n_e, k), dtype=f32)
+        magnitude *= f32(2.0 * cfg.mu)
+        np.sqrt(magnitude, out=magnitude)
+        phase = rng.random((n_e, k), dtype=f32)
+        phase *= f32(2.0 * math.pi)
+        fading = np.empty((n_e, k), dtype=np.complex64)
+        np.cos(phase, out=fading.real)
+        np.sin(phase, out=fading.imag)
+        fading *= magnitude
+    else:
+        d2_cross = np.empty((0, k))
+        fading = np.empty((0, k), dtype=np.complex64)
 
     realization = beamform.NetworkRealization(
-        relay_dist_tx=radii, relay_h_tx=relay_h_tx,
-        relay_dist_rx=relay_dist_rx, relay_h_rx=relay_h_rx,
-        relay_phase_rx=relay_phase_rx,
-        eaves_dist_tx=eaves_dist_tx, eaves_h_tx=eaves_h_tx,
-        eaves_dist_relay=eaves_dist_relay, eaves_h_relay=eaves_h_relay,
-        eaves_phase_relay=eaves_phase_relay)
+        relay_d2_tx=d2_tx, relay_min_gain=min_gain,
+        relay_d2_rx=d2_rx, relay_h2_rx=h2_rx,
+        eaves_dist_tx=np.hypot(eaves_x, eaves_y), eaves_h2_tx=eaves_h2_tx,
+        eaves_d2_relay=d2_cross, eaves_fading_relay=fading)
     return realization, n_in_bl
 
 
@@ -211,28 +276,52 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
         n_in_bl=n_in_bl, n_in_be=int(np.sum(realization.eaves_dist_tx <= plan.a_e)))
 
 
+class RunningMoments:
+    """Count, mean and sum of squared deviations of a stream of floats,
+    updated one value at a time (Welford), in O(1) memory."""
+
+    __slots__ = ("n", "mean", "m2")
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def push(self, x: float) -> None:
+        self.n += 1
+        delta = x - self.mean
+        self.mean += delta / self.n
+        self.m2 += delta * (x - self.mean)
+
+    def variance(self) -> float:
+        """Unbiased sample variance; 0 for fewer than two values."""
+        return self.m2 / (self.n - 1) if self.n > 1 else 0.0
+
+
 def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
                     n_trials: int, seed: int,
                     collect=None) -> OutageReport:
     """Run n_trials independent trials and aggregate.
 
-    ``collect``, if given, receives every TrialOutcome (e.g. a CSV writer
-    callback); aggregation itself is an order-independent reduction.
+    ``collect``, if given, receives every TrialOutcome as it finishes (e.g.
+    ``csv_row_writer``); aggregation keeps running counts and moments only,
+    so memory does not grow with n_trials.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    ok_counts = np.zeros(7, dtype=int)
+    ok_counts = [0] * len(EVENT_NAMES)
     composite_ok = 0
-    p_l = np.empty(n_trials)
-    max_p_e = np.empty(n_trials)
-    total_power = np.empty(n_trials)
+    p_l = RunningMoments()
+    max_p_e = RunningMoments()
+    total_power = RunningMoments()
     for i in range(n_trials):
         out = run_trial(plan, cfg, target, i, seed)
-        ok_counts += np.array(out.flags(), dtype=int)
-        composite_ok += int(out.composite)
-        p_l[i] = out.p_l
-        max_p_e[i] = out.max_p_e
-        total_power[i] = out.total_relay_power
+        for j, ok in enumerate(out.flags()):
+            ok_counts[j] += ok
+        composite_ok += out.composite
+        p_l.push(out.p_l)
+        max_p_e.push(out.max_p_e)
+        total_power.push(out.total_relay_power)
         if collect is not None:
             collect(out)
 
@@ -243,23 +332,28 @@ def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
 
     return OutageReport(
         n_trials=n_trials, seed=seed,
-        event_outage={name: stats(int(ok_counts[i]))
+        event_outage={name: stats(ok_counts[i])
                       for i, name in enumerate(EVENT_NAMES)},
         composite=stats(composite_ok),
-        mean_p_l=float(p_l.mean()),
-        var_p_l=float(p_l.var(ddof=1)) if n_trials > 1 else 0.0,
-        mean_max_p_e=float(max_p_e.mean()),
-        var_max_p_e=float(max_p_e.var(ddof=1)) if n_trials > 1 else 0.0,
-        mean_total_relay_power=float(total_power.mean()))
+        mean_p_l=p_l.mean, var_p_l=p_l.variance(),
+        mean_max_p_e=max_p_e.mean, var_max_p_e=max_p_e.variance(),
+        mean_total_relay_power=total_power.mean)
+
+
+def csv_row_writer(fh):
+    """Write the header to the open text file ``fh`` and return a callback
+    that writes one TrialOutcome as a row, for streaming trials to CSV."""
+    writer = csv.writer(fh)
+    writer.writerow(CSV_COLUMNS)
+    return lambda out: writer.writerow(out.csv_row())
 
 
 def write_trials_csv(path, outcomes) -> None:
     """Write per-trial rows in the fixed column order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        write_row = csv_row_writer(fh)
         for out in outcomes:
-            writer.writerow(out.csv_row())
+            write_row(out)
 
 
 # ---------------------------------------------------------------------------

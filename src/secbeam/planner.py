@@ -404,6 +404,9 @@ def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
 
 
 def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:
+    """Read a file written by ``save_plan``.  Raises ValueError for another
+    format version or for relay/eavesdropper counts that are not integers
+    (a hand-edited ``110446.0`` or ``true``)."""
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -416,4 +419,8 @@ def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:
     fields = ("a_l", "a_l_raw", "a_e", "n_r", "lambda_l_min", "lambda_e_max",
               "n_e_max", "eta", "nu", "eps_prime", "mode")
     p = Plan(**{k: doc[k] for k in fields})
+    for name in ("n_r", "n_e_max"):
+        value = getattr(p, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     return cfg, target, p

@@ -174,26 +174,29 @@ def test_criterion_7_beamforming_oracle_equivalence():
         n_r = int(rng.integers(1, 12))
         n_e = int(rng.integers(0, 5))
         scale = math.sqrt(0.5)
+        # raw links: receiver links with phases theta_i, eavesdropper links
+        # with phases phi_ij
+        d_rx = rng.uniform(0.5, 2.0, n_r)
+        h_rx = rng.rayleigh(scale, n_r)
+        theta = rng.uniform(0, 2 * math.pi, n_r)
+        d_e = rng.uniform(0.5, 2.0, (n_e, n_r))
+        h_e = rng.rayleigh(scale, (n_e, n_r))
+        phi = rng.uniform(0, 2 * math.pi, (n_e, n_r))
         r = NetworkRealization(
-            relay_dist_tx=rng.uniform(0.5, 2.0, n_r),
-            relay_h_tx=rng.rayleigh(scale, n_r),
-            relay_dist_rx=rng.uniform(0.5, 2.0, n_r),
-            relay_h_rx=rng.rayleigh(scale, n_r),
-            relay_phase_rx=rng.uniform(0, 2 * math.pi, n_r),
+            relay_d2_tx=rng.uniform(0.5, 2.0, n_r) ** 2,
+            relay_min_gain=1.0,
+            relay_d2_rx=d_rx ** 2,
+            relay_h2_rx=h_rx ** 2,
             eaves_dist_tx=rng.uniform(0.5, 2.0, n_e),
-            eaves_h_tx=rng.rayleigh(scale, n_e),
-            eaves_dist_relay=rng.uniform(0.5, 2.0, (n_e, n_r)),
-            eaves_h_relay=rng.rayleigh(scale, (n_e, n_r)),
-            eaves_phase_relay=rng.uniform(0, 2 * math.pi, (n_e, n_r)))
+            eaves_h2_tx=rng.rayleigh(scale, n_e) ** 2,
+            eaves_d2_relay=d_e ** 2,
+            eaves_fading_relay=h_e * np.exp(1j * (phi - theta[None, :])))
         p = received_powers(r, 1.3, 2.0)
         # raw complex expansion |sum_i w_i g_i|^2 * p_t
-        w = (r.relay_dist_rx ** -1.0 * r.relay_h_rx
-             * np.exp(-1j * r.relay_phase_rx)) / math.sqrt(n_r)
-        g_rx = (r.relay_dist_rx ** -1.0 * r.relay_h_rx
-                * np.exp(1j * r.relay_phase_rx))
+        w = d_rx ** -1.0 * h_rx * np.exp(-1j * theta) / math.sqrt(n_r)
+        g_rx = d_rx ** -1.0 * h_rx * np.exp(1j * theta)
         p_l = abs(np.dot(w, g_rx)) ** 2 * 1.3
-        g_e = (r.eaves_dist_relay ** -1.0 * r.eaves_h_relay
-               * np.exp(1j * r.eaves_phase_relay))
+        g_e = d_e ** -1.0 * h_e * np.exp(1j * phi)
         p_e = np.abs(g_e @ w) ** 2 * 1.3
         if abs(p.p_l - p_l) > 1e-12 * max(p_l, 1e-300):
             failures += 1

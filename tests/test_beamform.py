@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,42 +11,60 @@ from secbeam.beamform import (NetworkRealization, received_powers,
 from secbeam.moments import mean_pl_nopath, mean_pe_nopath
 
 
-def random_realization(n_relays, n_eaves, rng, mu=0.5):
-    """Realization with positive random distances and Rayleigh fading."""
+def random_channels(n_relays, n_eaves, rng, mu=0.5):
+    """Raw links with positive random distances, Rayleigh magnitudes and
+    uniform phases: transmitter links (d_tx, h_tx), receiver links
+    (d_rx, h_rx, theta), transmitter->eavesdropper links (e_tx, eh_tx) and
+    relay->eavesdropper links (d_e, h_e, phi)."""
     scale = math.sqrt(mu)
-    return NetworkRealization(
-        relay_dist_tx=rng.uniform(0.5, 2.0, n_relays),
-        relay_h_tx=rng.rayleigh(scale, n_relays),
-        relay_dist_rx=rng.uniform(0.5, 2.0, n_relays),
-        relay_h_rx=rng.rayleigh(scale, n_relays),
-        relay_phase_rx=rng.uniform(0, 2 * math.pi, n_relays),
-        eaves_dist_tx=rng.uniform(0.5, 2.0, n_eaves),
-        eaves_h_tx=rng.rayleigh(scale, n_eaves),
-        eaves_dist_relay=rng.uniform(0.5, 2.0, (n_eaves, n_relays)),
-        eaves_h_relay=rng.rayleigh(scale, (n_eaves, n_relays)),
-        eaves_phase_relay=rng.uniform(0, 2 * math.pi, (n_eaves, n_relays)),
+    return SimpleNamespace(
+        d_tx=rng.uniform(0.5, 2.0, n_relays),
+        h_tx=rng.rayleigh(scale, n_relays),
+        d_rx=rng.uniform(0.5, 2.0, n_relays),
+        h_rx=rng.rayleigh(scale, n_relays),
+        theta=rng.uniform(0, 2 * math.pi, n_relays),
+        e_tx=rng.uniform(0.5, 2.0, n_eaves),
+        eh_tx=rng.rayleigh(scale, n_eaves),
+        d_e=rng.uniform(0.5, 2.0, (n_eaves, n_relays)),
+        h_e=rng.rayleigh(scale, (n_eaves, n_relays)),
+        phi=rng.uniform(0, 2 * math.pi, (n_eaves, n_relays)),
     )
 
 
-def conjugate_weights(r, gamma):
+def realization_of(ch, gamma=2.0):
+    """The realization the sampler would store for these raw links: squared
+    distances and magnitudes, the worst stage-1 relay gain, and each
+    eavesdropper link's fading times its relay's weight phase."""
+    return NetworkRealization(
+        relay_d2_tx=ch.d_tx ** 2,
+        relay_min_gain=float(np.min(ch.h_tx ** 2 * ch.d_tx ** -gamma,
+                                    initial=np.inf)),
+        relay_d2_rx=ch.d_rx ** 2,
+        relay_h2_rx=ch.h_rx ** 2,
+        eaves_dist_tx=ch.e_tx,
+        eaves_h2_tx=ch.eh_tx ** 2,
+        eaves_d2_relay=ch.d_e ** 2,
+        eaves_fading_relay=ch.h_e * np.exp(1j * (ch.phi - ch.theta[None, :])),
+    )
+
+
+def conjugate_weights(ch, gamma):
     """Oracle weights w_i = d_i^{-gamma/2} h_i e^{-j theta_i} / sqrt(n_r),
     the conjugate of each relay's channel to the receiver."""
-    return (r.relay_dist_rx ** (-gamma / 2.0) * r.relay_h_rx
-            * np.exp(-1j * r.relay_phase_rx)) / math.sqrt(r.n_relays)
+    return (ch.d_rx ** (-gamma / 2.0) * ch.h_rx
+            * np.exp(-1j * ch.theta)) / math.sqrt(len(ch.d_rx))
 
 
-def complex_channel_powers(r, p_t, gamma):
+def complex_channel_powers(ch, p_t, gamma):
     """Raw complex-arithmetic oracle for the stage-2 powers.
 
     Builds the actual channel gains g_i = d_i^{-gamma/2} h_i e^{j theta_i},
     the conjugate weights, and evaluates |sum w_i g_i|^2 * p_t directly.
     """
-    w = conjugate_weights(r, gamma)
-    g_rx = (r.relay_dist_rx ** (-gamma / 2.0) * r.relay_h_rx
-            * np.exp(1j * r.relay_phase_rx))
+    w = conjugate_weights(ch, gamma)
+    g_rx = ch.d_rx ** (-gamma / 2.0) * ch.h_rx * np.exp(1j * ch.theta)
     p_l = abs(np.dot(w, g_rx)) ** 2 * p_t
-    g_e = (r.eaves_dist_relay ** (-gamma / 2.0) * r.eaves_h_relay
-           * np.exp(1j * r.eaves_phase_relay))
+    g_e = ch.d_e ** (-gamma / 2.0) * ch.h_e * np.exp(1j * ch.phi)
     p_e = np.abs(g_e @ w) ** 2 * p_t
     per_relay = np.abs(w) ** 2 * p_t
     return p_l, p_e, per_relay
@@ -99,17 +119,16 @@ def test_select_relays_uniform():
 # --- stage 1 ---------------------------------------------------------------
 
 def test_stage1_rates_hand_case():
+    # relays at distances 1 and 2 with magnitudes 1 and 2: gains 1 and 1
     r = NetworkRealization(
-        relay_dist_tx=np.array([1.0, 2.0]),
-        relay_h_tx=np.array([1.0, 2.0]),
-        relay_dist_rx=np.ones(2),
-        relay_h_rx=np.ones(2),
-        relay_phase_rx=np.zeros(2),
+        relay_d2_tx=np.array([1.0, 4.0]),
+        relay_min_gain=1.0,
+        relay_d2_rx=np.ones(2),
+        relay_h2_rx=np.ones(2),
         eaves_dist_tx=np.array([1.0]),
-        eaves_h_tx=np.array([math.sqrt(3.0)]),
-        eaves_dist_relay=np.ones((1, 2)),
-        eaves_h_relay=np.ones((1, 2)),
-        eaves_phase_relay=np.zeros((1, 2)),
+        eaves_h2_tx=np.array([3.0]),
+        eaves_d2_relay=np.ones((1, 2)),
+        eaves_fading_relay=np.ones((1, 2), dtype=complex),
     )
     min_rate, max_rate, violated = stage1_rates(r, 1.0, 2.0, 0.5)
     # relay SNRs: 1 and 1, eavesdropper SNR: 3
@@ -121,7 +140,7 @@ def test_stage1_rates_hand_case():
 
 
 def test_stage1_rates_empty_sets():
-    r = random_realization(0, 0, np.random.default_rng(0))
+    r = realization_of(random_channels(0, 0, np.random.default_rng(0)))
     min_rate, max_rate, violated = stage1_rates(r, 1.0, 2.0, 1.0)
     assert min_rate == 0.0
     assert max_rate == 0.0
@@ -130,11 +149,12 @@ def test_stage1_rates_empty_sets():
 
 def test_stage1_min_is_worst_relay():
     rng = np.random.default_rng(3)
-    r = random_realization(20, 5, rng)
+    ch = random_channels(20, 5, rng)
+    r = realization_of(ch)
     min_rate, max_rate, _ = stage1_rates(r, 2.0, 2.0, 0.1)
-    rates = np.log2(1 + 2.0 * r.relay_h_tx ** 2 * r.relay_dist_tx ** -2.0)
+    rates = np.log2(1 + 2.0 * ch.h_tx ** 2 * ch.d_tx ** -2.0)
     assert min_rate == pytest.approx(rates.min())
-    rates_e = np.log2(1 + 2.0 * r.eaves_h_tx ** 2 * r.eaves_dist_tx ** -2.0)
+    rates_e = np.log2(1 + 2.0 * ch.eh_tx ** 2 * ch.e_tx ** -2.0)
     assert max_rate == pytest.approx(rates_e.max())
 
 
@@ -144,9 +164,9 @@ def test_weights_align_channel_phase():
     # the oracle's conjugate weights co-phase: w_i * g_i is real positive
     # for every relay
     rng = np.random.default_rng(4)
-    r = random_realization(10, 0, rng)
-    w = conjugate_weights(r, 2.0)
-    g = (r.relay_dist_rx ** -1.0 * r.relay_h_rx * np.exp(1j * r.relay_phase_rx))
+    ch = random_channels(10, 0, rng)
+    w = conjugate_weights(ch, 2.0)
+    g = ch.d_rx ** -1.0 * ch.h_rx * np.exp(1j * ch.theta)
     prod = w * g
     assert np.all(prod.real > 0)
     assert np.allclose(prod.imag, 0.0, atol=1e-12)
@@ -156,16 +176,14 @@ def test_weights_align_channel_phase():
 
 def test_received_powers_single_relay_hand_case():
     r = NetworkRealization(
-        relay_dist_tx=np.array([1.0]),
-        relay_h_tx=np.array([1.0]),
-        relay_dist_rx=np.array([2.0]),
-        relay_h_rx=np.array([3.0]),
-        relay_phase_rx=np.array([0.7]),
+        relay_d2_tx=np.array([1.0]),
+        relay_min_gain=1.0,
+        relay_d2_rx=np.array([4.0]),
+        relay_h2_rx=np.array([9.0]),
         eaves_dist_tx=np.array([1.0]),
-        eaves_h_tx=np.array([1.0]),
-        eaves_dist_relay=np.array([[4.0]]),
-        eaves_h_relay=np.array([[2.0]]),
-        eaves_phase_relay=np.array([[1.9]]),
+        eaves_h2_tx=np.array([1.0]),
+        eaves_d2_relay=np.array([[16.0]]),
+        eaves_fading_relay=np.array([[2.0 * np.exp(1j * (1.9 - 0.7))]]),
     )
     p = received_powers(r, 2.0, 2.0)
     # coherent amplitude: 2^-2 * 9 = 2.25, squared times p_t
@@ -180,22 +198,25 @@ def test_received_powers_single_relay_hand_case():
 def test_closed_form_matches_complex_oracle(n_relays, n_eaves):
     rng = np.random.default_rng(10 + n_relays)
     for _ in range(50):
-        r = random_realization(n_relays, n_eaves, rng)
-        p = received_powers(r, 1.7, 2.0)
-        p_l, p_e, per_relay = complex_channel_powers(r, 1.7, 2.0)
+        ch = random_channels(n_relays, n_eaves, rng)
+        p = received_powers(realization_of(ch), 1.7, 2.0)
+        p_l, p_e, per_relay = complex_channel_powers(ch, 1.7, 2.0)
         assert p.p_l == pytest.approx(p_l, rel=1e-12)
         np.testing.assert_allclose(p.p_e, p_e, rtol=1e-12)
         np.testing.assert_allclose(p.per_relay, per_relay, rtol=1e-12)
 
 
 def test_p_l_invariant_to_receiver_phases():
-    # the conjugate weights cancel the receiver-link phases exactly
+    # the conjugate weights cancel the receiver-link phases exactly: the
+    # raw oracle gives the same P_l for any phases, and the realization,
+    # which stores no receiver-link phase, gives that value
     rng = np.random.default_rng(11)
-    r = random_realization(8, 0, rng)
-    base = received_powers(r, 1.0, 2.0).p_l
-    import dataclasses
-    r2 = dataclasses.replace(r, relay_phase_rx=rng.uniform(0, 2 * math.pi, 8))
-    assert received_powers(r2, 1.0, 2.0).p_l == pytest.approx(base)
+    ch = random_channels(8, 0, rng)
+    base = received_powers(realization_of(ch), 1.0, 2.0).p_l
+    for _ in range(3):
+        turned = SimpleNamespace(**{**vars(ch),
+                                    "theta": rng.uniform(0, 2 * math.pi, 8)})
+        assert complex_channel_powers(turned, 1.0, 2.0)[0] == pytest.approx(base)
 
 
 def test_coherent_gain_grows_linearly():
@@ -207,17 +228,18 @@ def test_coherent_gain_grows_linearly():
         acc_l = np.empty(n_samples)
         acc_e = np.empty(n_samples)
         for s in range(n_samples):
+            theta = rng.uniform(0, 2 * math.pi, n_r)
             r = NetworkRealization(
-                relay_dist_tx=np.ones(n_r),
-                relay_h_tx=np.ones(n_r),
-                relay_dist_rx=np.ones(n_r),
-                relay_h_rx=rng.rayleigh(math.sqrt(0.5), n_r),
-                relay_phase_rx=rng.uniform(0, 2 * math.pi, n_r),
+                relay_d2_tx=np.ones(n_r),
+                relay_min_gain=1.0,
+                relay_d2_rx=np.ones(n_r),
+                relay_h2_rx=rng.rayleigh(math.sqrt(0.5), n_r) ** 2,
                 eaves_dist_tx=np.ones(1),
-                eaves_h_tx=np.ones(1),
-                eaves_dist_relay=np.ones((1, n_r)),
-                eaves_h_relay=rng.rayleigh(math.sqrt(0.5), (1, n_r)),
-                eaves_phase_relay=rng.uniform(0, 2 * math.pi, (1, n_r)),
+                eaves_h2_tx=np.ones(1),
+                eaves_d2_relay=np.ones((1, n_r)),
+                eaves_fading_relay=(
+                    rng.rayleigh(math.sqrt(0.5), (1, n_r))
+                    * np.exp(1j * (rng.uniform(0, 2 * math.pi, (1, n_r)) - theta))),
             )
             p = received_powers(r, 1.0, 2.0)
             acc_l[s] = p.p_l
@@ -231,17 +253,19 @@ def test_coherent_gain_grows_linearly():
 def test_total_power_identity():
     # sum of per-relay transmit powers equals sum |w_i|^2 * p_t
     rng = np.random.default_rng(13)
-    r = random_realization(12, 3, rng)
-    p = received_powers(r, 3.0, 2.0)
-    w = conjugate_weights(r, 2.0)
+    ch = random_channels(12, 3, rng)
+    p = received_powers(realization_of(ch), 3.0, 2.0)
+    w = conjugate_weights(ch, 2.0)
     assert p.total == pytest.approx(float((np.abs(w) ** 2).sum()) * 3.0, rel=1e-12)
 
 
 def test_received_powers_rejects_bad_distance():
     rng = np.random.default_rng(14)
-    r = random_realization(3, 1, rng)
-    import dataclasses
-    bad = dataclasses.replace(r, relay_dist_rx=np.array([1.0, 0.0, 1.0]))
+    r = realization_of(random_channels(3, 1, rng))
+    bad = dataclasses.replace(r, relay_d2_rx=np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        received_powers(bad, 1.0, 2.0)
+    bad = dataclasses.replace(r, eaves_d2_relay=np.array([[1.0, 0.0, 1.0]]))
     with pytest.raises(ValueError):
         received_powers(bad, 1.0, 2.0)
 
@@ -264,8 +288,8 @@ def test_stage2_rates_values():
        n_eaves=st.integers(min_value=0, max_value=4),
        seed=st.integers(min_value=0, max_value=10 ** 6))
 def test_powers_nonnegative_property(n_relays, n_eaves, seed):
-    r = random_realization(n_relays, n_eaves, np.random.default_rng(seed))
-    p = received_powers(r, 1.0, 2.0)
+    ch = random_channels(n_relays, n_eaves, np.random.default_rng(seed))
+    p = received_powers(realization_of(ch), 1.0, 2.0)
     assert p.p_l >= 0
     assert np.all(p.p_e >= 0)
     assert np.all(p.per_relay >= 0)

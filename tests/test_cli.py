@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from secbeam import planner
+from secbeam import montecarlo, planner
 from secbeam.cli import main
 from secbeam.geometry import NetworkConfig
 from secbeam.planner import SecrecyTarget, plan
@@ -157,7 +157,63 @@ def test_simulate_outputs(tmp_path, capsys):
     assert doc["seed"] == 5
     assert doc["interval_method"] == "wilson-95"
     assert doc["manifest"]["command"] == "simulate"
+    assert doc["manifest"]["stream_version"] == montecarlo.STREAM_VERSION
+    assert set(doc["manifest"]["versions"]) == {"python", "numpy", "secbeam"}
     assert set(doc["event_outage"]) == {f"E{k}" for k in range(1, 8)}
+
+
+def test_simulate_streamed_csv_matches_batch_writer(tmp_path):
+    # rows written as trials finish equal the batch writer's file
+    _, plan_path = run_plan(tmp_path)
+    streamed = tmp_path / "streamed.csv"
+    assert main(["simulate", "--plan", str(plan_path), "--trials", "6",
+                 "--seed", "4", "--csv", str(streamed)]) == 0
+    cfg, target, p = planner.load_plan(plan_path)
+    outcomes = []
+    montecarlo.estimate_outage(p, cfg, target, 6, 4, collect=outcomes.append)
+    batch = tmp_path / "batch.csv"
+    montecarlo.write_trials_csv(batch, outcomes)
+    assert streamed.read_bytes() == batch.read_bytes()
+
+
+def test_simulate_unwritable_csv_exits_before_trials(tmp_path, capsys):
+    _, plan_path = run_plan(tmp_path)
+    capsys.readouterr()
+    assert main(["simulate", "--plan", str(plan_path), "--trials", "2",
+                 "--csv", str(tmp_path / "missing" / "trials.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field,value", [("n_r", 110446.0), ("n_e_max", 964.0),
+                                         ("n_r", True)])
+def test_plan_counts_must_be_integers(tmp_path, capsys, field, value):
+    _, out = run_plan(tmp_path)
+    edit_plan(out, **{field: value})
+    capsys.readouterr()
+    for argv in (["simulate", "--plan", str(out), "--trials", "2"],
+                 ["verify", "theorem4", "--plan", str(out), "--samples", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{field} must be an integer" in captured.err
+        assert captured.out == ""
+
+
+def test_simulate_rejects_relay_disc_outside_square(tmp_path, capsys):
+    # one legitimate node: the square is far smaller than the relay disc
+    _, out = run_plan(tmp_path)
+    edit_plan(out, cfg_n_legit=1)
+    capsys.readouterr()
+    csv_path = tmp_path / "trials.csv"
+    assert main(["simulate", "--plan", str(out), "--trials", "2",
+                 "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert "relay disc" in captured.err and "network square" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists()
+    # theorem 4 never uses the square and still accepts the plan
+    assert main(["verify", "theorem4", "--plan", str(out), "--samples", "2"]) in (0, 1)
 
 
 def test_simulate_reruns_byte_identical(tmp_path):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from scipy import stats
 
 from secbeam.beamform import select_relays
 from secbeam.geometry import NetworkConfig, sample_ppp
-from secbeam.montecarlo import (CSV_COLUMNS, EVENT_NAMES, estimate_outage,
-                                run_trial, sample_realization, verify_moments,
-                                verify_power_bounds, wilson_interval,
-                                write_trials_csv)
+from secbeam.montecarlo import (CSV_COLUMNS, EVENT_NAMES, RunningMoments,
+                                estimate_outage, run_trial, sample_realization,
+                                verify_moments, verify_power_bounds,
+                                wilson_interval, write_trials_csv)
 from secbeam.planner import Plan, SecrecyTarget
 
 
@@ -68,10 +69,25 @@ def test_sample_realization_shapes():
     k = realization.n_relays
     assert k == min(n_in_bl, plan.n_r)
     m = realization.n_eaves
-    assert realization.eaves_dist_relay.shape == (m, k)
-    assert realization.eaves_h_relay.shape == (m, k)
-    assert np.all(realization.relay_dist_tx <= plan.a_l)
-    assert np.all(realization.relay_dist_rx > 0)
+    assert m > 0
+    for name in ("relay_d2_tx", "relay_d2_rx", "relay_h2_rx"):
+        arr = getattr(realization, name)
+        assert arr.shape == (k,) and arr.dtype == np.float32, name
+    assert realization.eaves_d2_relay.shape == (m, k)
+    assert realization.eaves_d2_relay.dtype == np.float64
+    assert realization.eaves_fading_relay.shape == (m, k)
+    assert realization.eaves_h2_tx.shape == (m,)
+    assert np.all(realization.relay_d2_tx <= np.float32(plan.a_l ** 2))
+    assert np.all(realization.relay_d2_rx > 0)
+    assert 0 < realization.relay_min_gain < math.inf
+
+
+def test_sample_realization_skips_cross_arrays_without_eavesdroppers():
+    realization, _ = sample_realization(small_plan(), small_cfg(lambda_e=0.0),
+                                        np.random.default_rng(0))
+    assert realization.n_eaves == 0
+    assert realization.eaves_d2_relay.shape == (0, realization.n_relays)
+    assert realization.eaves_fading_relay.shape == (0, realization.n_relays)
 
 
 def test_sample_realization_disc_must_fit():
@@ -110,7 +126,7 @@ def test_disc_shortcut_matches_full_process_oracle():
             plan, cfg, np.random.default_rng([seed, 1]))
         counts["shortcut"].append(n_in_bl)
         if n_in_bl >= plan.n_r:
-            radii["shortcut"].append(realization.relay_dist_tx)
+            radii["shortcut"].append(np.sqrt(realization.relay_d2_tx))
     # Poisson(lam): variance lam, fourth central moment lam*(1 + 3*lam)
     se_mean = math.sqrt(lam / n_seeds)
     se_var = math.sqrt((lam * (1 + 3 * lam) - lam * lam) / n_seeds)
@@ -208,6 +224,35 @@ def test_estimate_outage_matches_trials():
     assert report.var_p_l == pytest.approx(p_l.var(ddof=1))
 
 
+def test_estimate_outage_streams_moments():
+    # running (Welford) moments against numpy over the same outcomes
+    plan, cfg, target = small_plan(), small_cfg(), small_target()
+    outcomes = []
+    report = estimate_outage(plan, cfg, target, 120, seed=30,
+                             collect=outcomes.append)
+    p_l = np.array([o.p_l for o in outcomes])
+    max_p_e = np.array([o.max_p_e for o in outcomes])
+    total = np.array([o.total_relay_power for o in outcomes])
+    assert np.all(max_p_e > 0)
+    assert report.var_p_l == pytest.approx(np.var(p_l, ddof=1), rel=1e-12)
+    assert report.var_max_p_e == pytest.approx(np.var(max_p_e, ddof=1), rel=1e-12)
+    assert report.mean_p_l == pytest.approx(p_l.mean(), rel=1e-12)
+    assert report.mean_max_p_e == pytest.approx(max_p_e.mean(), rel=1e-12)
+    assert report.mean_total_relay_power == pytest.approx(total.mean(), rel=1e-12)
+
+
+def test_running_moments_offset_stream():
+    rng = np.random.default_rng(32)
+    x = 1e3 + rng.exponential(1.0, 5000)
+    acc = RunningMoments()
+    for v in x:
+        acc.push(float(v))
+    assert acc.n == len(x)
+    assert acc.mean == pytest.approx(x.mean(), rel=1e-12)
+    assert acc.variance() == pytest.approx(np.var(x, ddof=1), rel=1e-9)
+    assert RunningMoments().variance() == 0.0
+
+
 def test_estimate_outage_single_trial():
     report = estimate_outage(small_plan(), small_cfg(), small_target(), 1, seed=31)
     assert report.var_p_l == 0.0
@@ -256,6 +301,32 @@ def test_csv_byte_identical(tmp_path):
         write_trials_csv(p, outcomes)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_small_trials.csv"
+INTEGER_COLUMNS = ["trial_index", *EVENT_NAMES, "composite", "n_in_Bl", "n_in_Be"]
+
+
+def test_golden_trial_table(tmp_path):
+    # random stream 2: the rows of 20 trials at seed 0 on the small plan.
+    # Integer columns must match exactly; float columns to rtol 1e-5, since
+    # float32 SIMD cos/pow may differ in the last ulp across CPUs.
+    outcomes = []
+    estimate_outage(small_plan(), small_cfg(), small_target(), 20, seed=0,
+                    collect=outcomes.append)
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, outcomes)
+    with open(path, newline="") as fh:
+        got = list(csv.DictReader(fh))
+    with open(GOLDEN, newline="") as fh:
+        want = list(csv.DictReader(fh))
+    assert len(got) == len(want) == 20
+    assert any(int(row["n_in_Be"]) for row in want)
+    floats = [c for c in CSV_COLUMNS if c not in INTEGER_COLUMNS]
+    for g, w in zip(got, want):
+        assert [g[c] for c in INTEGER_COLUMNS] == [w[c] for c in INTEGER_COLUMNS]
+        np.testing.assert_allclose([float(g[c]) for c in floats],
+                                   [float(w[c]) for c in floats], rtol=1e-5)
 
 
 # --- moment and bound verifiers --------------------------------------------
