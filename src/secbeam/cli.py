@@ -122,27 +122,27 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
         return 2
     with contextlib.ExitStack() as stack:
-        collect = None
-        if args.csv:
-            try:
-                fh = stack.enter_context(open(args.csv, "w", newline=""))
-            except OSError as exc:
-                print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
-                return 2
-            collect = montecarlo.csv_row_writer(fh)
+        # open every output before the first trial, so a bad path costs no run
+        try:
+            csv_fh = (stack.enter_context(open(args.csv, "w", newline=""))
+                      if args.csv else None)
+            json_fh = stack.enter_context(open(args.json, "w")) if args.json else None
+        except OSError as exc:
+            print(f"cannot write {exc.filename}: {exc}", file=sys.stderr)
+            return 2
+        collect = montecarlo.csv_row_writer(csv_fh) if csv_fh else None
         report = montecarlo.estimate_outage(p, cfg, target, args.trials,
                                             args.seed, collect=collect)
-    doc = report.to_dict()
-    doc["manifest"] = _manifest("simulate", args,
-                                [x for x in (args.csv, args.json) if x])
-    doc["manifest"]["versions"] = {"python": platform.python_version(),
-                                   "numpy": np.__version__,
-                                   "secbeam": __version__}
-    doc["manifest"]["stream_version"] = montecarlo.STREAM_VERSION
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        doc = report.to_dict()
+        doc["manifest"] = _manifest("simulate", args,
+                                    [x for x in (args.csv, args.json) if x])
+        doc["manifest"]["versions"] = {"python": platform.python_version(),
+                                       "numpy": np.__version__,
+                                       "secbeam": __version__}
+        doc["manifest"]["stream_version"] = montecarlo.STREAM_VERSION
+        if json_fh:
+            json.dump(doc, json_fh, indent=2)
+            json_fh.write("\n")
     for name, ev in report.event_outage.items():
         print(f"  {name}: outage={ev.outage:.4f}  ci=[{ev.ci_low:.4f}, {ev.ci_high:.4f}]")
     c = report.composite
@@ -154,6 +154,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     failures = []
+    if args.what in ("moments", "theorem4") and args.samples < 2:
+        print(f"verify {args.what} needs --samples >= 2 for a sample "
+              f"variance, got {args.samples}", file=sys.stderr)
+        return 2
     if args.what == "moments":
         checks = montecarlo.verify_moments(args.mu, args.nr, args.samples, args.seed)
         for c in checks:
@@ -161,7 +165,7 @@ def cmd_verify(args) -> int:
             line = (f"  {c.name:10s} closed={c.closed_form:.6g} "
                     f"estimate={c.estimate:.6g} z={z:+.2f}")
             print(line)
-            if abs(z) >= 5.0:
+            if not abs(z) < 5.0:  # a NaN z-score fails too
                 failures.append(f"{c.name} z={z:+.2f}")
     elif args.what == "theorem4":
         loaded = _load_checked_plan(args.plan)

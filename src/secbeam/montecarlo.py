@@ -433,54 +433,78 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
     ]
 
 
-def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
-                        seed: int, chunk_elems: int = 1 << 22) -> list[BoundCheck]:
-    """Check the four distance-envelope moment bounds by direct sampling.
+#: elements per chunk of the theorem-4 sampler: each float32 per-relay array
+#: stays about 1 MiB, small enough to stay in cache between passes
+POWER_BOUNDS_CHUNK = 1 << 18
 
-    Relays are drawn uniform in the relay disc, one eavesdropper uniform on
-    the square but outside the protected disc, fading Rayleigh; the sampled
-    mean/variance of P_l and P_e are compared against the bounds (direction
-    only, normalized by p_t and p_t**2).
 
-    The per-relay intermediates are single precision with double-precision
-    reductions: at the planned relay counts the realization arrays dominate
-    the runtime, and the float32 quantization (about 1e-7 relative per
-    element, averaging out across relays) sits orders of magnitude below the
-    gaps of the bounds being checked.  The bounds themselves are computed
-    in double precision from the plan and the configuration.
+def _uniform_f32(rng: np.random.Generator, shape) -> np.ndarray:
+    """Float32 uniforms on [0, 1) with 23 random bits, multiples of 2**-23.
+
+    Each raw 64-bit word of the bit generator gives two values: the top 23
+    bits of a 32-bit half become the mantissa of a float in [1, 2), and 1 is
+    subtracted exactly.  numpy's float32 ``random`` fetches 32 bits per value
+    through a per-element call and costs about twice as much.
     """
-    rng = np.random.default_rng([seed, 1])
-    g = np.float32(cfg.gamma)
+    n = math.prod(shape)
+    u = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+    u >>= 9
+    u |= np.uint32(0x3F800000)
+    f = u.view(np.float32).reshape(shape)
+    f -= np.float32(1.0)
+    return f
+
+
+def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
+                         rng: np.random.Generator):
+    """Draws of P_l and P_e (normalized by p_t and p_t**2) for the bound
+    check: n_r relays uniform in the relay disc, one eavesdropper uniform on
+    the square but outside the protected disc, Rayleigh fading.
+
+    Per relay this draws only float32 u = (r/a_l)**2, the angle and the
+    receiver-link power h**2 ~ Exp(mean 2*mu), giving the gains
+    g_i = h_i**2 * d_rx,i**-gamma; P_l = (sum_i g_i)**2 / n_r.  P_e is drawn
+    from its exact law given the geometry and h**2: with w_i = h_e,i e^{j theta_i}
+    i.i.d. CN(0, 2*mu), sum_i sqrt(g_i * d_e,i**-gamma) * w_i is
+    CN(0, 2*mu * sum_i g_i * d_e,i**-gamma), so its squared magnitude is
+    2*mu * Exp(1) * sum_i g_i * d_e,i**-gamma, one exponential per sample and
+    no per-relay eavesdropper fading or phase.
+
+    Precision: per-relay values are float32 (about 1e-7 relative each, far
+    below the gaps of the bounds) and the uniforms behind them carry 23
+    bits; the sums over relays and the final exponential are float64.
+    """
+    f32 = np.float32
+    g = f32(cfg.gamma)
     side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
     n_r = plan.n_r
-    f32 = np.float32
-    tau = f32(2.0 * math.pi)
     two_mu = f32(2.0 * cfg.mu)
     p_l = np.empty(n_samples)
     p_e = np.empty(n_samples)
-    rows = max(1, chunk_elems // n_r)
+    rows = max(1, POWER_BOUNDS_CHUNK // n_r)
     done = 0
     while done < n_samples:
         m = min(rows, n_samples - done)
         shape = (m, n_r)
-        r = rng.random(shape, dtype=f32)
+        r = _uniform_f32(rng, shape)
         np.sqrt(r, out=r)
         r *= f32(plan.a_l)
-        ang = rng.random(shape, dtype=f32)
-        ang *= tau
+        ang = _uniform_f32(rng, shape)
+        ang *= f32(2.0 * math.pi)
         x = np.cos(ang)
         x *= r
         y = np.sin(ang, out=ang)
         y *= r
-        dx = x - f32(cfg.d_tr)
-        d_rx2 = dx * dx
-        d_rx2 += y * y
+        gain = x - f32(cfg.d_tr)  # d_rx**2, then d_rx**-gamma, then g_i
+        gain *= gain
+        np.multiply(y, y, out=r)  # r is free: reuse it as scratch
+        gain += r
+        gain **= -g / 2
         # h^2 ~ Exponential(2 mu) via inverse transform; log1p keeps u=0 safe
-        h2 = rng.random(shape, dtype=f32)
+        h2 = _uniform_f32(rng, shape)
         np.negative(h2, out=h2)
         np.log1p(h2, out=h2)
         h2 *= -two_mu
-        gain = d_rx2 ** (-g / 2)
         gain *= h2
         s = gain.sum(axis=1, dtype=np.float64)
         p_l[done:done + m] = s * s / n_r
@@ -495,33 +519,31 @@ def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
             ex[need[ok]] = cx[ok]
             ey[need[ok]] = cy[ok]
             need = need[~ok]
-        dex = x - ex[:, None].astype(f32)
-        d_e2 = dex * dex
-        dey = y - ey[:, None].astype(f32)
-        d_e2 += dey * dey
-        # relay->eavesdropper Rayleigh magnitude, inverse transform again
-        he = rng.random(shape, dtype=f32)
-        np.negative(he, out=he)
-        np.log1p(he, out=he)
-        he *= -two_mu
-        np.sqrt(he, out=he)
-        d_e2 *= d_rx2
-        amp = d_e2 ** (-g / 4)
-        np.sqrt(h2, out=h2)
-        amp *= h2
-        amp *= he
-        dth = rng.random(shape, dtype=f32)
-        dth *= tau
-        cre = np.cos(dth)
-        cre *= amp
-        sim = np.sin(dth, out=dth)
-        sim *= amp
-        zre = cre.sum(axis=1, dtype=np.float64)
-        zim = sim.sum(axis=1, dtype=np.float64)
-        p_e[done:done + m] = (zre * zre + zim * zim) / n_r
+        x -= ex[:, None].astype(f32)  # d_e**2, then g_i * d_e**-gamma
+        x *= x
+        y -= ey[:, None].astype(f32)
+        y *= y
+        x += y
+        x **= -g / 2
+        x *= gain
+        t = x.sum(axis=1, dtype=np.float64)
+        p_e[done:done + m] = (2.0 * cfg.mu / n_r) * rng.standard_exponential(m) * t
         done += m
+    return p_l, p_e
+
+
+def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
+                        seed: int) -> list[BoundCheck]:
+    """Check the four distance-envelope moment bounds by direct sampling.
+
+    The sampled mean/variance of P_l and P_e (``_sample_power_bounds``) are
+    compared against the bounds, direction only.  The bounds themselves are
+    computed in double precision from the plan and the configuration.
+    """
+    rng = np.random.default_rng([seed, 1])
+    p_l, p_e = _sample_power_bounds(plan, cfg, n_samples, rng)
     b = moments.power_moment_bounds(cfg.gamma, cfg.d_tr, plan.eta, plan.nu,
-                                    n_r, plan.a_l, plan.a_e)
+                                    plan.n_r, plan.a_l, plan.a_e)
     return [
         BoundCheck("mean_P_l_lower", b.mean_pl_lower, float(p_l.mean()), "lower"),
         BoundCheck("mean_P_e_upper", b.mean_pe_upper, float(p_e.mean()), "upper"),

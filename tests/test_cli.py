@@ -186,6 +186,17 @@ def test_simulate_unwritable_csv_exits_before_trials(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_simulate_unwritable_json_exits_before_trials(tmp_path, capsys):
+    _, plan_path = run_plan(tmp_path)
+    capsys.readouterr()
+    json_path = tmp_path / "missing" / "report.json"
+    assert main(["simulate", "--plan", str(plan_path), "--trials", "2",
+                 "--json", str(json_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {json_path}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("field,value", [("n_r", 110446.0), ("n_e_max", 964.0),
                                          ("n_r", True)])
 def test_plan_counts_must_be_integers(tmp_path, capsys, field, value):
@@ -252,6 +263,26 @@ def test_verify_theorem4_missing_plan_file(tmp_path, capsys):
     code = main(["verify", "theorem4", "--plan", str(tmp_path / "nope.json")])
     assert code == 2
     assert "cannot load plan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["moments", "theorem4"])
+def test_verify_rejects_single_sample(tmp_path, capsys, what):
+    # a sample variance needs two samples: one would give z=nan
+    _, plan_path = run_plan(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", what, "--plan", str(plan_path),
+                 "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "--samples >= 2" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_moments_nan_z_fails(monkeypatch, capsys):
+    nan_check = montecarlo.MomentCheck("mean_P_l", 1.0, float("nan"), 1.0)
+    monkeypatch.setattr(montecarlo, "verify_moments",
+                        lambda *args: [nan_check])
+    assert main(["verify", "moments", "--samples", "10"]) == 1
+    assert "FAIL mean_P_l z=+nan" in capsys.readouterr().err
 
 
 def test_verify_lemmas(capsys):

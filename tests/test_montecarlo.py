@@ -355,6 +355,16 @@ def test_verify_power_bounds_directions():
         assert c.respected, f"{c.name}: estimate {c.estimate} vs bound {c.bound}"
 
 
+def test_verify_power_bounds_deterministic():
+    plan, cfg = small_plan(), small_cfg()
+    a = verify_power_bounds(plan, cfg, n_samples=500, seed=67)
+    assert a == verify_power_bounds(plan, cfg, n_samples=500, seed=67)
+    b = verify_power_bounds(plan, cfg, n_samples=500, seed=68)
+    for x, y in zip(a, b):
+        assert x.bound == y.bound
+        assert x.estimate != y.estimate, x.name
+
+
 def test_power_bounds_are_json_floats():
     checks = verify_power_bounds(small_plan(), small_cfg(), n_samples=200, seed=61)
     for c in checks:

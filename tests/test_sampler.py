@@ -1,10 +1,13 @@
-"""Distributional checks of the trial sampler (random stream 2).
+"""Distributional checks of the trial sampler (random stream 2) and of the
+theorem-4 bound sampler.
 
 The stream-1 sampler and its closed forms are kept here verbatim as the
 oracle: every per-relay link drawn in float64 as a Rayleigh magnitude with
 a uniform phase, the stage-1 minimum taken over explicit per-relay gains.
 Stream 2 draws the same law through sufficient statistics, so on fixed
-seeds the two must agree in distribution, not in values.
+seeds the two must agree in distribution, not in values.  Likewise the
+theorem-4 sampler that drew every relay->eavesdropper fading and phase is
+kept as the oracle of the one that draws P_e from its conditional law.
 """
 
 import math
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from secbeam.montecarlo import draw_min_gain, run_trial, sample_realization
+from secbeam.montecarlo import (_sample_power_bounds, draw_min_gain, run_trial,
+                                sample_realization)
 from secbeam.beamform import received_powers
 
 from test_montecarlo import small_cfg, small_plan, small_target
@@ -166,3 +170,117 @@ def test_float32_field_with_float64_reductions():
     z = (np.sqrt(gain)[None, :] / np.sqrt(r.eaves_d2_relay)
          * r.eaves_fading_relay.astype(np.complex128)).sum(axis=1)
     np.testing.assert_allclose(p.p_e, np.abs(z) ** 2 / r.n_relays, rtol=1e-5)
+
+
+# --- theorem-4 bound sampler ------------------------------------------------
+
+def sample_power_bounds_v1(plan, cfg, n_samples, rng, chunk_elems=1 << 22):
+    """Theorem-4 sampler with per-relay complex eavesdropper fading."""
+    g = np.float32(cfg.gamma)
+    side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
+    n_r = plan.n_r
+    f32 = np.float32
+    tau = f32(2.0 * math.pi)
+    two_mu = f32(2.0 * cfg.mu)
+    p_l = np.empty(n_samples)
+    p_e = np.empty(n_samples)
+    rows = max(1, chunk_elems // n_r)
+    done = 0
+    while done < n_samples:
+        m = min(rows, n_samples - done)
+        shape = (m, n_r)
+        r = rng.random(shape, dtype=f32)
+        np.sqrt(r, out=r)
+        r *= f32(plan.a_l)
+        ang = rng.random(shape, dtype=f32)
+        ang *= tau
+        x = np.cos(ang)
+        x *= r
+        y = np.sin(ang, out=ang)
+        y *= r
+        dx = x - f32(cfg.d_tr)
+        d_rx2 = dx * dx
+        d_rx2 += y * y
+        # h^2 ~ Exponential(2 mu) via inverse transform; log1p keeps u=0 safe
+        h2 = rng.random(shape, dtype=f32)
+        np.negative(h2, out=h2)
+        np.log1p(h2, out=h2)
+        h2 *= -two_mu
+        gain = d_rx2 ** (-g / 2)
+        gain *= h2
+        s = gain.sum(axis=1, dtype=np.float64)
+        p_l[done:done + m] = s * s / n_r
+        # one eavesdropper per realization, uniform outside the disc
+        ex = np.empty(m)
+        ey = np.empty(m)
+        need = np.arange(m)
+        while len(need):
+            cx = (rng.random(len(need)) - 0.5) * side
+            cy = (rng.random(len(need)) - 0.5) * side
+            ok = np.hypot(cx, cy) > plan.a_e
+            ex[need[ok]] = cx[ok]
+            ey[need[ok]] = cy[ok]
+            need = need[~ok]
+        dex = x - ex[:, None].astype(f32)
+        d_e2 = dex * dex
+        dey = y - ey[:, None].astype(f32)
+        d_e2 += dey * dey
+        # relay->eavesdropper Rayleigh magnitude, inverse transform again
+        he = rng.random(shape, dtype=f32)
+        np.negative(he, out=he)
+        np.log1p(he, out=he)
+        he *= -two_mu
+        np.sqrt(he, out=he)
+        d_e2 *= d_rx2
+        amp = d_e2 ** (-g / 4)
+        np.sqrt(h2, out=h2)
+        amp *= h2
+        amp *= he
+        dth = rng.random(shape, dtype=f32)
+        dth *= tau
+        cre = np.cos(dth)
+        cre *= amp
+        sim = np.sin(dth, out=dth)
+        sim *= amp
+        zre = cre.sum(axis=1, dtype=np.float64)
+        zim = sim.sum(axis=1, dtype=np.float64)
+        p_e[done:done + m] = (zre * zre + zim * zim) / n_r
+        done += m
+    return p_l, p_e
+
+
+@pytest.fixture(scope="module", params=[(1, 2.0), (16, 2.0), (1, 3.0), (16, 3.0)],
+                ids=["nr1-gamma2", "nr16-gamma2", "nr1-gamma3", "nr16-gamma3"])
+def both_bound_samplers(request):
+    # mu != 0.5, so that a dropped or doubled 2*mu changes the law, and a
+    # relay disc half as wide as d_tr, so that the relay geometry does too
+    n_r, gamma = request.param
+    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
+    old = sample_power_bounds_v1(plan, cfg, N_TRIALS,
+                                 np.random.default_rng([n_r, int(gamma), 71]))
+    new = _sample_power_bounds(plan, cfg, N_TRIALS,
+                               np.random.default_rng([n_r, int(gamma), 73]))
+    return old, new
+
+
+@pytest.mark.parametrize("power", ["P_l", "P_e"])
+def test_bound_sampler_matches_per_relay_fading(both_bound_samplers, power):
+    old, new = both_bound_samplers
+    k = ["P_l", "P_e"].index(power)
+    _, p_value = stats.ks_2samp(old[k], new[k])
+    assert p_value > KS_FLOOR, (power, p_value)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.3])
+def test_weighted_circular_gaussian_sum_is_exponential(mu):
+    # for fixed weights c_i and w_i = h_i e^{j theta_i} i.i.d. CN(0, 2 mu),
+    # |sum_i c_i w_i|^2 / sum_i c_i^2 is exponential with mean 2 mu
+    c = np.random.default_rng(3).uniform(0.05, 2.0, 12)
+    n = 20_000
+    rng = np.random.default_rng([int(10 * mu), 79])
+    w = (rng.rayleigh(math.sqrt(mu), (n, len(c)))
+         * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (n, len(c)))))
+    ratio = np.abs(w @ c) ** 2 / np.sum(c * c)
+    _, p_value = stats.kstest(ratio, stats.expon(scale=2.0 * mu).cdf)
+    assert p_value > KS_FLOOR
+    assert abs(ratio.mean() - 2.0 * mu) < 5 * 2.0 * mu / math.sqrt(n)
