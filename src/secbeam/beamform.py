@@ -70,7 +70,6 @@ class NetworkRealization:
 class ReceivedPowers:
     p_l: float
     p_e: np.ndarray
-    per_relay: np.ndarray
     total: float
 
 
@@ -121,7 +120,7 @@ def received_powers(realization: NetworkRealization, p_t: float,
 
     P_l   = p_t * S**2 / n_r
     P_e_j = p_t * |sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij|**2 / n_r
-    P_i   = p_t * g_i / n_r,  total = p_t * S / n_r
+    total = sum_i p_t * g_i / n_r = p_t * S / n_r
 
     Per-relay terms keep the realization's precision; S and the
     eavesdropper sums are accumulated in double precision.
@@ -140,8 +139,7 @@ def received_powers(realization: NetworkRealization, p_t: float,
         p_e = (z.real ** 2 + z.imag ** 2) * scale
     else:
         p_e = np.empty(0)
-    return ReceivedPowers(p_l=s * s * scale, p_e=p_e, per_relay=gain * scale,
-                          total=s * scale)
+    return ReceivedPowers(p_l=s * s * scale, p_e=p_e, total=s * scale)
 
 
 def stage2_rates(p_l: float, p_e: np.ndarray) -> tuple[float, float]:

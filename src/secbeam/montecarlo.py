@@ -30,8 +30,8 @@ CSV_COLUMNS = [
 EVENT_NAMES = ["E1", "E2", "E3", "E4", "E5", "E6", "E7"]
 
 #: version of the per-trial random stream: 1 drew every per-relay link in
-#: float64; 2 draws the sufficient statistics of ``sample_realization``
-STREAM_VERSION = 2
+#: float64, 2 sufficient statistics, 3 those from one uniform source
+STREAM_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,39 @@ def draw_min_gain(d2_tx: np.ndarray, gamma: float, mu: float,
     return gain / rate if rate > 0 else math.inf
 
 
+def _uniform_f32(rng: np.random.Generator, shape) -> np.ndarray:
+    """Float32 uniforms on [0, 1), multiples of 2**-23: the one source of
+    every float32 draw.  Each raw 64-bit word gives two values, the top 23
+    bits of a 32-bit half as the mantissa of a float in [1, 2), minus 1."""
+    n = math.prod(shape)
+    u = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+    u >>= 9
+    u |= np.uint32(0x3F800000)
+    f = u.view(np.float32).reshape(shape)
+    f -= np.float32(1.0)
+    return f
+
+
+def _exponential_f32(rng: np.random.Generator, shape, mean: float) -> np.ndarray:
+    """Float32 exponentials, -mean * log1p(-U) on ``_uniform_f32`` draws.
+    As U <= 1 - 2**-23, values stop at 23*ln 2 (about 15.9) means, a tail
+    an exact exponential exceeds with probability 2**-23 (1.2e-7)."""
+    x = _uniform_f32(rng, shape)
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x *= -np.float32(mean)
+    return x
+
+
+def _relay_draws(rng: np.random.Generator, shape, mu: float):
+    """Per-relay float32 draws, in this order: u = (r/a_l)**2 of a relay
+    uniform in a disc, its polar angle in turns, and the receiver-link power
+    h**2 ~ Exp(mean 2*mu).  Returns (u, turn, h2)."""
+    u = _uniform_f32(rng, shape)
+    turn = _uniform_f32(rng, shape)
+    return u, turn, _exponential_f32(rng, shape, 2.0 * mu)
+
+
 def sample_realization(plan: Plan, cfg: NetworkConfig,
                        rng: np.random.Generator):
     """Sample one trial's geometry and fading, drawing only what the two
@@ -145,9 +178,8 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     Legitimate nodes are sampled restricted to the relay disc: nodes outside
     it enter no statistic, and conditioning a homogeneous Poisson process on
     the disc gives a Poisson count with i.i.d. uniform positions.  Per relay
-    this draws u = (r/a_l)**2 uniform, the polar angle theta and the
-    receiver-link power h**2 ~ Exp(mean 2*mu); the squared receiver distance
-    comes from the law of cosines written without cancellation,
+    this takes only ``_relay_draws``; the squared receiver distance comes
+    from the law of cosines written without cancellation,
     (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2.  The stage-1 minimum is drawn
     exactly by ``draw_min_gain``.  Eavesdroppers are sampled on the full
     square.  Only when there are some are the relay positions and the
@@ -156,8 +188,7 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     over (i, j) and independent of the receiver links: rotating i.i.d.
     circular Gaussians by the common phase theta_i leaves them i.i.d.  So no
     receiver-link phase is drawn; the combined fading is drawn in polar
-    form, magnitude sqrt(2*mu*Exp(1)) and a uniform phase, which costs
-    numpy less than two float32 normals.
+    form, magnitude sqrt(2*mu*Exp(1)) and a uniform phase.
 
     Precision: per-relay values (u, angle, h**2, squared distances, the
     combined fading) are float32, about 1e-7 relative each; every reduction
@@ -175,17 +206,13 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     n_e = int(rng.poisson(cfg.lambda_e * side * side))
     k = min(n_in_bl, plan.n_r)
 
-    d2_tx = rng.random(k, dtype=f32)
+    d2_tx, turn, h2_rx = _relay_draws(rng, (k,), cfg.mu)
     d2_tx *= f32(plan.a_l ** 2)
-    turn = rng.random(k, dtype=f32)  # theta / (2*pi)
-    h2_rx = rng.standard_exponential(k, dtype=f32)
-    h2_rx *= f32(2.0 * cfg.mu)
     min_gain = draw_min_gain(d2_tx, cfg.gamma, cfg.mu, rng)
 
     r = np.sqrt(d2_tx)
     # d_rx**2 = (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2
-    sin2 = turn * f32(math.pi)
-    np.sin(sin2, out=sin2)
+    sin2 = np.sin(turn * f32(math.pi))
     sin2 *= sin2
     sin2 *= r
     sin2 *= f32(4.0 * cfg.d_tr)
@@ -208,10 +235,9 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
         dy = y - eaves_y[:, None]
         dy *= dy
         d2_cross += dy
-        magnitude = rng.standard_exponential((n_e, k), dtype=f32)
-        magnitude *= f32(2.0 * cfg.mu)
+        magnitude = _exponential_f32(rng, (n_e, k), 2.0 * cfg.mu)
         np.sqrt(magnitude, out=magnitude)
-        phase = rng.random((n_e, k), dtype=f32)
+        phase = _uniform_f32(rng, (n_e, k))
         phase *= f32(2.0 * math.pi)
         fading = np.empty((n_e, k), dtype=np.complex64)
         np.cos(phase, out=fading.real)
@@ -374,10 +400,14 @@ class MomentCheck:
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """A sampled moment against a one-sided bound.  ``margin_se`` is the
+    signed distance in standard errors, positive on the respected side."""
+
     name: str
     bound: float
     estimate: float
     direction: str  # "lower" or "upper"
+    std_err: float = 0.0
 
     @property
     def respected(self) -> bool:
@@ -385,25 +415,25 @@ class BoundCheck:
             return self.estimate >= self.bound
         return self.estimate <= self.bound
 
+    @property
+    def margin_se(self) -> float:
+        if not self.std_err > 0:
+            return math.inf if self.respected else -math.inf
+        gap = self.estimate - self.bound
+        return (gap if self.direction == "lower" else -gap) / self.std_err
+
 
 def _sample_powers_nopath(mu: float, n_r: int, n_samples: int,
-                          rng: np.random.Generator, chunk: int = 1 << 22):
-    """Monte Carlo draws of P_l and P_e with unit distances and p_t = 1."""
-    p_l = np.empty(n_samples)
-    p_e = np.empty(n_samples)
-    done = 0
-    rows = max(1, chunk // max(n_r, 1))
-    while done < n_samples:
-        m = min(rows, n_samples - done)
-        h2 = rng.exponential(2.0 * mu, (m, n_r))
-        p_l[done:done + m] = h2.sum(axis=1) ** 2 / n_r
-        hl = rng.rayleigh(math.sqrt(mu), (m, n_r))
-        he = rng.rayleigh(math.sqrt(mu), (m, n_r))
-        dth = rng.random((m, n_r)) * 2.0 * math.pi
-        z = (hl * he * np.exp(1j * dth)).sum(axis=1) / math.sqrt(n_r)
-        p_e[done:done + m] = np.abs(z) ** 2
-        done += m
-    return p_l, p_e
+                          rng: np.random.Generator):
+    """Draws of P_l and P_e with unit distances and p_t = 1, two float64
+    values per sample and none per relay.  With S = sum_i h_l,i**2, which is
+    Gamma(n_r, scale 2*mu), P_l = S**2 / n_r; given the h_l,i the sum
+    sum_i h_l,i h_e,i e^{j theta_i} is CN(0, 2*mu*S), so
+    P_e = 2*mu * Exp(1) * S / n_r."""
+    s = rng.gamma(n_r, 2.0 * mu, n_samples)
+    p_e = rng.standard_exponential(n_samples)
+    p_e *= (2.0 * mu / n_r) * s
+    return s * s / n_r, p_e
 
 
 def _mean_check(name: str, closed: float, x: np.ndarray) -> MomentCheck:
@@ -438,58 +468,36 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
 POWER_BOUNDS_CHUNK = 1 << 18
 
 
-def _uniform_f32(rng: np.random.Generator, shape) -> np.ndarray:
-    """Float32 uniforms on [0, 1) with 23 random bits, multiples of 2**-23.
-
-    Each raw 64-bit word of the bit generator gives two values: the top 23
-    bits of a 32-bit half become the mantissa of a float in [1, 2), and 1 is
-    subtracted exactly.  numpy's float32 ``random`` fetches 32 bits per value
-    through a per-element call and costs about twice as much.
-    """
-    n = math.prod(shape)
-    u = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
-    u >>= 9
-    u |= np.uint32(0x3F800000)
-    f = u.view(np.float32).reshape(shape)
-    f -= np.float32(1.0)
-    return f
-
-
 def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                          rng: np.random.Generator):
     """Draws of P_l and P_e (normalized by p_t and p_t**2) for the bound
     check: n_r relays uniform in the relay disc, one eavesdropper uniform on
     the square but outside the protected disc, Rayleigh fading.
 
-    Per relay this draws only float32 u = (r/a_l)**2, the angle and the
-    receiver-link power h**2 ~ Exp(mean 2*mu), giving the gains
-    g_i = h_i**2 * d_rx,i**-gamma; P_l = (sum_i g_i)**2 / n_r.  P_e is drawn
-    from its exact law given the geometry and h**2: with w_i = h_e,i e^{j theta_i}
-    i.i.d. CN(0, 2*mu), sum_i sqrt(g_i * d_e,i**-gamma) * w_i is
-    CN(0, 2*mu * sum_i g_i * d_e,i**-gamma), so its squared magnitude is
-    2*mu * Exp(1) * sum_i g_i * d_e,i**-gamma, one exponential per sample and
-    no per-relay eavesdropper fading or phase.
+    Per relay this takes only ``_relay_draws``, giving the gains
+    g_i = h_i**2 * d_rx,i**-gamma and P_l = (sum_i g_i)**2 / n_r.  Given those
+    and the eavesdropper's distances d_e,i, its received sum is
+    CN(0, 2*mu * sum_i g_i * d_e,i**-gamma), so P_e is drawn exactly as
+    2*mu * Exp(1) * sum_i g_i * d_e,i**-gamma / n_r, one exponential per
+    sample and no per-relay eavesdropper fading or phase.
 
-    Precision: per-relay values are float32 (about 1e-7 relative each, far
-    below the gaps of the bounds) and the uniforms behind them carry 23
-    bits; the sums over relays and the final exponential are float64.
+    Precision: per-relay values are float32, about 1e-7 relative each, far
+    below the gaps of the bounds; the sums over relays and the final
+    exponential are float64.
     """
     f32 = np.float32
     g = f32(cfg.gamma)
     side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
     n_r = plan.n_r
-    two_mu = f32(2.0 * cfg.mu)
     p_l = np.empty(n_samples)
     p_e = np.empty(n_samples)
     rows = max(1, POWER_BOUNDS_CHUNK // n_r)
     done = 0
     while done < n_samples:
         m = min(rows, n_samples - done)
-        shape = (m, n_r)
-        r = _uniform_f32(rng, shape)
+        r, ang, h2 = _relay_draws(rng, (m, n_r), cfg.mu)
         np.sqrt(r, out=r)
         r *= f32(plan.a_l)
-        ang = _uniform_f32(rng, shape)
         ang *= f32(2.0 * math.pi)
         x = np.cos(ang)
         x *= r
@@ -500,11 +508,6 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
         np.multiply(y, y, out=r)  # r is free: reuse it as scratch
         gain += r
         gain **= -g / 2
-        # h^2 ~ Exponential(2 mu) via inverse transform; log1p keeps u=0 safe
-        h2 = _uniform_f32(rng, shape)
-        np.negative(h2, out=h2)
-        np.log1p(h2, out=h2)
-        h2 *= -two_mu
         gain *= h2
         s = gain.sum(axis=1, dtype=np.float64)
         p_l[done:done + m] = s * s / n_r
@@ -529,24 +532,26 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
         t = x.sum(axis=1, dtype=np.float64)
         p_e[done:done + m] = (2.0 * cfg.mu / n_r) * rng.standard_exponential(m) * t
         done += m
+        # free all but x before the next draws, which reuse this memory; x
+        # keeps glibc from trimming the heap top (10x fewer page faults)
+        del r, ang, y, h2, gain
     return p_l, p_e
 
 
 def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                         seed: int) -> list[BoundCheck]:
-    """Check the four distance-envelope moment bounds by direct sampling.
-
-    The sampled mean/variance of P_l and P_e (``_sample_power_bounds``) are
-    compared against the bounds, direction only.  The bounds themselves are
-    computed in double precision from the plan and the configuration.
-    """
+    """Check the four distance-envelope moment bounds against the sampled
+    mean/variance of P_l and P_e (``_sample_power_bounds``) and their SEs."""
     rng = np.random.default_rng([seed, 1])
     p_l, p_e = _sample_power_bounds(plan, cfg, n_samples, rng)
     b = moments.power_moment_bounds(cfg.gamma, cfg.d_tr, plan.eta, plan.nu,
                                     plan.n_r, plan.a_l, plan.a_e)
-    return [
-        BoundCheck("mean_P_l_lower", b.mean_pl_lower, float(p_l.mean()), "lower"),
-        BoundCheck("mean_P_e_upper", b.mean_pe_upper, float(p_e.mean()), "upper"),
-        BoundCheck("var_P_l_upper", b.var_pl_upper, float(p_l.var(ddof=1)), "upper"),
-        BoundCheck("var_P_e_upper", b.var_pe_upper, float(p_e.var(ddof=1)), "upper"),
+    checks = [
+        _mean_check("mean_P_l_lower", b.mean_pl_lower, p_l),
+        _mean_check("mean_P_e_upper", b.mean_pe_upper, p_e),
+        _var_check("var_P_l_upper", b.var_pl_upper, p_l),
+        _var_check("var_P_e_upper", b.var_pe_upper, p_e),
     ]
+    # each name ends in its direction, "lower" or "upper"
+    return [BoundCheck(c.name, c.closed_form, c.estimate,
+                       c.name.rsplit("_", 1)[1], c.std_err) for c in checks]

@@ -190,8 +190,8 @@ def test_received_powers_single_relay_hand_case():
     assert p.p_l == pytest.approx(2.25 ** 2 * 2.0)
     # cross amplitude magnitude: (1/2)*(1/4)*3*2 = 0.75 (phase drops in | |)
     assert p.p_e[0] == pytest.approx(0.75 ** 2 * 2.0)
-    assert p.per_relay[0] == pytest.approx(2.0 ** -2 * 9.0 * 2.0)
-    assert p.total == pytest.approx(p.per_relay.sum())
+    # one relay: the total is its transmit power
+    assert p.total == pytest.approx(2.0 ** -2 * 9.0 * 2.0)
 
 
 @pytest.mark.parametrize("n_relays,n_eaves", [(1, 1), (3, 2), (17, 5)])
@@ -203,7 +203,7 @@ def test_closed_form_matches_complex_oracle(n_relays, n_eaves):
         p_l, p_e, per_relay = complex_channel_powers(ch, 1.7, 2.0)
         assert p.p_l == pytest.approx(p_l, rel=1e-12)
         np.testing.assert_allclose(p.p_e, p_e, rtol=1e-12)
-        np.testing.assert_allclose(p.per_relay, per_relay, rtol=1e-12)
+        assert p.total == pytest.approx(per_relay.sum(), rel=1e-12)
 
 
 def test_p_l_invariant_to_receiver_phases():
@@ -292,5 +292,4 @@ def test_powers_nonnegative_property(n_relays, n_eaves, seed):
     p = received_powers(realization_of(ch), 1.0, 2.0)
     assert p.p_l >= 0
     assert np.all(p.p_e >= 0)
-    assert np.all(p.per_relay >= 0)
     assert p.total >= 0

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from secbeam import montecarlo, planner
+from secbeam import moments, montecarlo, planner
 from secbeam.cli import main
 from secbeam.geometry import NetworkConfig
 from secbeam.planner import SecrecyTarget, plan
@@ -259,6 +260,38 @@ def test_verify_theorem4(tmp_path, capsys):
     assert "VIOLATED" not in out
 
 
+def test_verify_theorem4_allows_noise_below_a_bound(tmp_path, capsys):
+    # at 74 samples, seed 501 puts mean_P_l by about 0.07 below its bound,
+    # about 0.6 standard errors: within noise, not a broken bound
+    _, plan_path = run_plan(tmp_path)
+    code = main(["verify", "theorem4", "--plan", str(plan_path),
+                 "--samples", "74", "--seed", "501"])
+    out = capsys.readouterr().out
+    line = next(x for x in out.splitlines() if "mean_P_l_lower" in x)
+    bound, estimate = (float(x.split("=")[1]) for x in line.split()[1:3])
+    assert estimate < bound
+    assert code == 0
+    assert "VIOLATED" not in out
+
+
+def test_verify_theorem4_flags_a_broken_bound(tmp_path, capsys, monkeypatch):
+    _, plan_path = run_plan(tmp_path)
+    exact = moments.power_moment_bounds
+
+    def shifted(*args):
+        b = exact(*args)
+        return dataclasses.replace(b, mean_pl_lower=2.0 * b.mean_pl_lower)
+
+    monkeypatch.setattr(moments, "power_moment_bounds", shifted)
+    code = main(["verify", "theorem4", "--plan", str(plan_path),
+                 "--samples", "74", "--seed", "501"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [x.split()[0] for x in captured.out.splitlines()
+            if x.endswith("VIOLATED")] == ["mean_P_l_lower"]
+    assert "FAIL mean_P_l_lower" in captured.err
+
+
 def test_verify_theorem4_missing_plan_file(tmp_path, capsys):
     code = main(["verify", "theorem4", "--plan", str(tmp_path / "nope.json")])
     assert code == 2
@@ -275,6 +308,12 @@ def test_verify_rejects_single_sample(tmp_path, capsys, what):
     captured = capsys.readouterr()
     assert "--samples >= 2" in captured.err
     assert captured.out == ""
+
+
+def test_verify_moments_huge_relay_count():
+    # two draws per sample, none per relay: a billion relays cost nothing
+    assert main(["verify", "moments", "--nr", "1000000000",
+                 "--samples", "1000"]) == 0
 
 
 def test_verify_moments_nan_z_fails(monkeypatch, capsys):

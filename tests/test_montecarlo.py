@@ -308,7 +308,7 @@ INTEGER_COLUMNS = ["trial_index", *EVENT_NAMES, "composite", "n_in_Bl", "n_in_Be
 
 
 def test_golden_trial_table(tmp_path):
-    # random stream 2: the rows of 20 trials at seed 0 on the small plan.
+    # random stream 3: the rows of 20 trials at seed 0 on the small plan.
     # Integer columns must match exactly; float columns to rtol 1e-5, since
     # float32 SIMD cos/pow may differ in the last ulp across CPUs.
     outcomes = []
@@ -377,3 +377,24 @@ def test_bound_check_semantics():
     from secbeam.montecarlo import BoundCheck
     assert BoundCheck("x", 1.0, 2.0, "lower").respected
     assert not BoundCheck("x", 1.0, 2.0, "upper").respected
+
+
+def test_bound_check_margin_in_standard_errors():
+    from secbeam.montecarlo import BoundCheck
+    assert BoundCheck("x", 1.0, 2.0, "lower", 0.5).margin_se == 2.0
+    assert BoundCheck("x", 1.0, 2.0, "upper", 0.5).margin_se == -2.0
+    assert BoundCheck("x", 1.0, 1.0, "upper").margin_se == math.inf
+    assert BoundCheck("x", 1.0, 0.5, "lower").margin_se == -math.inf
+    assert BoundCheck("x", 1.0, math.nan, "lower", math.nan).margin_se == -math.inf
+    assert math.isnan(BoundCheck("x", 1.0, math.nan, "lower", 1.0).margin_se)
+
+
+def test_power_bound_std_errors_match_moment_checks():
+    from secbeam.montecarlo import _mean_check, _sample_power_bounds, _var_check
+    plan, cfg = small_plan(), small_cfg()
+    checks = verify_power_bounds(plan, cfg, n_samples=300, seed=71)
+    p_l, p_e = _sample_power_bounds(plan, cfg, 300, np.random.default_rng([71, 1]))
+    want = [_mean_check("", 0.0, p_l), _mean_check("", 0.0, p_e),
+            _var_check("", 0.0, p_l), _var_check("", 0.0, p_e)]
+    assert [c.std_err for c in checks] == [w.std_err for w in want]
+    assert [c.estimate for c in checks] == [w.estimate for w in want]

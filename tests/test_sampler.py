@@ -1,13 +1,15 @@
-"""Distributional checks of the trial sampler (random stream 2) and of the
-theorem-4 bound sampler.
+"""Distributional checks of the trial sampler (random stream 3), of the
+theorem-4 bound sampler and of the no-path-loss moments sampler.
 
 The stream-1 sampler and its closed forms are kept here verbatim as the
 oracle: every per-relay link drawn in float64 as a Rayleigh magnitude with
 a uniform phase, the stage-1 minimum taken over explicit per-relay gains.
-Stream 2 draws the same law through sufficient statistics, so on fixed
-seeds the two must agree in distribution, not in values.  Likewise the
-theorem-4 sampler that drew every relay->eavesdropper fading and phase is
-kept as the oracle of the one that draws P_e from its conditional law.
+Stream 3 draws the same law through sufficient statistics and float32
+draws from one uniform source, so on fixed seeds the two must agree in
+distribution, not in values.  Likewise the theorem-4 sampler that drew
+every relay->eavesdropper fading and phase is kept as the oracle of the one
+that draws P_e from its conditional law, and the per-relay no-path-loss
+sampler as the oracle of the one that draws only the gain sum.
 """
 
 import math
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from secbeam.montecarlo import (_sample_power_bounds, draw_min_gain, run_trial,
+from secbeam.montecarlo import (_exponential_f32, _sample_power_bounds,
+                                _sample_powers_nopath, draw_min_gain, run_trial,
                                 sample_realization)
 from secbeam.beamform import received_powers
 
@@ -284,3 +287,45 @@ def test_weighted_circular_gaussian_sum_is_exponential(mu):
     _, p_value = stats.kstest(ratio, stats.expon(scale=2.0 * mu).cdf)
     assert p_value > KS_FLOOR
     assert abs(ratio.mean() - 2.0 * mu) < 5 * 2.0 * mu / math.sqrt(n)
+
+
+@pytest.mark.parametrize("mean", [0.3, 2.6])
+def test_exponential_f32_is_exponential(mean):
+    x = _exponential_f32(np.random.default_rng([int(10 * mean), 83]), (20_000,), mean)
+    assert x.dtype == np.float32
+    _, p_value = stats.kstest(x.astype(np.float64), stats.expon(scale=mean).cdf)
+    assert p_value > KS_FLOOR
+    assert x.max() <= 23 * math.log(2) * mean * (1 + 1e-6)
+
+
+# --- no-path-loss moments sampler -------------------------------------------
+
+def sample_powers_nopath_v1(mu: float, n_r: int, n_samples: int,
+                            rng: np.random.Generator, chunk: int = 1 << 22):
+    """Monte Carlo draws of P_l and P_e with unit distances and p_t = 1."""
+    p_l = np.empty(n_samples)
+    p_e = np.empty(n_samples)
+    done = 0
+    rows = max(1, chunk // max(n_r, 1))
+    while done < n_samples:
+        m = min(rows, n_samples - done)
+        h2 = rng.exponential(2.0 * mu, (m, n_r))
+        p_l[done:done + m] = h2.sum(axis=1) ** 2 / n_r
+        hl = rng.rayleigh(math.sqrt(mu), (m, n_r))
+        he = rng.rayleigh(math.sqrt(mu), (m, n_r))
+        dth = rng.random((m, n_r)) * 2.0 * math.pi
+        z = (hl * he * np.exp(1j * dth)).sum(axis=1) / math.sqrt(n_r)
+        p_e[done:done + m] = np.abs(z) ** 2
+        done += m
+    return p_l, p_e
+
+
+@pytest.mark.parametrize("n_r", [1, 3, 16])
+@pytest.mark.parametrize("mu", [0.5, 1.3])
+def test_nopath_sampler_matches_per_relay_draws(n_r, mu):
+    seed = [n_r, int(10 * mu)]
+    old = sample_powers_nopath_v1(mu, n_r, N_TRIALS, np.random.default_rng([*seed, 89]))
+    new = _sample_powers_nopath(mu, n_r, N_TRIALS, np.random.default_rng([*seed, 97]))
+    for power, a, b in zip(["P_l", "P_e"], old, new):
+        _, p_value = stats.ks_2samp(a, b)
+        assert p_value > KS_FLOOR, (power, p_value)
