@@ -2,10 +2,10 @@
 transmitter to the recruited relays, then conjugate-weighted distributed
 retransmission toward the receiver.
 
-All per-link quantities live in flat numpy arrays indexed by relay (and by
-eavesdropper x relay for the stage-2 cross channels); the rate and power
-formulas below are the closed-form sums, checked elsewhere against a raw
-complex-arithmetic expansion.
+All per-relay quantities live in flat numpy arrays indexed by relay, and
+per-eavesdropper quantities in arrays indexed by eavesdropper; the rate and
+power formulas below are the closed-form sums, checked elsewhere against a
+raw complex-arithmetic expansion.
 """
 
 from __future__ import annotations
@@ -41,11 +41,17 @@ class NetworkRealization:
     ``relay_min_gain = min_i h_tx,i**2 * d_tx,i**-gamma`` itself (drawn under
     the configuration's path-loss exponent) next to the squared
     transmitter->relay distances ``relay_d2_tx``.  Stage 2 reads the
-    relay->receiver links.  Each relay->eavesdropper link enters P_e only
-    through ``h_ij * e^{j(phi_ij - theta_i)}``, its fading times the phase
-    the relay's conjugate weight applies, stored complex as
-    ``eaves_fading_relay``.  Shapes: relay arrays (n,), eavesdropper arrays
-    (m,), cross arrays (m, n).
+    relay->receiver links.  Eavesdropper j receives the relay sum
+    z_j = sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij, where g_i is relay i's
+    receiver gain and c_ij = h_ij e^{j(phi_ij - theta_i)} its link fading
+    times the phase of its conjugate weight.  Given the relay field and all
+    positions, z_j is CN(0, 2*mu * sum_i g_i d_ij**-gamma).  A sampled
+    realization carries that variance, ``eaves_sum_var``, and the drawn
+    power ``eaves_sum_power = |z_j|**2``, both under the configuration's
+    path-loss exponent and fading parameter.  A realization built from
+    explicit links carries ``eaves_d2_relay`` and ``eaves_fading_relay``
+    instead, and ``received_powers`` evaluates z_j from them.  Shapes:
+    relay arrays (n,), eavesdropper arrays (m,), link arrays (m, n).
     """
 
     relay_d2_tx: np.ndarray
@@ -54,8 +60,10 @@ class NetworkRealization:
     relay_h2_rx: np.ndarray
     eaves_dist_tx: np.ndarray
     eaves_h2_tx: np.ndarray
-    eaves_d2_relay: np.ndarray
-    eaves_fading_relay: np.ndarray
+    eaves_sum_var: np.ndarray | None = None
+    eaves_sum_power: np.ndarray | None = None
+    eaves_d2_relay: np.ndarray | None = None
+    eaves_fading_relay: np.ndarray | None = None
 
     @property
     def n_relays(self) -> int:
@@ -116,29 +124,37 @@ def received_powers(realization: NetworkRealization, p_t: float,
     """Received powers of the beamforming stage from the closed-form sums.
 
     With g_i = d_i**(-gamma) h_i**2 the relay->receiver gain of relay i,
-    S = sum_i g_i and c_ij = h_ij e^{j(phi_ij - theta_i)}:
+    S = sum_i g_i and z_j eavesdropper j's relay sum (see
+    ``NetworkRealization``):
 
     P_l   = p_t * S**2 / n_r
-    P_e_j = p_t * |sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij|**2 / n_r
+    P_e_j = p_t * |z_j|**2 / n_r
     total = sum_i p_t * g_i / n_r = p_t * S / n_r
 
-    Per-relay terms keep the realization's precision; S and the
-    eavesdropper sums are accumulated in double precision.
+    |z_j|**2 is the realization's drawn ``eaves_sum_power`` or, for a
+    realization of explicit links,
+    |sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij|**2.  Per-relay terms keep the
+    realization's precision; S and the eavesdropper sums are accumulated in
+    double precision.
     """
     r = realization
-    if np.any(r.relay_d2_rx <= 0) or (r.n_eaves and np.any(r.eaves_d2_relay <= 0)):
+    links = r.eaves_fading_relay is not None
+    if np.any(r.relay_d2_rx <= 0) or (
+            links and r.n_eaves and np.any(r.eaves_d2_relay <= 0)):
         raise ValueError("distances must be positive")
     scale = p_t / r.n_relays
     gain = r.relay_d2_rx ** (-gamma / 2.0)
     gain *= r.relay_h2_rx
     s = float(gain.sum(dtype=np.float64))
-    if r.n_eaves:
+    if not r.n_eaves:
+        p_e = np.empty(0)
+    elif not links:
+        p_e = r.eaves_sum_power * scale
+    else:
         amp = r.eaves_d2_relay ** (-gamma / 4.0)
         amp *= np.sqrt(gain)
         z = np.einsum("ij,ij->i", amp, r.eaves_fading_relay)
         p_e = (z.real ** 2 + z.imag ** 2) * scale
-    else:
-        p_e = np.empty(0)
     return ReceivedPowers(p_l=s * s * scale, p_e=p_e, total=s * scale)
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import datetime
 import json
 import math
+import os
 import platform
 import sys
 
@@ -69,21 +71,49 @@ def _print_validation(checks) -> bool:
     return all_ok
 
 
-def cmd_plan(args) -> int:
-    probe, target = _planning_inputs(args)
+def _open_text(path):
+    return open(path, "w", newline="")
+
+
+def _open_outputs(stack: contextlib.ExitStack, paths, opener=_open_text):
+    """Open every requested output path (None: not requested) on ``stack``
+    before any work, so a bad path costs no run.  Returns the files (None
+    for the unrequested), or None after printing why one cannot be
+    written."""
     try:
-        p = planner.plan(probe, target)
-    except planner.InfeasiblePlanError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
-    cfg = _build_config(args, p)
-    print(f"mode={p.mode}  n_r={p.n_r}  a_l={p.a_l:.6g}  a_e={p.a_e:.6g}")
-    print(f"lambda_l_min={p.lambda_l_min:.6g}  lambda_e_max={p.lambda_e_max:.6g}  "
-          f"n_e_max={p.n_e_max}  eta={p.eta:.6g}  nu={p.nu:.6g}")
-    ok = _print_validation(planner.validate_plan(cfg, target, p))
+        return [stack.enter_context(opener(path)) if path else None
+                for path in paths]
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_plan(args) -> int:
+    # the output opens before planning; a file it created is removed again
+    # when the target is infeasible, and an existing one is left as it was
+    created = bool(args.out) and not os.path.lexists(args.out)
+    with contextlib.ExitStack() as stack:
+        opened = _open_outputs(stack, [args.out], planner.open_plan_file)
+        if opened is None:
+            return 2
+        out_fh, = opened
+        probe, target = _planning_inputs(args)
+        try:
+            p = planner.plan(probe, target)
+        except planner.InfeasiblePlanError as exc:
+            print(f"infeasible: {exc}", file=sys.stderr)
+            if created:
+                os.remove(args.out)
+            return 2
+        cfg = _build_config(args, p)
+        print(f"mode={p.mode}  n_r={p.n_r}  a_l={p.a_l:.6g}  a_e={p.a_e:.6g}")
+        print(f"lambda_l_min={p.lambda_l_min:.6g}  lambda_e_max={p.lambda_e_max:.6g}  "
+              f"n_e_max={p.n_e_max}  eta={p.eta:.6g}  nu={p.nu:.6g}")
+        ok = _print_validation(planner.validate_plan(cfg, target, p))
+        if out_fh:
+            planner.write_plan(out_fh, cfg, target, p,
+                               extra={"manifest": _manifest("plan", args, [args.out])})
     if args.out:
-        planner.save_plan(args.out, cfg, target, p,
-                          extra={"manifest": _manifest("plan", args, [args.out])})
         print(f"wrote {args.out}")
     return 0 if ok else 2
 
@@ -117,14 +147,10 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
         return 2
     with contextlib.ExitStack() as stack:
-        # open every output before the first trial, so a bad path costs no run
-        try:
-            csv_fh = (stack.enter_context(open(args.csv, "w", newline=""))
-                      if args.csv else None)
-            json_fh = stack.enter_context(open(args.json, "w")) if args.json else None
-        except OSError as exc:
-            print(f"cannot write {exc.filename}: {exc}", file=sys.stderr)
+        opened = _open_outputs(stack, [args.csv, args.json])
+        if opened is None:
             return 2
+        csv_fh, json_fh = opened
         collect = montecarlo.csv_row_writer(csv_fh) if csv_fh else None
         report = montecarlo.estimate_outage(p, cfg, target, args.trials,
                                             args.seed, collect=collect)
@@ -140,6 +166,8 @@ def cmd_simulate(args) -> int:
             json_fh.write("\n")
     for name, ev in report.event_outage.items():
         print(f"  {name}: outage={ev.outage:.4f}  ci=[{ev.ci_low:.4f}, {ev.ci_high:.4f}]")
+    print(f"  E6 given the relay field: outage={report.e6_outage_given_field:.4f}  "
+          f"se={report.e6_outage_given_field_se:.4f}")
     c = report.composite
     print(f"  composite: outage={c.outage:.4f}  ci=[{c.ci_low:.4f}, {c.ci_high:.4f}]")
     print(f"  mean P_l={report.mean_p_l:.6g}  mean max P_e={report.mean_max_p_e:.6g}  "
@@ -223,37 +251,37 @@ def cmd_sweep(args) -> int:
 
     header = [name, "feasible", "mode", "n_r", "a_l", "a_e", "lambda_l_min",
               "lambda_e_max", "n_e_max", "eta", "nu"]
-    rows = []
-    for value in grid:
-        ns = argparse.Namespace(**vars(args))
-        setattr(ns, name, value)
-        for attr in SWEEPABLE:
-            v = getattr(ns, attr)
-            if isinstance(v, str):
-                setattr(ns, attr, float(v))
-        probe, target = _planning_inputs(ns)
-        try:
-            p = planner.plan(probe, target)
-        except planner.InfeasiblePlanError as exc:
-            rows.append([repr(value), "no", exc.constraint] + [""] * 8)
-            continue
-        feasible = "yes"
-        if name == "lambda_l" and ns.lambda_l < p.lambda_l_min:
-            feasible = "no"
-        rows.append([repr(value), feasible, p.mode, p.n_r, repr(p.a_l),
-                     repr(p.a_e), repr(p.lambda_l_min), repr(p.lambda_e_max),
-                     p.n_e_max, repr(p.eta), repr(p.nu)])
-    import csv as _csv
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = _csv.writer(out)
+    with contextlib.ExitStack() as stack:
+        opened = _open_outputs(stack, [args.out])
+        if opened is None:
+            return 2
+        writer = csv.writer(opened[0] or sys.stdout)
         writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
-            print(f"wrote {args.out} ({len(rows)} rows)")
+        for value in grid:
+            writer.writerow(_sweep_row(args, name, value))
+    if args.out:
+        print(f"wrote {args.out} ({len(grid)} rows)")
     return 0
+
+
+def _sweep_row(args, name: str, value: float) -> list:
+    ns = argparse.Namespace(**vars(args))
+    setattr(ns, name, value)
+    for attr in SWEEPABLE:
+        v = getattr(ns, attr)
+        if isinstance(v, str):
+            setattr(ns, attr, float(v))
+    probe, target = _planning_inputs(ns)
+    try:
+        p = planner.plan(probe, target)
+    except planner.InfeasiblePlanError as exc:
+        return [repr(value), "no", exc.constraint] + [""] * 8
+    feasible = "yes"
+    if name == "lambda_l" and ns.lambda_l < p.lambda_l_min:
+        feasible = "no"
+    return [repr(value), feasible, p.mode, p.n_r, repr(p.a_l), repr(p.a_e),
+            repr(p.lambda_l_min), repr(p.lambda_e_max), p.n_e_max, repr(p.eta),
+            repr(p.nu)]
 
 
 def _positive(kind):

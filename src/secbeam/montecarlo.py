@@ -30,8 +30,9 @@ CSV_COLUMNS = [
 EVENT_NAMES = ["E1", "E2", "E3", "E4", "E5", "E6", "E7"]
 
 #: version of the per-trial random stream: 1 drew every per-relay link in
-#: float64, 2 sufficient statistics, 3 those from one uniform source
-STREAM_VERSION = 3
+#: float64, 2 sufficient statistics, 3 those from one uniform source, 4 each
+#: eavesdropper's stage-2 power from its conditional law
+STREAM_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,11 @@ class TrialOutcome:
     E5: receiver stage-2 rate meets its threshold.
     E6: best eavesdropper stage-2 rate below its threshold.
     E7: sampled eavesdropper count within the planned cap.
+
+    ``e6_outage_given_field`` is the probability that E6 fails given the
+    trial's relay field and positions (0 when E1 fails); its mean over
+    trials estimates the E6 outage with less variance than the flag.  It is
+    not a CSV column.
     """
 
     trial_index: int
@@ -65,6 +71,7 @@ class TrialOutcome:
     total_relay_power: float
     n_in_bl: int
     n_in_be: int
+    e6_outage_given_field: float
 
     def flags(self):
         return (self.e1, self.e2, self.e3, self.e4, self.e5, self.e6, self.e7)
@@ -87,12 +94,16 @@ class EventStats:
 
 @dataclass(frozen=True)
 class OutageReport:
-    """Aggregated empirical outage rates with 95% Wilson intervals."""
+    """Aggregated empirical outage rates with 95% Wilson intervals, and
+    the mean of the trials' E6 failure probabilities given their relay
+    fields, a lower-variance E6 estimate, with its standard error."""
 
     n_trials: int
     seed: int
     event_outage: dict
     composite: EventStats
+    e6_outage_given_field: float
+    e6_outage_given_field_se: float
     mean_p_l: float
     var_p_l: float
     mean_max_p_e: float
@@ -137,41 +148,120 @@ def draw_min_gain(d2_tx: np.ndarray, gamma: float, mu: float,
     return gain / rate if rate > 0 else math.inf
 
 
-def _uniform_f32(rng: np.random.Generator, shape) -> np.ndarray:
+def _uniform_f32(rng: np.random.Generator, shape, out=None) -> np.ndarray:
     """Float32 uniforms on [0, 1), multiples of 2**-23: the one source of
     every float32 draw.  Each raw 64-bit word gives two values, the top 23
-    bits of a 32-bit half as the mantissa of a float in [1, 2), minus 1."""
+    bits of a 32-bit half as the mantissa of a float in [1, 2), minus 1.
+    With ``out``, a float32 array of ``shape``, the values go there and the
+    raw words are freed on return."""
     n = math.prod(shape)
     u = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
     u >>= 9
     u |= np.uint32(0x3F800000)
     f = u.view(np.float32).reshape(shape)
-    f -= np.float32(1.0)
-    return f
+    return np.subtract(f, np.float32(1.0), out=f if out is None else out)
 
 
-def _exponential_f32(rng: np.random.Generator, shape, mean: float) -> np.ndarray:
+def _exponential_f32(rng: np.random.Generator, shape, mean: float,
+                     out=None) -> np.ndarray:
     """Float32 exponentials, -mean * log1p(-U) on ``_uniform_f32`` draws.
     As U <= 1 - 2**-23, values stop at 23*ln 2 (about 15.9) means, a tail
     an exact exponential exceeds with probability 2**-23 (1.2e-7)."""
-    x = _uniform_f32(rng, shape)
+    x = _uniform_f32(rng, shape, out)
     np.negative(x, out=x)
     np.log1p(x, out=x)
     x *= -np.float32(mean)
     return x
 
 
-def _relay_draws(rng: np.random.Generator, shape, mu: float):
+def _relay_draws(rng: np.random.Generator, shape, mu: float, out=None):
     """Per-relay float32 draws, in this order: u = (r/a_l)**2 of a relay
     uniform in a disc, its polar angle in turns, and the receiver-link power
-    h**2 ~ Exp(mean 2*mu).  Returns (u, turn, h2)."""
-    u = _uniform_f32(rng, shape)
-    turn = _uniform_f32(rng, shape)
-    return u, turn, _exponential_f32(rng, shape, 2.0 * mu)
+    h**2 ~ Exp(mean 2*mu).  Returns (u, turn, h2), the rows of ``out`` when
+    given, a float32 array of shape (3, *shape)."""
+    u, turn, h2 = (None, None, None) if out is None else out
+    return (_uniform_f32(rng, shape, u), _uniform_f32(rng, shape, turn),
+            _exponential_f32(rng, shape, 2.0 * mu, h2))
+
+
+class RelayRows:
+    """Float32 relay arrays that successive trials reuse: u, turn, h**2, r,
+    d_rx**2 and one scratch row, grown to the largest relay count taken.
+
+    With them, a run of trials allocates relay-sized arrays only as
+    short-lived temporaries, one at a time.  Fresh arrays per trial make the
+    C heap grow and shrink by megabytes every trial; glibc hands its heap
+    top back to the system past a threshold, and each trial then takes a
+    minor page fault per 4 KiB it touches.
+    """
+
+    N_ROWS = 6
+
+    def __init__(self):
+        self._rows = np.empty((self.N_ROWS, 0), dtype=np.float32)
+
+    def take(self, k: int) -> np.ndarray:
+        """The first k columns of every row; earlier takes are overwritten."""
+        if self._rows.shape[1] < k:
+            self._rows = np.empty((self.N_ROWS, k), dtype=np.float32)
+        return self._rows[:, :k]
+
+
+#: relays per block of the eavesdropper sums: a block's arrays stay in cache
+#: and are reused across blocks, so no relay-count array is allocated
+RELAY_BLOCK = 1 << 13
+
+
+def _relay_sums(r: np.ndarray, turn: np.ndarray, d2_rx: np.ndarray,
+                h2_rx: np.ndarray, eaves_x: np.ndarray, eaves_y: np.ndarray,
+                gamma: float) -> np.ndarray:
+    """T_j = sum_i g_i * d_ij**-gamma for each eavesdropper j at
+    (eaves_x[j], eaves_y[j]), with relay i at radius r_i and angle turn_i
+    turns and receiver gain g_i = h2_rx,i * d2_rx,i**(-gamma/2).
+
+    Relays are taken RELAY_BLOCK at a time, and within a block one
+    eavesdropper at a time, so memory is a few block-sized arrays whatever
+    the relay and eavesdropper counts.  Positions and gains are float32 as
+    per relay elsewhere; squared distances, their powers and the sums are
+    float64, since an eavesdropper can sit arbitrarily close to a relay.
+    """
+    sums = np.zeros(len(eaves_x))
+    if not len(eaves_x):
+        return sums
+    f32 = np.float32
+    e = -gamma / 2.0
+    block = max(1, min(RELAY_BLOCK, len(r)))
+    angle = np.empty(block, dtype=f32)
+    x, y, gain, d2, dy = np.empty((5, block))
+    for start in range(0, len(r), block):
+        s = slice(start, start + block)
+        n = min(block, len(r) - start)
+        a, bx, by, bg, bd, bdy = (v[:n] for v in (angle, x, y, gain, d2, dy))
+        np.multiply(turn[s], f32(2.0 * math.pi), out=a)
+        np.multiply(np.cos(a), r[s], out=bx)
+        np.multiply(np.sin(a, out=a), r[s], out=by)
+        np.multiply(_neg_power(d2_rx[s], e), h2_rx[s], out=bg)
+        for j, (ex, ey) in enumerate(zip(eaves_x, eaves_y)):
+            np.subtract(bx, ex, out=bd)
+            bd *= bd
+            np.subtract(by, ey, out=bdy)
+            bdy *= bdy
+            bd += bdy
+            sums[j] += np.dot(_neg_power(bd, e, out=bd), bg)
+    return sums
+
+
+def _neg_power(a: np.ndarray, e: float, out=None) -> np.ndarray:
+    """a**e for e < 0; for e == -1 by reciprocal, in a quarter (float32) to
+    a half (float64) of the time of power."""
+    if e == -1.0:
+        return np.reciprocal(a, out=out)
+    return np.power(a, a.dtype.type(e), out=out)
 
 
 def sample_realization(plan: Plan, cfg: NetworkConfig,
-                       rng: np.random.Generator):
+                       rng: np.random.Generator,
+                       rows: RelayRows | None = None):
     """Sample one trial's geometry and fading, drawing only what the two
     stages read.
 
@@ -182,18 +272,23 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     from the law of cosines written without cancellation,
     (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2.  The stage-1 minimum is drawn
     exactly by ``draw_min_gain``.  Eavesdroppers are sampled on the full
-    square.  Only when there are some are the relay positions and the
-    relay->eavesdropper arrays built.  Each combined fading
-    h_ij e^{j(phi_ij - theta_i)} is circular Gaussian CN(0, 2*mu), i.i.d.
-    over (i, j) and independent of the receiver links: rotating i.i.d.
-    circular Gaussians by the common phase theta_i leaves them i.i.d.  So no
-    receiver-link phase is drawn; the combined fading is drawn in polar
-    form, magnitude sqrt(2*mu*Exp(1)) and a uniform phase.
+    square.  Each eavesdropper's stage-2 relay sum is drawn from its exact
+    conditional law: the combined fadings h_ij e^{j(phi_ij - theta_i)} are
+    i.i.d. CN(0, 2*mu) over (i, j) and independent of the receiver links
+    (rotating i.i.d. circular Gaussians by the common phase theta_i leaves
+    them i.i.d.), so given the relay field and all positions the sums are
+    independent over j and CN(0, 2*mu*T_j), T_j = sum_i g_i d_ij**-gamma.
+    Its power |z_j|**2 is 2*mu*T_j times one Exp(1), drawn last.  Only when
+    there are eavesdroppers are the relay positions built and the T_j
+    summed (``_relay_sums``).
 
-    Precision: per-relay values (u, angle, h**2, squared distances, the
-    combined fading) are float32, about 1e-7 relative each; every reduction
-    over relays is float64.  Relay->eavesdropper distances are float64,
-    since an eavesdropper can sit arbitrarily close to a relay.
+    Precision: per-relay values (u, angle, h**2, squared distances, gains)
+    are float32, about 1e-7 relative each; every reduction over relays is
+    float64, and so are the relay->eavesdropper distances and the
+    exponentials.
+
+    The relay arrays are rows of one float32 block: fresh, or taken from
+    ``rows``, in which case the realization is valid until the next take.
 
     Returns (realization, n_in_bl) where the realization carries
     min(n_in_bl, n_r) relays (all available nodes when short).
@@ -206,60 +301,57 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     n_e = int(rng.poisson(cfg.lambda_e * side * side))
     k = min(n_in_bl, plan.n_r)
 
-    d2_tx, turn, h2_rx = _relay_draws(rng, (k,), cfg.mu)
+    relay = (np.empty((RelayRows.N_ROWS, k), dtype=f32) if rows is None
+             else rows.take(k))
+    d2_tx, turn, h2_rx, r, d2_rx, scratch = relay
+    _relay_draws(rng, (k,), cfg.mu, out=relay[:3])
     d2_tx *= f32(plan.a_l ** 2)
     min_gain = draw_min_gain(d2_tx, cfg.gamma, cfg.mu, rng)
 
-    r = np.sqrt(d2_tx)
-    # d_rx**2 = (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2
-    sin2 = np.sin(turn * f32(math.pi))
-    sin2 *= sin2
-    sin2 *= r
-    sin2 *= f32(4.0 * cfg.d_tr)
-    d2_rx = r - f32(cfg.d_tr)
+    np.sqrt(d2_tx, out=r)
+    # d_rx**2 = 4*d_tr*r*sin(theta/2)**2 + (d_tr - r)**2
+    np.multiply(turn, f32(math.pi), out=d2_rx)
+    np.sin(d2_rx, out=d2_rx)
     d2_rx *= d2_rx
-    d2_rx += sin2
+    d2_rx *= r
+    d2_rx *= f32(4.0 * cfg.d_tr)
+    np.subtract(r, f32(cfg.d_tr), out=scratch)
+    scratch *= scratch
+    d2_rx += scratch
 
     eaves_x = (rng.random(n_e) - 0.5) * side
     eaves_y = (rng.random(n_e) - 0.5) * side
     eaves_h2_tx = rng.standard_exponential(n_e) * (2.0 * cfg.mu)
-    if n_e:
-        angle = turn * f32(2.0 * math.pi)
-        x = np.cos(angle)
-        x *= r
-        y = np.sin(angle, out=angle)
-        y *= r
-        # float32 positions, float64 differences
-        d2_cross = x - eaves_x[:, None]
-        d2_cross *= d2_cross
-        dy = y - eaves_y[:, None]
-        dy *= dy
-        d2_cross += dy
-        magnitude = _exponential_f32(rng, (n_e, k), 2.0 * cfg.mu)
-        np.sqrt(magnitude, out=magnitude)
-        phase = _uniform_f32(rng, (n_e, k))
-        phase *= f32(2.0 * math.pi)
-        fading = np.empty((n_e, k), dtype=np.complex64)
-        np.cos(phase, out=fading.real)
-        np.sin(phase, out=fading.imag)
-        fading *= magnitude
-    else:
-        d2_cross = np.empty((0, k))
-        fading = np.empty((0, k), dtype=np.complex64)
+    sum_var = _relay_sums(r, turn, d2_rx, h2_rx, eaves_x, eaves_y, cfg.gamma)
+    sum_var *= 2.0 * cfg.mu
+    sum_power = rng.standard_exponential(n_e)
+    sum_power *= sum_var
 
     realization = beamform.NetworkRealization(
         relay_d2_tx=d2_tx, relay_min_gain=min_gain,
         relay_d2_rx=d2_rx, relay_h2_rx=h2_rx,
         eaves_dist_tx=np.hypot(eaves_x, eaves_y), eaves_h2_tx=eaves_h2_tx,
-        eaves_d2_relay=d2_cross, eaves_fading_relay=fading)
+        eaves_sum_var=sum_var, eaves_sum_power=sum_power)
     return realization, n_in_bl
 
 
+def _e6_outage_given_field(sum_var: np.ndarray, p_t: float, n_relays: int,
+                          threshold: float) -> float:
+    """P(max_j P_e,j > threshold) given the relay field and all positions.
+    Given those, the P_e,j = p_t * |z_j|**2 / n_relays are independent
+    exponentials with means p_t * sum_var_j / n_relays, so the probability
+    is 1 - prod_j (1 - exp(-threshold * n_relays / (p_t * sum_var_j)))."""
+    tail = np.exp(-threshold * n_relays / (p_t * sum_var))
+    return -math.expm1(float(np.sum(np.log1p(-tail))))
+
+
 def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
-              trial_index: int, seed: int) -> TrialOutcome:
+              trial_index: int, seed: int,
+              rows: RelayRows | None = None) -> TrialOutcome:
     """Score one independent transmission attempt.
 
-    Deterministic in (seed, trial_index).  When the relay disc falls short,
+    Deterministic in (seed, trial_index), with or without ``rows``, relay
+    arrays to reuse across trials.  When the relay disc falls short,
     stage-1 statistics still use the available nodes for diagnostics, the
     beamforming stage is skipped (its rates and powers report 0), and the
     composite flag is false.
@@ -267,7 +359,7 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     if plan.mode != "beamforming":
         raise ValueError("run_trial requires a beamforming-mode plan")
     rng = _trial_rng(seed, trial_index)
-    realization, n_in_bl = sample_realization(plan, cfg, rng)
+    realization, n_in_bl = sample_realization(plan, cfg, rng, rows)
     e1 = n_in_bl >= plan.n_r
 
     min_rate, max_e1, disc_violated = beamform.stage1_rates(
@@ -286,12 +378,16 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
         total_power = powers.total
         e5 = rate_l >= (1.0 + target.kappa) * target.secure_rate
         e6 = max_e2 <= target.kappa * target.secure_rate
+        e6_given_field = _e6_outage_given_field(
+            realization.eaves_sum_var, cfg.p_t, realization.n_relays,
+            2.0 ** (target.kappa * target.secure_rate) - 1.0)
         composite = (min_rate - max_e1 >= target.secure_rate
                      and rate_l - max_e2 >= target.secure_rate)
     else:
         rate_l = max_e2 = p_l = max_p_e = total_power = 0.0
         e5 = False
         e6 = True
+        e6_given_field = 0.0
         composite = False
 
     return TrialOutcome(
@@ -299,7 +395,8 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
         e7=e7, composite=composite, min_relay_rate=min_rate,
         max_eaves_rate_s1=max_e1, rate_l_s2=rate_l, max_eaves_rate_s2=max_e2,
         p_l=p_l, max_p_e=max_p_e, total_relay_power=total_power,
-        n_in_bl=n_in_bl, n_in_be=int(np.sum(realization.eaves_dist_tx <= plan.a_e)))
+        n_in_bl=n_in_bl, n_in_be=int(np.sum(realization.eaves_dist_tx <= plan.a_e)),
+        e6_outage_given_field=e6_given_field)
 
 
 class RunningMoments:
@@ -340,14 +437,17 @@ def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     p_l = RunningMoments()
     max_p_e = RunningMoments()
     total_power = RunningMoments()
+    e6_given_field = RunningMoments()
+    rows = RelayRows()
     for i in range(n_trials):
-        out = run_trial(plan, cfg, target, i, seed)
+        out = run_trial(plan, cfg, target, i, seed, rows)
         for j, ok in enumerate(out.flags()):
             ok_counts[j] += ok
         composite_ok += out.composite
         p_l.push(out.p_l)
         max_p_e.push(out.max_p_e)
         total_power.push(out.total_relay_power)
+        e6_given_field.push(out.e6_outage_given_field)
         if collect is not None:
             collect(out)
 
@@ -361,6 +461,8 @@ def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
         event_outage={name: stats(ok_counts[i])
                       for i, name in enumerate(EVENT_NAMES)},
         composite=stats(composite_ok),
+        e6_outage_given_field=e6_given_field.mean,
+        e6_outage_given_field_se=math.sqrt(e6_given_field.variance() / n_trials),
         mean_p_l=p_l.mean, var_p_l=p_l.variance(),
         mean_max_p_e=max_p_e.mean, var_max_p_e=max_p_e.variance(),
         mean_total_relay_power=total_power.mean)

@@ -389,18 +389,29 @@ def plan_document(cfg: NetworkConfig, target: SecrecyTarget, p: Plan) -> dict:
     return doc
 
 
-def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
-              extra: dict | None = None) -> None:
+def open_plan_file(path):
+    """Open ``path`` for ``write_plan``: created if missing, else overwritten
+    in place.  Opening with O_TRUNC instead makes ext4 start writeback when a
+    file emptied that way is closed, and the next save's truncation then
+    waits for that disk write."""
+    return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
+
+
+def write_plan(fh, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
+               extra: dict | None = None) -> None:
+    """Write the plan document to the file ``fh`` from ``open_plan_file``
+    and cut off any old tail."""
     doc = plan_document(cfg, target, p)
     if extra:
         doc.update(extra)
-    # Overwrite in place, then cut off any old tail.  Opening with O_TRUNC
-    # instead makes ext4 start writeback when a file emptied that way is
-    # closed, and the next save's truncation then waits for that disk write.
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
-        fh.truncate()
+    fh.write(json.dumps(doc, indent=2) + "\n")
+    fh.truncate()
+
+
+def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
+              extra: dict | None = None) -> None:
+    with open_plan_file(path) as fh:
+        write_plan(fh, cfg, target, p, extra)
 
 
 def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:

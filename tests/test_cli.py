@@ -74,6 +74,17 @@ def test_plan_infeasible_exit_code(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_plan_infeasible_keeps_out_as_it_was(tmp_path, capsys):
+    infeasible = ["plan", "--rate", "0.5", "--outage", "0.35", "--dtr", "1e-6"]
+    new = tmp_path / "new.json"
+    assert main([*infeasible, "--out", str(new)]) == 2
+    assert not new.exists()
+    old = tmp_path / "old.json"
+    old.write_text("earlier plan\n")
+    assert main([*infeasible, "--out", str(old)]) == 2
+    assert old.read_text() == "earlier plan\n"
+
+
 def test_plan_round_trip_full_precision(tmp_path, capsys):
     code, out = run_plan(tmp_path)
     assert code == 0
@@ -161,6 +172,10 @@ def test_simulate_outputs(tmp_path, capsys):
     assert doc["manifest"]["stream_version"] == montecarlo.STREAM_VERSION
     assert set(doc["manifest"]["versions"]) == {"python", "numpy", "secbeam"}
     assert set(doc["event_outage"]) == {f"E{k}" for k in range(1, 8)}
+    # the E6 estimate given each trial's relay field sits outside the events
+    assert 0.0 <= doc["e6_outage_given_field"] <= 1.0
+    assert doc["e6_outage_given_field_se"] >= 0.0
+    assert "E6 given the relay field" in text
 
 
 def test_simulate_streamed_csv_matches_batch_writer(tmp_path):
@@ -332,6 +347,25 @@ def test_verify_lemmas(capsys):
 
 
 # --- sweep -----------------------------------------------------------------
+
+def test_plan_unwritable_out_exits_before_planning(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "plan.json"
+    monkeypatch.setattr(planner, "plan", lambda *a, **k: pytest.fail("planned"))
+    assert main(["plan", *PLAN_FLAGS, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out}" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_unwritable_out_exits_before_planning(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "sweep.csv"
+    monkeypatch.setattr(planner, "plan", lambda *a, **k: pytest.fail("planned"))
+    assert main(["sweep", "--rate", "0.25:1.0:4", "--outage", "0.35",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out}" in captured.err
+    assert captured.out == ""
+
 
 def test_sweep_requires_exactly_one_range(capsys):
     code = main(["sweep", "--rate", "0.5", "--outage", "0.35"])

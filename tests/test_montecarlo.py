@@ -10,10 +10,11 @@ from scipy import stats
 
 from secbeam.beamform import select_relays
 from secbeam.geometry import NetworkConfig, sample_ppp
-from secbeam.montecarlo import (CSV_COLUMNS, EVENT_NAMES, RunningMoments,
-                                estimate_outage, run_trial, sample_realization,
-                                verify_moments, verify_power_bounds,
-                                wilson_interval, write_trials_csv)
+from secbeam.montecarlo import (CSV_COLUMNS, EVENT_NAMES, RelayRows,
+                                RunningMoments, estimate_outage, run_trial,
+                                sample_realization, verify_moments,
+                                verify_power_bounds, wilson_interval,
+                                write_trials_csv)
 from secbeam.planner import Plan, SecrecyTarget
 
 
@@ -73,10 +74,13 @@ def test_sample_realization_shapes():
     for name in ("relay_d2_tx", "relay_d2_rx", "relay_h2_rx"):
         arr = getattr(realization, name)
         assert arr.shape == (k,) and arr.dtype == np.float32, name
-    assert realization.eaves_d2_relay.shape == (m, k)
-    assert realization.eaves_d2_relay.dtype == np.float64
-    assert realization.eaves_fading_relay.shape == (m, k)
-    assert realization.eaves_h2_tx.shape == (m,)
+    for name in ("eaves_h2_tx", "eaves_sum_var", "eaves_sum_power"):
+        arr = getattr(realization, name)
+        assert arr.shape == (m,) and arr.dtype == np.float64, name
+    assert np.all(realization.eaves_sum_var > 0)
+    # stage 2 is carried per eavesdropper, never per (eavesdropper, relay)
+    assert realization.eaves_d2_relay is None
+    assert realization.eaves_fading_relay is None
     assert np.all(realization.relay_d2_tx <= np.float32(plan.a_l ** 2))
     assert np.all(realization.relay_d2_rx > 0)
     assert 0 < realization.relay_min_gain < math.inf
@@ -86,8 +90,18 @@ def test_sample_realization_skips_cross_arrays_without_eavesdroppers():
     realization, _ = sample_realization(small_plan(), small_cfg(lambda_e=0.0),
                                         np.random.default_rng(0))
     assert realization.n_eaves == 0
-    assert realization.eaves_d2_relay.shape == (0, realization.n_relays)
-    assert realization.eaves_fading_relay.shape == (0, realization.n_relays)
+    assert realization.eaves_sum_var.shape == (0,)
+    assert realization.eaves_sum_power.shape == (0,)
+
+
+def test_trial_with_reused_rows_matches_fresh_arrays():
+    # the rows grow for the wider plan and are then reused, wider than needed
+    rows = RelayRows()
+    cfg, target = small_cfg(), small_target()
+    for plan in (small_plan(n_r=5), small_plan(), small_plan(n_r=5)):
+        for i in range(4):
+            assert (run_trial(plan, cfg, target, i, 9, rows)
+                    == run_trial(plan, cfg, target, i, 9))
 
 
 def test_sample_realization_disc_must_fit():
@@ -308,7 +322,7 @@ INTEGER_COLUMNS = ["trial_index", *EVENT_NAMES, "composite", "n_in_Bl", "n_in_Be
 
 
 def test_golden_trial_table(tmp_path):
-    # random stream 3: the rows of 20 trials at seed 0 on the small plan.
+    # random stream 4: the rows of 20 trials at seed 0 on the small plan.
     # Integer columns must match exactly; float columns to rtol 1e-5, since
     # float32 SIMD cos/pow may differ in the last ulp across CPUs.
     outcomes = []

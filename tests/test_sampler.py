@@ -1,26 +1,34 @@
-"""Distributional checks of the trial sampler (random stream 3), of the
+"""Distributional checks of the trial sampler (random stream 4), of the
 theorem-4 bound sampler and of the no-path-loss moments sampler.
 
 The stream-1 sampler and its closed forms are kept here verbatim as the
 oracle: every per-relay link drawn in float64 as a Rayleigh magnitude with
 a uniform phase, the stage-1 minimum taken over explicit per-relay gains.
-Stream 3 draws the same law through sufficient statistics and float32
+Stream 4 draws the same law through sufficient statistics and float32
 draws from one uniform source, so on fixed seeds the two must agree in
-distribution, not in values.  Likewise the theorem-4 sampler that drew
+distribution, not in values.  The stream-3 sampler, which still drew every
+relay->eavesdropper fading and phase, is kept verbatim too, with its
+per-link stage 2: stream 4 draws each eavesdropper's power from its
+conditional law instead, so the two agree in distribution, and exactly in
+trials with no eavesdropper.  Likewise the theorem-4 sampler that drew
 every relay->eavesdropper fading and phase is kept as the oracle of the one
 that draws P_e from its conditional law, and the per-relay no-path-loss
 sampler as the oracle of the one that draws only the gain sum.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from secbeam.montecarlo import (_exponential_f32, _sample_power_bounds,
-                                _sample_powers_nopath, draw_min_gain, run_trial,
-                                sample_realization)
+from secbeam import beamform
+from secbeam.montecarlo import (CSV_COLUMNS, TrialOutcome, _exponential_f32,
+                                _relay_draws, _relay_sums,
+                                _sample_power_bounds, _sample_powers_nopath,
+                                _trial_rng, _uniform_f32, draw_min_gain,
+                                estimate_outage, run_trial, sample_realization)
 from secbeam.beamform import received_powers
 
 from test_montecarlo import small_cfg, small_plan, small_target
@@ -98,6 +106,171 @@ def trial_v1(plan, cfg, target, rng):
             "n_in_Bl": n_in_bl}
 
 
+# --- stream-3 oracle --------------------------------------------------------
+# The stream-3 sampler, trial and per-link stage 2, verbatim but for their
+# names and the trial's return value (its CSV row as a dict).
+
+def sample_realization_v3(plan, cfg, rng):
+    """Sample one trial's geometry and fading, drawing only what the two
+    stages read.
+
+    Legitimate nodes are sampled restricted to the relay disc: nodes outside
+    it enter no statistic, and conditioning a homogeneous Poisson process on
+    the disc gives a Poisson count with i.i.d. uniform positions.  Per relay
+    this takes only ``_relay_draws``; the squared receiver distance comes
+    from the law of cosines written without cancellation,
+    (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2.  The stage-1 minimum is drawn
+    exactly by ``draw_min_gain``.  Eavesdroppers are sampled on the full
+    square.  Only when there are some are the relay positions and the
+    relay->eavesdropper arrays built.  Each combined fading
+    h_ij e^{j(phi_ij - theta_i)} is circular Gaussian CN(0, 2*mu), i.i.d.
+    over (i, j) and independent of the receiver links: rotating i.i.d.
+    circular Gaussians by the common phase theta_i leaves them i.i.d.  So no
+    receiver-link phase is drawn; the combined fading is drawn in polar
+    form, magnitude sqrt(2*mu*Exp(1)) and a uniform phase.
+
+    Precision: per-relay values (u, angle, h**2, squared distances, the
+    combined fading) are float32, about 1e-7 relative each; every reduction
+    over relays is float64.  Relay->eavesdropper distances are float64,
+    since an eavesdropper can sit arbitrarily close to a relay.
+
+    Returns (realization, n_in_bl) where the realization carries
+    min(n_in_bl, n_r) relays (all available nodes when short).
+    """
+    side = cfg.side
+    if 2.0 * plan.a_l > side:
+        raise ValueError("relay disc does not fit inside the network square")
+    f32 = np.float32
+    n_in_bl = int(rng.poisson(cfg.lambda_l * math.pi * plan.a_l ** 2))
+    n_e = int(rng.poisson(cfg.lambda_e * side * side))
+    k = min(n_in_bl, plan.n_r)
+
+    d2_tx, turn, h2_rx = _relay_draws(rng, (k,), cfg.mu)
+    d2_tx *= f32(plan.a_l ** 2)
+    min_gain = draw_min_gain(d2_tx, cfg.gamma, cfg.mu, rng)
+
+    r = np.sqrt(d2_tx)
+    # d_rx**2 = (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2
+    sin2 = np.sin(turn * f32(math.pi))
+    sin2 *= sin2
+    sin2 *= r
+    sin2 *= f32(4.0 * cfg.d_tr)
+    d2_rx = r - f32(cfg.d_tr)
+    d2_rx *= d2_rx
+    d2_rx += sin2
+
+    eaves_x = (rng.random(n_e) - 0.5) * side
+    eaves_y = (rng.random(n_e) - 0.5) * side
+    eaves_h2_tx = rng.standard_exponential(n_e) * (2.0 * cfg.mu)
+    if n_e:
+        angle = turn * f32(2.0 * math.pi)
+        x = np.cos(angle)
+        x *= r
+        y = np.sin(angle, out=angle)
+        y *= r
+        # float32 positions, float64 differences
+        d2_cross = x - eaves_x[:, None]
+        d2_cross *= d2_cross
+        dy = y - eaves_y[:, None]
+        dy *= dy
+        d2_cross += dy
+        magnitude = _exponential_f32(rng, (n_e, k), 2.0 * cfg.mu)
+        np.sqrt(magnitude, out=magnitude)
+        phase = _uniform_f32(rng, (n_e, k))
+        phase *= f32(2.0 * math.pi)
+        fading = np.empty((n_e, k), dtype=np.complex64)
+        np.cos(phase, out=fading.real)
+        np.sin(phase, out=fading.imag)
+        fading *= magnitude
+    else:
+        d2_cross = np.empty((0, k))
+        fading = np.empty((0, k), dtype=np.complex64)
+
+    realization = beamform.NetworkRealization(
+        relay_d2_tx=d2_tx, relay_min_gain=min_gain,
+        relay_d2_rx=d2_rx, relay_h2_rx=h2_rx,
+        eaves_dist_tx=np.hypot(eaves_x, eaves_y), eaves_h2_tx=eaves_h2_tx,
+        eaves_d2_relay=d2_cross, eaves_fading_relay=fading)
+    return realization, n_in_bl
+
+
+def run_trial_v3(plan, cfg, target, trial_index, seed):
+    """Score one independent transmission attempt.
+
+    Deterministic in (seed, trial_index).  When the relay disc falls short,
+    stage-1 statistics still use the available nodes for diagnostics, the
+    beamforming stage is skipped (its rates and powers report 0), and the
+    composite flag is false.
+    """
+    if plan.mode != "beamforming":
+        raise ValueError("run_trial requires a beamforming-mode plan")
+    rng = _trial_rng(seed, trial_index)
+    realization, n_in_bl = sample_realization_v3(plan, cfg, rng)
+    e1 = n_in_bl >= plan.n_r
+
+    min_rate, max_e1, disc_violated = beamform.stage1_rates(
+        realization, cfg.p_t, cfg.gamma, plan.a_e)
+    rate_s1 = target.secure_rate * (1.0 + target.rho)
+    e2 = not disc_violated
+    e3 = min_rate >= rate_s1
+    e4 = max_e1 <= target.rho * target.secure_rate
+    e7 = realization.n_eaves <= plan.n_e_max
+
+    if e1:
+        powers = received_powers_v3(realization, cfg.p_t, cfg.gamma)
+        rate_l, max_e2 = beamform.stage2_rates(powers.p_l, powers.p_e)
+        p_l = powers.p_l
+        max_p_e = float(np.max(powers.p_e)) if realization.n_eaves else 0.0
+        total_power = powers.total
+        e5 = rate_l >= (1.0 + target.kappa) * target.secure_rate
+        e6 = max_e2 <= target.kappa * target.secure_rate
+        composite = (min_rate - max_e1 >= target.secure_rate
+                     and rate_l - max_e2 >= target.secure_rate)
+    else:
+        rate_l = max_e2 = p_l = max_p_e = total_power = 0.0
+        e5 = False
+        e6 = True
+        composite = False
+
+    return dict(zip(CSV_COLUMNS, TrialOutcome(
+        trial_index=trial_index, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5, e6=e6,
+        e7=e7, composite=composite, min_relay_rate=min_rate,
+        max_eaves_rate_s1=max_e1, rate_l_s2=rate_l, max_eaves_rate_s2=max_e2,
+        p_l=p_l, max_p_e=max_p_e, total_relay_power=total_power,
+        n_in_bl=n_in_bl, n_in_be=int(np.sum(realization.eaves_dist_tx <= plan.a_e)),
+        e6_outage_given_field=math.nan).csv_row()))
+
+
+def received_powers_v3(realization, p_t, gamma):
+    """Received powers of the beamforming stage from the closed-form sums.
+
+    With g_i = d_i**(-gamma) h_i**2 the relay->receiver gain of relay i,
+    S = sum_i g_i and c_ij = h_ij e^{j(phi_ij - theta_i)}:
+
+    P_l   = p_t * S**2 / n_r
+    P_e_j = p_t * |sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij|**2 / n_r
+    total = sum_i p_t * g_i / n_r = p_t * S / n_r
+
+    Per-relay terms keep the realization's precision; S and the
+    eavesdropper sums are accumulated in double precision.
+    """
+    r = realization
+    if np.any(r.relay_d2_rx <= 0) or (r.n_eaves and np.any(r.eaves_d2_relay <= 0)):
+        raise ValueError("distances must be positive")
+    scale = p_t / r.n_relays
+    gain = r.relay_d2_rx ** (-gamma / 2.0)
+    gain *= r.relay_h2_rx
+    s = float(gain.sum(dtype=np.float64))
+    if r.n_eaves:
+        amp = r.eaves_d2_relay ** (-gamma / 4.0)
+        amp *= np.sqrt(gain)
+        z = np.einsum("ij,ij->i", amp, r.eaves_fading_relay)
+        p_e = (z.real ** 2 + z.imag ** 2) * scale
+    else:
+        p_e = np.empty(0)
+    return beamform.ReceivedPowers(p_l=s * s * scale, p_e=p_e, total=s * scale)
+
+
 # --- two-sample tests ------------------------------------------------------
 
 STATISTICS = ["min_relay_rate", "max_eaves_rate_s1", "P_l",
@@ -131,6 +304,80 @@ def test_stream_matches_stream_1_in_distribution(both_streams, statistic):
     assert np.mean(new["max_P_e"] > 0) > 0.9
     _, p_value = stats.ks_2samp(old[statistic], new[statistic])
     assert p_value > KS_FLOOR, (statistic, p_value)
+
+
+# --- stream 4 against stream 3 ------------------------------------------------
+
+@pytest.fixture(scope="module", params=[2.0, 3.0], ids=["gamma2", "gamma3"])
+def streams_3_and_4(request):
+    gamma = request.param
+    plan, cfg, target = small_plan(), small_cfg(gamma=gamma), small_target()
+    old = [run_trial_v3(plan, cfg, target, i, 610 + int(gamma))
+           for i in range(N_TRIALS)]
+    new = [dict(zip(CSV_COLUMNS, run_trial(plan, cfg, target, i,
+                                           620 + int(gamma)).csv_row()))
+           for i in range(N_TRIALS)]
+    return ({c: np.array([float(t[c]) for t in old]) for c in CSV_COLUMNS},
+            {c: np.array([float(t[c]) for t in new]) for c in CSV_COLUMNS})
+
+
+@pytest.mark.parametrize("statistic", ["max_P_e", "max_eaves_rate_s2"])
+def test_stream_4_matches_stream_3_in_distribution(streams_3_and_4, statistic):
+    old, new = streams_3_and_4
+    # eavesdroppers are present in nearly every trial (mean count 5)
+    assert np.mean(old["max_P_e"] > 0) > 0.9 and np.mean(new["max_P_e"] > 0) > 0.9
+    _, p_value = stats.ks_2samp(old[statistic], new[statistic])
+    assert p_value > KS_FLOOR, (statistic, p_value)
+
+
+def test_stream_4_e6_rate_matches_stream_3(streams_3_and_4):
+    old, new = streams_3_and_4
+    fail_old = np.mean(old["E6"] == 0)
+    fail_new = np.mean(new["E6"] == 0)
+    pooled = (fail_old + fail_new) / 2
+    se = math.sqrt(max(pooled * (1 - pooled), 1.0 / N_TRIALS) * 2 / N_TRIALS)
+    assert abs(fail_new - fail_old) < 5 * se, (fail_old, fail_new)
+
+
+def test_stream_4_without_eavesdroppers_is_stream_3():
+    # every draw up to the eavesdroppers' stage-1 links is shared, and the
+    # n_e exponentials come last, so with no eavesdropper the trials agree
+    plan, target = small_plan(), small_target()
+    integer = ["trial_index", "E1", "E2", "E3", "E4", "E5", "E6", "E7",
+               "composite", "n_in_Bl", "n_in_Be"]
+    for gamma in (2.0, 3.0):
+        cfg = small_cfg(gamma=gamma, lambda_e=0.0)
+        for i in range(60):
+            old = run_trial_v3(plan, cfg, target, i, 17)
+            new = dict(zip(CSV_COLUMNS, run_trial(plan, cfg, target, i, 17).csv_row()))
+            assert [new[c] for c in integer] == [old[c] for c in integer]
+            for c in CSV_COLUMNS:
+                if c not in integer:
+                    assert float(new[c]) == pytest.approx(float(old[c]), rel=1e-12), c
+
+
+# --- lower-variance E6 estimate -----------------------------------------------
+
+def test_e6_estimate_given_field_agrees_with_indicator():
+    # a dense eavesdropper field (mean count 50) so that E6 fails often
+    n = 2000
+    outcomes = []
+    report = estimate_outage(small_plan(), small_cfg(lambda_e=0.5), small_target(),
+                             n, seed=631, collect=outcomes.append)
+    rate = report.event_outage["E6"].outage
+    assert 0.05 < rate < 0.5
+    # paired per-trial differences between the flag and its conditional mean
+    diff = np.array([(not o.e6) - o.e6_outage_given_field for o in outcomes])
+    assert abs(diff.mean()) < 5 * diff.std(ddof=1) / math.sqrt(n)
+    assert report.e6_outage_given_field == pytest.approx(
+        np.mean([o.e6_outage_given_field for o in outcomes]))
+    assert report.e6_outage_given_field_se < math.sqrt(rate * (1 - rate) / n)
+
+
+def test_e6_estimate_given_field_zero_without_beamforming():
+    # a short relay disc skips stage 2: the flag holds and the estimate is 0
+    out = run_trial(small_plan(n_r=10_000), small_cfg(), small_target(), 0, 5)
+    assert not out.e1 and out.e6 and out.e6_outage_given_field == 0.0
 
 
 # --- stage-1 identity ------------------------------------------------------
@@ -170,9 +417,56 @@ def test_float32_field_with_float64_reductions():
     s = math.fsum(gain)
     assert p.p_l == pytest.approx(s * s / r.n_relays, rel=1e-6)
     assert p.total == pytest.approx(s / r.n_relays, rel=1e-6)
-    z = (np.sqrt(gain)[None, :] / np.sqrt(r.eaves_d2_relay)
-         * r.eaves_fading_relay.astype(np.complex128)).sum(axis=1)
-    np.testing.assert_allclose(p.p_e, np.abs(z) ** 2 / r.n_relays, rtol=1e-5)
+    np.testing.assert_allclose(p.p_e, r.eaves_sum_power * cfg.p_t / r.n_relays,
+                               rtol=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_relay_sums_float64_over_float32_field(gamma):
+    # the blocked eavesdropper sums T_j against a float64 evaluation of the
+    # same float32 relay field, summed exactly (fsum); eavesdroppers lie
+    # outside the relay disc, as the protected disc keeps them in a plan
+    rng = np.random.default_rng(int(gamma))
+    k = 100_003  # not a multiple of the block
+    u, turn, h2 = _relay_draws(rng, (k,), 0.5)
+    r = np.sqrt(u)
+    ang = (turn * np.float32(2.0 * math.pi)).astype(np.float64)
+    x, y = r * np.cos(ang), r * np.sin(ang)
+    d2_rx = ((x - 5.0) ** 2 + y ** 2).astype(np.float32)
+    gain = h2.astype(np.float64) * d2_rx.astype(np.float64) ** (-gamma / 2)
+    radius = rng.uniform(1.5, 6.0, 7)
+    phase = rng.uniform(0.0, 2.0 * math.pi, 7)
+    ex, ey = radius * np.cos(phase), radius * np.sin(phase)
+    got = _relay_sums(r, turn, d2_rx, h2, ex, ey, gamma)
+    want = [math.fsum(gain * ((x - a) ** 2 + (y - b) ** 2) ** (-gamma / 2))
+            for a, b in zip(ex, ey)]
+    np.testing.assert_allclose(got, want, rtol=1e-5)
+    assert _relay_sums(r, turn, d2_rx, h2, ex[:0], ey[:0], gamma).shape == (0,)
+
+
+# --- memory -------------------------------------------------------------------
+
+def trial_peak_bytes(plan, cfg, target, trial_index, seed):
+    tracemalloc.start()
+    try:
+        run_trial(plan, cfg, target, trial_index, seed)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trial_memory_does_not_grow_with_eavesdroppers():
+    # 2**16 relays: one trial with about 16 eavesdroppers peaks within 1.5x
+    # of one with a single eavesdropper (per-pair arrays would add 16 x 2**16
+    # float64 and complex values)
+    plan, target = small_plan(n_r=1 << 16, a_l=1.0), small_target()
+    peaks = {}
+    for want, lambda_e in [(1, 0.01), (16, 0.16)]:
+        cfg = small_cfg(lambda_l=30_000.0, lambda_e=lambda_e, n_legit=3_000_000)
+        index = next(i for i in range(200) if sample_realization(
+            plan, cfg, _trial_rng(3, i))[0].n_eaves == want)
+        peaks[want] = trial_peak_bytes(plan, cfg, target, index, 3)
+    assert peaks[16] < 1.5 * peaks[1], peaks
 
 
 # --- theorem-4 bound sampler ------------------------------------------------
