@@ -72,7 +72,18 @@ def _print_validation(checks) -> bool:
 
 
 def _open_text(path):
-    return open(path, "w", newline="")
+    """Open ``path`` for writing text: created if missing, else written over
+    in place; ``_cut`` ends it after the last write.  Opening with O_TRUNC
+    instead makes ext4 start writeback when a file emptied that way is
+    closed, and the next run's truncation then waits for that disk write."""
+    return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="")
+
+
+def _cut(fh) -> None:
+    """Cut the old tail off a file from ``_open_text`` (None: not requested)
+    at the current position; a stream that cannot seek has none."""
+    if fh is not None and fh.seekable():
+        fh.truncate()
 
 
 def _open_outputs(stack: contextlib.ExitStack, paths, opener=_open_text):
@@ -154,6 +165,7 @@ def cmd_simulate(args) -> int:
         collect = montecarlo.csv_row_writer(csv_fh) if csv_fh else None
         report = montecarlo.estimate_outage(p, cfg, target, args.trials,
                                             args.seed, collect=collect)
+        _cut(csv_fh)
         doc = report.to_dict()
         doc["manifest"] = _manifest("simulate", args,
                                     [x for x in (args.csv, args.json) if x])
@@ -164,6 +176,7 @@ def cmd_simulate(args) -> int:
         if json_fh:
             json.dump(doc, json_fh, indent=2)
             json_fh.write("\n")
+            _cut(json_fh)
     for name, ev in report.event_outage.items():
         print(f"  {name}: outage={ev.outage:.4f}  ci=[{ev.ci_low:.4f}, {ev.ci_high:.4f}]")
     print(f"  E6 given the relay field: outage={report.e6_outage_given_field:.4f}  "
@@ -259,6 +272,7 @@ def cmd_sweep(args) -> int:
         writer.writerow(header)
         for value in grid:
             writer.writerow(_sweep_row(args, name, value))
+        _cut(opened[0])
     if args.out:
         print(f"wrote {args.out} ({len(grid)} rows)")
     return 0

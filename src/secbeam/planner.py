@@ -400,12 +400,13 @@ def open_plan_file(path):
 def write_plan(fh, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
                extra: dict | None = None) -> None:
     """Write the plan document to the file ``fh`` from ``open_plan_file``
-    and cut off any old tail."""
+    and cut off any old tail; a stream that cannot seek has none."""
     doc = plan_document(cfg, target, p)
     if extra:
         doc.update(extra)
     fh.write(json.dumps(doc, indent=2) + "\n")
-    fh.truncate()
+    if fh.seekable():
+        fh.truncate()
 
 
 def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,

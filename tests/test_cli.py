@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -190,6 +191,33 @@ def test_simulate_streamed_csv_matches_batch_writer(tmp_path):
     batch = tmp_path / "batch.csv"
     montecarlo.write_trials_csv(batch, outcomes)
     assert streamed.read_bytes() == batch.read_bytes()
+
+
+def test_simulate_outputs_overwrite_longer_files(tmp_path):
+    # outputs are written over existing files in place and end with the run
+    _, plan_path = run_plan(tmp_path)
+    argv = ["simulate", "--plan", str(plan_path), "--trials", "3", "--seed", "2"]
+    fresh = (tmp_path / "fresh.csv", tmp_path / "fresh.json")
+    old = (tmp_path / "old.csv", tmp_path / "old.json")
+    for path in old:
+        path.write_text("x" * 100_000)
+    for csv_path, json_path in (fresh, old):
+        assert main([*argv, "--csv", str(csv_path), "--json", str(json_path)]) == 0
+    assert old[0].read_bytes() == fresh[0].read_bytes()
+    docs = [json.loads(path.read_text()) for path in (fresh[1], old[1])]
+    for doc in docs:
+        del doc["manifest"]
+    assert docs[0] == docs[1]
+
+
+def test_simulate_unwritable_json_leaves_existing_csv(tmp_path):
+    _, plan_path = run_plan(tmp_path)
+    csv_path = tmp_path / "trials.csv"
+    csv_path.write_text("an earlier run\n")
+    assert main(["simulate", "--plan", str(plan_path), "--trials", "2",
+                 "--csv", str(csv_path),
+                 "--json", str(tmp_path / "missing" / "report.json")]) == 2
+    assert csv_path.read_text() == "an earlier run\n"
 
 
 def test_simulate_unwritable_csv_exits_before_trials(tmp_path, capsys):
@@ -383,6 +411,23 @@ def test_sweep_rate_grid(tmp_path):
     assert len(lines) == 5
     assert lines[0].split(",")[0] == "rate"
     assert all(line.split(",")[1] == "yes" for line in lines[1:])
+
+
+def test_sweep_overwrites_longer_file(tmp_path):
+    argv = ["sweep", "--rate", "0.25:1.0:4", "--outage", "0.35", "--out"]
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_text("x" * 100_000)
+    assert main([*argv, str(fresh)]) == 0
+    assert main([*argv, str(old)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+    # a pipe cannot seek and takes the rows without a cut
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader:
+        try:
+            assert main([*argv, f"/dev/fd/{write_fd}"]) == 0
+        finally:
+            os.close(write_fd)
+        assert reader.read() == fresh.read_bytes()
 
 
 def test_sweep_lambda_l_feasibility(tmp_path):

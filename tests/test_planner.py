@@ -417,6 +417,22 @@ def test_save_plan_overwrites_longer_file(tmp_path, reference_plan,
                                        reference_plan)
 
 
+def test_write_plan_to_pipe(reference_plan, reference_target,
+                            reference_config):
+    # a stream that cannot seek, such as `secbeam plan --out /dev/stdout`
+    # into a pipe, takes the document without a cut
+    import json
+    import os
+    read_fd, write_fd = os.pipe()
+    with open(read_fd) as reader:
+        with open(write_fd, "w") as fh:
+            planner.write_plan(fh, reference_config, reference_target,
+                               reference_plan)
+        doc = planner.plan_document(reference_config, reference_target,
+                                    reference_plan)
+        assert reader.read() == json.dumps(doc, indent=2) + "\n"
+
+
 def test_plan_version_mismatch(tmp_path, reference_plan, reference_target,
                                reference_config):
     import json
