@@ -163,8 +163,15 @@ def cmd_simulate(args) -> int:
             return 2
         csv_fh, json_fh = opened
         collect = montecarlo.csv_row_writer(csv_fh) if csv_fh else None
-        report = montecarlo.estimate_outage(p, cfg, target, args.trials,
-                                            args.seed, collect=collect)
+        try:
+            report = montecarlo.estimate_outage(p, cfg, target, args.trials,
+                                                args.seed, collect=collect)
+        except MemoryError as exc:
+            # a trial holds 24 bytes per relay (montecarlo.RelayRows); the
+            # CSV keeps the trials that finished, without an old tail
+            _cut(csv_fh)
+            print(f"cannot simulate n_r={p.n_r} relays: {exc}", file=sys.stderr)
+            return 2
         _cut(csv_fh)
         doc = report.to_dict()
         doc["manifest"] = _manifest("simulate", args,
@@ -289,13 +296,19 @@ def _sweep_row(args, name: str, value: float) -> list:
     try:
         p = planner.plan(probe, target)
     except planner.InfeasiblePlanError as exc:
-        return [repr(value), "no", exc.constraint] + [""] * 8
+        return [_cell(value), "no", exc.constraint] + [""] * 8
     feasible = "yes"
     if name == "lambda_l" and ns.lambda_l < p.lambda_l_min:
         feasible = "no"
-    return [repr(value), feasible, p.mode, p.n_r, repr(p.a_l), repr(p.a_e),
-            repr(p.lambda_l_min), repr(p.lambda_e_max), p.n_e_max, repr(p.eta),
-            repr(p.nu)]
+    return [_cell(value), feasible, p.mode, p.n_r, _cell(p.a_l), _cell(p.a_e),
+            _cell(p.lambda_l_min), _cell(p.lambda_e_max), p.n_e_max,
+            _cell(p.eta), _cell(p.nu)]
+
+
+def _cell(x) -> str:
+    """A float CSV cell that round-trips: repr of a plain float, never a
+    numpy scalar's repr such as ``np.float64(0.25)``."""
+    return repr(float(x))
 
 
 def _positive(kind):
@@ -305,6 +318,13 @@ def _positive(kind):
             raise argparse.ArgumentTypeError(f"must be positive, got {text}")
         return value
     return convert
+
+
+def _non_negative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
 
 
 def _outage(text):
@@ -345,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss = subs.add_parser("simulate", help="Monte Carlo outage estimation")
     ss.add_argument("--plan", required=True)
     ss.add_argument("--trials", required=True, type=_positive(int))
-    ss.add_argument("--seed", type=int, default=0)
+    ss.add_argument("--seed", type=_non_negative, default=0)
     ss.add_argument("--csv", default=None, help="per-trial CSV path")
     ss.add_argument("--json", default=None, help="summary JSON path")
     ss.set_defaults(func=cmd_simulate)
@@ -355,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--mu", type=_positive(float), default=0.5)
     sv.add_argument("--nr", type=_positive(int), default=1)
     sv.add_argument("--samples", type=_positive(int), default=100_000)
-    sv.add_argument("--seed", type=int, default=0)
+    sv.add_argument("--seed", type=_non_negative, default=0)
     sv.add_argument("--plan", default=None, help="plan JSON (theorem4 only)")
     sv.add_argument("--instances", type=_positive(int), default=200,
                     help="random instances (lemmas only)")

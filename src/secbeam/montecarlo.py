@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -31,8 +33,9 @@ EVENT_NAMES = ["E1", "E2", "E3", "E4", "E5", "E6", "E7"]
 
 #: version of the per-trial random stream: 1 drew every per-relay link in
 #: float64, 2 sufficient statistics, 3 those from one uniform source, 4 each
-#: eavesdropper's stage-2 power from its conditional law
-STREAM_VERSION = 4
+#: eavesdropper's stage-2 power from its conditional law; 5: theorem-4
+#: samples from per-chunk generators; trial draws as in 4
+STREAM_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -565,13 +568,14 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
     ]
 
 
-#: elements per chunk of the theorem-4 sampler: each float32 per-relay array
-#: stays about 1 MiB, small enough to stay in cache between passes
-POWER_BOUNDS_CHUNK = 1 << 18
+#: relay elements (samples x relays) per chunk of the theorem-4 sampler: one
+#: sample at the reference plan (n_r = 110446); a thread's five float32 rows
+#: of it take 2.5 MiB, small enough to stay in cache between passes
+POWER_BOUNDS_CHUNK = 1 << 17
 
 
 def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
-                         rng: np.random.Generator):
+                         seed: int):
     """Draws of P_l and P_e (normalized by p_t and p_t**2) for the bound
     check: n_r relays uniform in the relay disc, one eavesdropper uniform on
     the square but outside the protected disc, Rayleigh fading.
@@ -583,69 +587,122 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
     2*mu * Exp(1) * sum_i g_i * d_e,i**-gamma / n_r, one exponential per
     sample and no per-relay eavesdropper fading or phase.
 
+    The samples fall into chunks of POWER_BOUNDS_CHUNK relay elements:
+    POWER_BOUNDS_CHUNK // n_r samples each, or one when n_r is larger.
+    Chunk c draws only from ``np.random.default_rng([seed, 1, c])``, so the
+    layout and every value depend on n_r and the seed alone.  The chunks
+    run on one thread per usable CPU (the calling thread among them), never
+    more than there are chunks, each with its own reused float32 buffers:
+    the result is the same for any number of threads, and memory is
+    O(threads * POWER_BOUNDS_CHUNK) for any n_r.
+
     Precision: per-relay values are float32, about 1e-7 relative each, far
     below the gaps of the bounds; the sums over relays and the final
     exponential are float64.
     """
-    f32 = np.float32
-    g = f32(cfg.gamma)
-    side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
     n_r = plan.n_r
+    rows = max(1, POWER_BOUNDS_CHUNK // n_r)  # samples per chunk
+    width = min(n_r, POWER_BOUNDS_CHUNK)      # relays per piece of a chunk
+    n_chunks = -(-n_samples // rows)
     p_l = np.empty(n_samples)
     p_e = np.empty(n_samples)
-    rows = max(1, POWER_BOUNDS_CHUNK // n_r)
-    done = 0
-    while done < n_samples:
-        m = min(rows, n_samples - done)
-        r, ang, h2 = _relay_draws(rng, (m, n_r), cfg.mu)
+    lock = threading.Lock()
+    taken = [0]    # chunks handed out so far
+    errors = []    # exceptions raised in any thread; they stop the others
+
+    def work():
+        try:
+            buf = np.empty(5 * rows * width, dtype=np.float32)
+            while not errors:
+                with lock:
+                    c = taken[0]
+                    taken[0] += 1
+                if c >= n_chunks:
+                    return
+                lo, hi = c * rows, min((c + 1) * rows, n_samples)
+                p_l[lo:hi], p_e[lo:hi] = _power_bounds_chunk(
+                    plan, cfg, np.random.default_rng([seed, 1, c]), hi - lo,
+                    width, buf)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    n_threads = min(len(os.sched_getaffinity(0)), n_chunks)
+    threads = [threading.Thread(target=work) for _ in range(n_threads - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return p_l, p_e
+
+
+def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
+                        rng: np.random.Generator, m: int, width: int,
+                        buf: np.ndarray):
+    """(P_l, P_e) of m samples drawn from ``rng``: first the m eavesdropper
+    positions, then the relays in pieces of ``width``, accumulating
+    sum_i g_i and sum_i g_i * d_e,i**-gamma in float64, then the m
+    exponentials of P_e.  ``buf`` is float32 scratch of at least
+    5 * m * width values."""
+    f32 = np.float32
+    e = -cfg.gamma / 2.0
+    n_r = plan.n_r
+    side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
+    # one eavesdropper per sample, uniform outside the disc
+    ex = np.empty(m)
+    ey = np.empty(m)
+    need = np.arange(m)
+    while len(need):
+        cx = (rng.random(len(need)) - 0.5) * side
+        cy = (rng.random(len(need)) - 0.5) * side
+        ok = np.hypot(cx, cy) > plan.a_e
+        ex[need[ok]] = cx[ok]
+        ey[need[ok]] = cy[ok]
+        need = need[~ok]
+    ex = ex[:, None].astype(f32)
+    ey = ey[:, None].astype(f32)
+    s = np.zeros(m)
+    t = np.zeros(m)
+    for start in range(0, n_r, width):
+        k = min(width, n_r - start)
+        block = buf[:5 * m * k].reshape(5, m, k)
+        r, ang, h2, x, gain = block
+        _relay_draws(rng, (m, k), cfg.mu, out=block[:3])
         np.sqrt(r, out=r)
         r *= f32(plan.a_l)
         ang *= f32(2.0 * math.pi)
-        x = np.cos(ang)
+        np.cos(ang, out=x)
         x *= r
         y = np.sin(ang, out=ang)
         y *= r
-        gain = x - f32(cfg.d_tr)  # d_rx**2, then d_rx**-gamma, then g_i
+        # d_rx**2, then d_rx**-gamma, then g_i
+        np.subtract(x, f32(cfg.d_tr), out=gain)
         gain *= gain
         np.multiply(y, y, out=r)  # r is free: reuse it as scratch
         gain += r
-        gain **= -g / 2
+        _neg_power(gain, e, out=gain)
         gain *= h2
-        s = gain.sum(axis=1, dtype=np.float64)
-        p_l[done:done + m] = s * s / n_r
-        # one eavesdropper per realization, uniform outside the disc
-        ex = np.empty(m)
-        ey = np.empty(m)
-        need = np.arange(m)
-        while len(need):
-            cx = (rng.random(len(need)) - 0.5) * side
-            cy = (rng.random(len(need)) - 0.5) * side
-            ok = np.hypot(cx, cy) > plan.a_e
-            ex[need[ok]] = cx[ok]
-            ey[need[ok]] = cy[ok]
-            need = need[~ok]
-        x -= ex[:, None].astype(f32)  # d_e**2, then g_i * d_e**-gamma
+        s += gain.sum(axis=1, dtype=np.float64)
+        x -= ex  # d_e**2, then g_i * d_e**-gamma
         x *= x
-        y -= ey[:, None].astype(f32)
+        y -= ey
         y *= y
         x += y
-        x **= -g / 2
+        _neg_power(x, e, out=x)
         x *= gain
-        t = x.sum(axis=1, dtype=np.float64)
-        p_e[done:done + m] = (2.0 * cfg.mu / n_r) * rng.standard_exponential(m) * t
-        done += m
-        # free all but x before the next draws, which reuse this memory; x
-        # keeps glibc from trimming the heap top (10x fewer page faults)
-        del r, ang, y, h2, gain
-    return p_l, p_e
+        t += x.sum(axis=1, dtype=np.float64)
+    p_e = rng.standard_exponential(m)
+    p_e *= (2.0 * cfg.mu / n_r) * t
+    return s * s / n_r, p_e
 
 
 def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                         seed: int) -> list[BoundCheck]:
     """Check the four distance-envelope moment bounds against the sampled
     mean/variance of P_l and P_e (``_sample_power_bounds``) and their SEs."""
-    rng = np.random.default_rng([seed, 1])
-    p_l, p_e = _sample_power_bounds(plan, cfg, n_samples, rng)
+    p_l, p_e = _sample_power_bounds(plan, cfg, n_samples, seed)
     b = moments.power_moment_bounds(cfg.gamma, cfg.d_tr, plan.eta, plan.nu,
                                     plan.n_r, plan.a_l, plan.a_e)
     checks = [

@@ -407,7 +407,7 @@ def test_power_bound_std_errors_match_moment_checks():
     from secbeam.montecarlo import _mean_check, _sample_power_bounds, _var_check
     plan, cfg = small_plan(), small_cfg()
     checks = verify_power_bounds(plan, cfg, n_samples=300, seed=71)
-    p_l, p_e = _sample_power_bounds(plan, cfg, 300, np.random.default_rng([71, 1]))
+    p_l, p_e = _sample_power_bounds(plan, cfg, 300, seed=71)
     want = [_mean_check("", 0.0, p_l), _mean_check("", 0.0, p_e),
             _var_check("", 0.0, p_l), _var_check("", 0.0, p_e)]
     assert [c.std_err for c in checks] == [w.std_err for w in want]

@@ -13,17 +13,23 @@ conditional law instead, so the two agree in distribution, and exactly in
 trials with no eavesdropper.  Likewise the theorem-4 sampler that drew
 every relay->eavesdropper fading and phase is kept as the oracle of the one
 that draws P_e from its conditional law, and the per-relay no-path-loss
-sampler as the oracle of the one that draws only the gain sum.
+sampler as the oracle of the one that draws only the gain sum.  The
+stream-4 theorem-4 sampler, which drew chunks of rows from one generator,
+is kept verbatim as the oracle of stream 5, whose chunks each draw from
+their own generator and may run on several threads.
 """
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from secbeam import beamform
+from secbeam import beamform, montecarlo
 from secbeam.montecarlo import (CSV_COLUMNS, TrialOutcome, _exponential_f32,
                                 _relay_draws, _relay_sums,
                                 _sample_power_bounds, _sample_powers_nopath,
@@ -556,7 +562,7 @@ def both_bound_samplers(request):
     old = sample_power_bounds_v1(plan, cfg, N_TRIALS,
                                  np.random.default_rng([n_r, int(gamma), 71]))
     new = _sample_power_bounds(plan, cfg, N_TRIALS,
-                               np.random.default_rng([n_r, int(gamma), 73]))
+                               seed=7300 + 10 * n_r + int(gamma))
     return old, new
 
 
@@ -566,6 +572,178 @@ def test_bound_sampler_matches_per_relay_fading(both_bound_samplers, power):
     k = ["P_l", "P_e"].index(power)
     _, p_value = stats.ks_2samp(old[k], new[k])
     assert p_value > KS_FLOOR, (power, p_value)
+
+
+# --- stream-4 theorem-4 oracle -------------------------------------------------
+# The stream-4 sampler verbatim but for its name, with its chunk constant.
+
+POWER_BOUNDS_CHUNK = 1 << 18
+
+
+def sample_power_bounds_v4(plan, cfg, n_samples, rng):
+    """Draws of P_l and P_e (normalized by p_t and p_t**2) for the bound
+    check: n_r relays uniform in the relay disc, one eavesdropper uniform on
+    the square but outside the protected disc, Rayleigh fading.
+
+    Per relay this takes only ``_relay_draws``, giving the gains
+    g_i = h_i**2 * d_rx,i**-gamma and P_l = (sum_i g_i)**2 / n_r.  Given those
+    and the eavesdropper's distances d_e,i, its received sum is
+    CN(0, 2*mu * sum_i g_i * d_e,i**-gamma), so P_e is drawn exactly as
+    2*mu * Exp(1) * sum_i g_i * d_e,i**-gamma / n_r, one exponential per
+    sample and no per-relay eavesdropper fading or phase.
+
+    Precision: per-relay values are float32, about 1e-7 relative each, far
+    below the gaps of the bounds; the sums over relays and the final
+    exponential are float64.
+    """
+    f32 = np.float32
+    g = f32(cfg.gamma)
+    side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
+    n_r = plan.n_r
+    p_l = np.empty(n_samples)
+    p_e = np.empty(n_samples)
+    rows = max(1, POWER_BOUNDS_CHUNK // n_r)
+    done = 0
+    while done < n_samples:
+        m = min(rows, n_samples - done)
+        r, ang, h2 = _relay_draws(rng, (m, n_r), cfg.mu)
+        np.sqrt(r, out=r)
+        r *= f32(plan.a_l)
+        ang *= f32(2.0 * math.pi)
+        x = np.cos(ang)
+        x *= r
+        y = np.sin(ang, out=ang)
+        y *= r
+        gain = x - f32(cfg.d_tr)  # d_rx**2, then d_rx**-gamma, then g_i
+        gain *= gain
+        np.multiply(y, y, out=r)  # r is free: reuse it as scratch
+        gain += r
+        gain **= -g / 2
+        gain *= h2
+        s = gain.sum(axis=1, dtype=np.float64)
+        p_l[done:done + m] = s * s / n_r
+        # one eavesdropper per realization, uniform outside the disc
+        ex = np.empty(m)
+        ey = np.empty(m)
+        need = np.arange(m)
+        while len(need):
+            cx = (rng.random(len(need)) - 0.5) * side
+            cy = (rng.random(len(need)) - 0.5) * side
+            ok = np.hypot(cx, cy) > plan.a_e
+            ex[need[ok]] = cx[ok]
+            ey[need[ok]] = cy[ok]
+            need = need[~ok]
+        x -= ex[:, None].astype(f32)  # d_e**2, then g_i * d_e**-gamma
+        x *= x
+        y -= ey[:, None].astype(f32)
+        y *= y
+        x += y
+        x **= -g / 2
+        x *= gain
+        t = x.sum(axis=1, dtype=np.float64)
+        p_e[done:done + m] = (2.0 * cfg.mu / n_r) * rng.standard_exponential(m) * t
+        done += m
+        # free all but x before the next draws, which reuse this memory; x
+        # keeps glibc from trimming the heap top (10x fewer page faults)
+        del r, ang, y, h2, gain
+    return p_l, p_e
+
+
+@pytest.fixture(scope="module",
+                params=[(1, 2.0, None), (16, 2.0, None), (1, 3.0, None),
+                        (16, 3.0, None), (300, 2.0, 64), (300, 3.0, 64)],
+                ids=["nr1-gamma2", "nr16-gamma2", "nr1-gamma3", "nr16-gamma3",
+                     "nr300-gamma2-pieces", "nr300-gamma3-pieces"])
+def bound_streams_4_and_5(request):
+    # with a chunk of 64 relay elements, n_r = 300 takes the path that walks
+    # one sample's relays in pieces (four of 64 and one of 44)
+    n_r, gamma, chunk = request.param
+    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
+    old = sample_power_bounds_v4(plan, cfg, N_TRIALS,
+                                 np.random.default_rng([n_r, int(gamma), 101]))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(montecarlo, "POWER_BOUNDS_CHUNK", chunk)
+        new = _sample_power_bounds(plan, cfg, N_TRIALS,
+                                   seed=10_300 + 10 * n_r + int(gamma))
+    return old, new
+
+
+@pytest.mark.parametrize("power", ["P_l", "P_e"])
+def test_bound_stream_5_matches_stream_4(bound_streams_4_and_5, power):
+    old, new = bound_streams_4_and_5
+    k = ["P_l", "P_e"].index(power)
+    _, p_value = stats.ks_2samp(old[k], new[k])
+    assert p_value > KS_FLOOR, (power, p_value)
+
+
+class CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        CountingThread.started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("chunk", [1024, 64], ids=["rows", "pieces"])
+def test_bound_samples_do_not_depend_on_thread_count(monkeypatch, chunk):
+    # 3 samples per chunk of 1024, or each sample's 300 relays in 5 pieces;
+    # more threads than cores and a short switch interval: a chunk taken
+    # twice or skipped would leave a slot of np.empty unwritten or wrong
+    plan, cfg = small_plan(n_r=300, a_l=2.5), small_cfg(gamma=3.0, mu=0.8)
+    monkeypatch.setattr(montecarlo, "POWER_BOUNDS_CHUNK", chunk)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=n: set(range(n)))
+            CountingThread.started = 0
+            runs.append(_sample_power_bounds(plan, cfg, 200, seed=41))
+            assert CountingThread.started == n - 1
+    finally:
+        sys.setswitchinterval(interval)
+    for p_l, p_e in runs[1:]:
+        assert p_l.tobytes() == runs[0][0].tobytes()
+        assert p_e.tobytes() == runs[0][1].tobytes()
+
+
+def test_bound_chunk_c_draws_from_its_own_generator(monkeypatch):
+    # n_r = 20 and chunks of 64 relay elements: 3 samples per chunk, so 10
+    # samples fall into chunks of 3, 3, 3 and 1
+    monkeypatch.setattr(montecarlo, "POWER_BOUNDS_CHUNK", 64)
+    plan, cfg = small_plan(n_r=20, a_l=2.5), small_cfg(mu=0.8)
+    p_l, p_e = _sample_power_bounds(plan, cfg, 10, seed=53)
+    assert len(np.unique(p_l)) == 10 and len(np.unique(p_e)) == 10
+    buf = np.empty(5 * 64, dtype=np.float32)
+    for c, lo in enumerate(range(0, 10, 3)):
+        hi = min(lo + 3, 10)
+        want = montecarlo._power_bounds_chunk(
+            plan, cfg, np.random.default_rng([53, 1, c]), hi - lo, 20, buf)
+        assert p_l[lo:hi].tobytes() == want[0].tobytes()
+        assert p_e[lo:hi].tobytes() == want[1].tobytes()
+
+
+def test_bound_samples_use_no_more_threads_than_chunks(monkeypatch):
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    CountingThread.started = 0
+    _sample_power_bounds(small_plan(n_r=1 << 17), small_cfg(), 3, seed=43)
+    assert CountingThread.started == 2
+
+
+def test_bound_sampler_raises_what_a_thread_raised(monkeypatch):
+    def chunk(plan, cfg, rng, m, width, buf):
+        raise MemoryError("chunk")
+
+    monkeypatch.setattr(montecarlo, "_power_bounds_chunk", chunk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="chunk"):
+        _sample_power_bounds(small_plan(), small_cfg(), 100, seed=47)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.3])
