@@ -167,8 +167,9 @@ def cmd_simulate(args) -> int:
             report = montecarlo.estimate_outage(p, cfg, target, args.trials,
                                                 args.seed, collect=collect)
         except MemoryError as exc:
-            # a trial holds 24 bytes per relay (montecarlo.RelayRows); the
-            # CSV keeps the trials that finished, without an old tail
+            # a trial holds one kernel buffer whatever n_r, but its
+            # eavesdropper arrays grow with the count; the CSV keeps the
+            # trials that finished, without an old tail
             _cut(csv_fh)
             print(f"cannot simulate n_r={p.n_r} relays: {exc}", file=sys.stderr)
             return 2
@@ -196,11 +197,29 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    failures = []
     if args.what in ("moments", "theorem4") and args.samples < 2:
         print(f"verify {args.what} needs --samples >= 2 for a sample "
               f"variance, got {args.samples}", file=sys.stderr)
         return 2
+    try:
+        failures = _verify(args)
+    except MemoryError as exc:
+        # the samples are held in memory: 16 bytes each for moments and
+        # theorem4, and --samples / --instances per lemma instance
+        print(f"cannot verify {args.what} with {args.samples} samples: {exc}",
+              file=sys.stderr)
+        return 2
+    if failures is None:
+        return 2
+    for f in failures:
+        print(f"  FAIL {f}", file=sys.stderr)
+    return 0 if not failures else 1
+
+
+def _verify(args):
+    """Run the checks of ``verify``; returns the failure lines, or None
+    after printing why the plan cannot be used."""
+    failures = []
     if args.what == "moments":
         checks = montecarlo.verify_moments(args.mu, args.nr, args.samples, args.seed)
         for c in checks:
@@ -213,7 +232,7 @@ def cmd_verify(args) -> int:
     elif args.what == "theorem4":
         loaded = _load_checked_plan(args.plan)
         if loaded is None:
-            return 2
+            return None
         cfg, _target, p = loaded
         checks = montecarlo.verify_power_bounds(p, cfg, args.samples, args.seed)
         for c in checks:
@@ -236,24 +255,62 @@ def cmd_verify(args) -> int:
             if chk.var_lhs >= chk.var_rhs + 5.0 * chk.se_diff:
                 failures.append(f"variance cap violated at instance {i}")
         print(f"  {args.instances} instances checked, {len(failures)} failures")
-    for f in failures:
-        print(f"  FAIL {f}", file=sys.stderr)
-    return 0 if not failures else 1
+    return failures
 
 
 SWEEPABLE = ["rate", "outage", "power", "mu", "gamma", "dtr", "lambda_l"]
 
 
+#: grid values computed at a time by ``_grid``
+GRID_BLOCK = 4096
+
+
 def _parse_range(text: str, log: bool):
+    """The grid of a ``lo:hi:steps`` range (see ``_grid``); raises
+    ValueError for a malformed one."""
     lo, hi, steps = text.split(":")
     lo, hi, steps = float(lo), float(hi), int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if log and (lo == 0 or hi == 0):
+        raise ValueError("Geometric sequence cannot include zero")
+    return _grid(lo, hi, steps, log)
+
+
+def _grid(lo: float, hi: float, steps: int, log: bool):
+    """Yield the values of np.linspace(lo, hi, steps), or of
+    np.geomspace(lo, hi, steps) with ``log`` (lo only when steps is 1),
+    computed as numpy computes them but GRID_BLOCK at a time, so that no
+    grid array is built: i*step + start, endpoints exact, and for
+    geomspace 10**(that) between log10(|lo|) and log10(hi/sign(lo))."""
     if steps == 1:
-        return [lo]
+        yield lo
+        return
     if log:
-        return list(np.geomspace(lo, hi, steps))
-    return list(np.linspace(lo, hi, steps))
+        sign = np.sign(np.float64(lo))
+        start, stop = np.log10(lo / sign), np.log10(hi / sign)
+    else:
+        start, stop = np.float64(lo), np.float64(hi)
+    div = steps - 1
+    step = (stop - start) / div
+    for first in range(0, steps, GRID_BLOCK):
+        y = np.arange(first, min(first + GRID_BLOCK, steps), dtype=float)
+        if step == 0:  # denormal steps, as np.linspace
+            y /= div
+            y *= stop - start
+        else:
+            y *= step
+        y += start
+        if first + len(y) == steps:
+            y[-1] = stop
+        if log:
+            y = np.power(10.0, y)
+            if first == 0:
+                y[0] = lo / sign
+            if first + len(y) == steps:
+                y[-1] = hi / sign
+            y *= sign
+        yield from y
 
 
 def cmd_sweep(args) -> int:
@@ -277,11 +334,13 @@ def cmd_sweep(args) -> int:
             return 2
         writer = csv.writer(opened[0] or sys.stdout)
         writer.writerow(header)
+        n_rows = 0
         for value in grid:
             writer.writerow(_sweep_row(args, name, value))
+            n_rows += 1
         _cut(opened[0])
     if args.out:
-        print(f"wrote {args.out} ({len(grid)} rows)")
+        print(f"wrote {args.out} ({n_rows} rows)")
     return 0
 
 

@@ -1,13 +1,10 @@
-"""Network geometry: the square deployment region, Poisson sampling and the
-areas of the dyadic annuli used to bound eavesdropper rates per distance
-band."""
+"""Network geometry: the physical constants and the square deployment
+region."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,46 +45,3 @@ class NetworkConfig:
     def side(self) -> float:
         """Side of the square deployment region."""
         return math.sqrt(self.n_legit / self.lambda_l)
-
-
-def sample_ppp(density: float, side: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample a homogeneous Poisson point process on the centered square.
-
-    Together with ``beamform.select_relays`` this is the brute-force
-    reference that the relay-disc shortcut of
-    ``montecarlo.sample_realization`` is tested against.
-
-    Parameters
-    ----------
-    density : intensity in points per unit area, >= 0
-    side : side length of the square (centered at the origin)
-    rng : caller-owned random generator
-
-    Returns
-    -------
-    (n, 2) array of positions; n is Poisson with mean density*side**2.
-    """
-    if not (math.isfinite(density) and density >= 0):
-        raise ValueError(f"density must be finite and >= 0, got {density}")
-    if not (math.isfinite(side) and side > 0):
-        raise ValueError(f"side must be finite and > 0, got {side}")
-    n = rng.poisson(density * side * side)
-    return (rng.random((n, 2)) - 0.5) * side
-
-
-def layer_area(k: int, a_e: float) -> float:
-    """Area of the k-th annulus: 3*pi*2**(2*(k-1))*a_e**2."""
-    if k < 1:
-        raise ValueError(f"layer index must be >= 1, got {k}")
-    if a_e <= 0:
-        raise ValueError(f"a_e must be positive, got {a_e}")
-    return 3.0 * math.pi * 4.0 ** (k - 1) * a_e * a_e
-
-
-def num_layers(side: float, a_e: float) -> int:
-    """Number of annuli needed to cover the square out to its circumradius
-    side/sqrt(2): smallest K with 2**K*a_e >= side/sqrt(2), at least 1."""
-    if side <= 0 or a_e <= 0:
-        raise ValueError("side and a_e must be positive")
-    circum = side / math.sqrt(2.0)
-    return max(1, math.ceil(math.log2(circum / a_e)))

@@ -34,8 +34,9 @@ EVENT_NAMES = ["E1", "E2", "E3", "E4", "E5", "E6", "E7"]
 #: version of the per-trial random stream: 1 drew every per-relay link in
 #: float64, 2 sufficient statistics, 3 those from one uniform source, 4 each
 #: eavesdropper's stage-2 power from its conditional law; 5: theorem-4
-#: samples from per-chunk generators; trial draws as in 4
-STREAM_VERSION = 5
+#: samples from per-chunk generators; trial draws as in 4; 6: a trial's
+#: eavesdroppers before its relays, and its relays in pieces
+STREAM_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -136,17 +137,15 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial_index])
 
 
-def draw_min_gain(d2_tx: np.ndarray, gamma: float, mu: float,
-                  rng: np.random.Generator) -> float:
-    """Draw min_i h_i**2 * d_i**-gamma over relays at squared distances
-    ``d2_tx`` from the transmitter, h_i**2 i.i.d. exponential with mean 2*mu.
+def draw_min_gain(rate: float, mu: float, rng: np.random.Generator) -> float:
+    """Draw min_i h_i**2 * d_i**-gamma over relays with rate sum
+    ``rate`` = sum_i d_i**gamma, h_i**2 i.i.d. exponential with mean 2*mu.
 
     Given the distances the terms are independent exponentials with rates
     d_i**gamma / (2*mu), so their minimum is exponential with the summed
     rate: 2*mu * Exp(1) / sum_i d_i**gamma, drawn exactly with one variate.
-    The minimum over no relays is +inf.
+    The minimum over no relays (rate 0) is +inf.
     """
-    rate = float(np.sum(d2_tx ** (gamma / 2.0), dtype=np.float64))
     gain = 2.0 * mu * rng.standard_exponential()
     return gain / rate if rate > 0 else math.inf
 
@@ -180,78 +179,29 @@ def _exponential_f32(rng: np.random.Generator, shape, mean: float,
 def _relay_draws(rng: np.random.Generator, shape, mu: float, out=None):
     """Per-relay float32 draws, in this order: u = (r/a_l)**2 of a relay
     uniform in a disc, its polar angle in turns, and the receiver-link power
-    h**2 ~ Exp(mean 2*mu).  Returns (u, turn, h2), the rows of ``out`` when
-    given, a float32 array of shape (3, *shape)."""
+    h**2 ~ Exp(mean 2*mu).  Returns (u, turn, h2), the arrays of ``out``
+    when given, three float32 arrays of ``shape``."""
     u, turn, h2 = (None, None, None) if out is None else out
     return (_uniform_f32(rng, shape, u), _uniform_f32(rng, shape, turn),
             _exponential_f32(rng, shape, 2.0 * mu, h2))
 
 
-class RelayRows:
-    """Float32 relay arrays that successive trials reuse: u, turn, h**2, r,
-    d_rx**2 and one scratch row, grown to the largest relay count taken.
+#: relay elements (rows x relays) per piece of ``_relay_field``: a whole
+#: trial at the reference plan (n_r = 110446) is one piece, and a piece's
+#: float32 slots (2.5 MiB) stay in cache between the kernel's passes
+RELAY_PIECE = 1 << 17
 
-    With them, a run of trials allocates relay-sized arrays only as
-    short-lived temporaries, one at a time.  Fresh arrays per trial make the
-    C heap grow and shrink by megabytes every trial; glibc hands its heap
-    top back to the system past a threshold, and each trial then takes a
-    minor page fault per 4 KiB it touches.
-    """
-
-    N_ROWS = 6
-
-    def __init__(self):
-        self._rows = np.empty((self.N_ROWS, 0), dtype=np.float32)
-
-    def take(self, k: int) -> np.ndarray:
-        """The first k columns of every row; earlier takes are overwritten."""
-        if self._rows.shape[1] < k:
-            self._rows = np.empty((self.N_ROWS, k), dtype=np.float32)
-        return self._rows[:, :k]
+#: float32 slots per piece element in a kernel buffer: five float32 rows,
+#: and two more for eavesdropper distances in float64
+KERNEL_SLOTS = 7
 
 
-#: relays per block of the eavesdropper sums: a block's arrays stay in cache
-#: and are reused across blocks, so no relay-count array is allocated
-RELAY_BLOCK = 1 << 13
-
-
-def _relay_sums(r: np.ndarray, turn: np.ndarray, d2_rx: np.ndarray,
-                h2_rx: np.ndarray, eaves_x: np.ndarray, eaves_y: np.ndarray,
-                gamma: float) -> np.ndarray:
-    """T_j = sum_i g_i * d_ij**-gamma for each eavesdropper j at
-    (eaves_x[j], eaves_y[j]), with relay i at radius r_i and angle turn_i
-    turns and receiver gain g_i = h2_rx,i * d2_rx,i**(-gamma/2).
-
-    Relays are taken RELAY_BLOCK at a time, and within a block one
-    eavesdropper at a time, so memory is a few block-sized arrays whatever
-    the relay and eavesdropper counts.  Positions and gains are float32 as
-    per relay elsewhere; squared distances, their powers and the sums are
-    float64, since an eavesdropper can sit arbitrarily close to a relay.
-    """
-    sums = np.zeros(len(eaves_x))
-    if not len(eaves_x):
-        return sums
-    f32 = np.float32
-    e = -gamma / 2.0
-    block = max(1, min(RELAY_BLOCK, len(r)))
-    angle = np.empty(block, dtype=f32)
-    x, y, gain, d2, dy = np.empty((5, block))
-    for start in range(0, len(r), block):
-        s = slice(start, start + block)
-        n = min(block, len(r) - start)
-        a, bx, by, bg, bd, bdy = (v[:n] for v in (angle, x, y, gain, d2, dy))
-        np.multiply(turn[s], f32(2.0 * math.pi), out=a)
-        np.multiply(np.cos(a), r[s], out=bx)
-        np.multiply(np.sin(a, out=a), r[s], out=by)
-        np.multiply(_neg_power(d2_rx[s], e), h2_rx[s], out=bg)
-        for j, (ex, ey) in enumerate(zip(eaves_x, eaves_y)):
-            np.subtract(bx, ex, out=bd)
-            bd *= bd
-            np.subtract(by, ey, out=bdy)
-            bdy *= bdy
-            bd += bdy
-            sums[j] += np.dot(_neg_power(bd, e, out=bd), bg)
-    return sums
+def _relay_buffer() -> np.ndarray:
+    """Scratch for ``_relay_field`` pieces of RELAY_PIECE elements, to be
+    reused across calls: a fresh buffer per trial makes the C heap grow and
+    shrink by megabytes, and each trial then takes a page fault per 4 KiB
+    it touches."""
+    return np.empty(KERNEL_SLOTS * RELAY_PIECE, dtype=np.float32)
 
 
 def _neg_power(a: np.ndarray, e: float, out=None) -> np.ndarray:
@@ -262,36 +212,115 @@ def _neg_power(a: np.ndarray, e: float, out=None) -> np.ndarray:
     return np.power(a, a.dtype.type(e), out=out)
 
 
+def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
+                 cfg: NetworkConfig, ex: np.ndarray, ey: np.ndarray,
+                 buf: np.ndarray, stage1: bool):
+    """The relay-field kernel: draw m rows of k relays, uniform in the disc
+    of radius a_l around the transmitter, with receiver-link powers h**2
+    (``_relay_draws``), and reduce each row to its sums.
+
+    Returns (rate, s, t), float64: per row the stage-1 rate sum
+    sum_i d_tx,i**gamma (zeros unless ``stage1``), the gain sum
+    S = sum_i g_i with g_i = h_i**2 * d_rx,i**-gamma, and
+    t[:, j] = sum_i g_i * d_ij**-gamma for the eavesdroppers at
+    (ex[:, j], ey[:, j]), arrays of shape (m, n_e).
+
+    The relays are drawn and reduced in pieces of len(buf) // KERNEL_SLOTS
+    elements, the rows side by side, in the float32 scratch ``buf``
+    (``_relay_buffer``), so memory does not grow with k.  Without
+    eavesdroppers a relay takes one transcendental, sin(theta/2), and the
+    law of cosines written without cancellation,
+    (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2; with them two, cos(theta) and
+    sin(theta) for its position, and d_rx**2 = (x - d_tr)**2 + y**2.
+
+    Precision: per-relay values (u, angle, h**2, positions, squared
+    receiver distances, gains) are float32, about 1e-7 relative each; every
+    sum over relays is float64.  The relay->eavesdropper squared distances
+    and their powers take the dtype of ``ex``.
+    """
+    f32 = np.float32
+    e = -cfg.gamma / 2.0
+    n_e = ex.shape[1]
+    piece = len(buf) // KERNEL_SLOTS
+    q = ex.dtype.itemsize // 4  # float32 slots per eavesdropper distance
+    rate, s, t = np.zeros(m), np.zeros(m), np.zeros((m, n_e))
+    width = max(1, min(k, piece // m))
+    for start in range(0, k, width):
+        n = m * min(width, k - start)
+        g, x, y, r, d2 = (buf[i * piece:i * piece + n].reshape(m, -1)
+                          for i in range(5))
+        _relay_draws(rng, g.shape, cfg.mu, out=(r, y, g))  # u, turn, h**2
+        if stage1:  # d_tx**gamma = a_l**gamma * u**(gamma/2)
+            u_power = r if cfg.gamma == 2.0 else np.power(
+                r, f32(cfg.gamma / 2.0), out=d2)
+            rate += u_power.sum(axis=1, dtype=np.float64)
+        np.sqrt(r, out=r)
+        r *= f32(a_l)
+        if n_e:
+            y *= f32(2.0 * math.pi)
+            np.cos(y, out=x)
+            x *= r
+            np.sin(y, out=y)
+            y *= r
+            np.subtract(x, f32(cfg.d_tr), out=d2)
+            d2 *= d2
+            np.multiply(y, y, out=r)  # r is free: reuse it as scratch
+            d2 += r
+        else:
+            y *= f32(math.pi)
+            np.sin(y, out=y)
+            y *= y
+            y *= r
+            y *= f32(4.0 * cfg.d_tr)
+            np.subtract(r, f32(cfg.d_tr), out=d2)
+            d2 *= d2
+            d2 += y
+        g *= _neg_power(d2, e, out=d2)
+        s += g.sum(axis=1, dtype=np.float64)
+        if not n_e:
+            continue
+        # the slots of r and d2 are free: squared distances go there, with
+        # room beyond for float64
+        d, dy = (buf[i * piece:i * piece + q * n].view(ex.dtype).reshape(m, -1)
+                 for i in (3, 3 + q))
+        for j in range(n_e):
+            np.subtract(x, ex[:, j:j + 1], out=d)
+            d *= d
+            np.subtract(y, ey[:, j:j + 1], out=dy)
+            dy *= dy
+            d += dy
+            _neg_power(d, e, out=d)
+            d *= g
+            t[:, j] += d.sum(axis=1, dtype=np.float64)
+    rate *= a_l ** cfg.gamma
+    return rate, s, t
+
+
 def sample_realization(plan: Plan, cfg: NetworkConfig,
                        rng: np.random.Generator,
-                       rows: RelayRows | None = None):
-    """Sample one trial's geometry and fading, drawing only what the two
+                       buf: np.ndarray | None = None):
+    """Sample one trial's geometry and fading, reduced to the sums the two
     stages read.
 
     Legitimate nodes are sampled restricted to the relay disc: nodes outside
     it enter no statistic, and conditioning a homogeneous Poisson process on
-    the disc gives a Poisson count with i.i.d. uniform positions.  Per relay
-    this takes only ``_relay_draws``; the squared receiver distance comes
-    from the law of cosines written without cancellation,
-    (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2.  The stage-1 minimum is drawn
-    exactly by ``draw_min_gain``.  Eavesdroppers are sampled on the full
-    square.  Each eavesdropper's stage-2 relay sum is drawn from its exact
+    the disc gives a Poisson count with i.i.d. uniform positions.
+    Eavesdroppers are sampled on the full square, with their stage-1 link
+    powers, before the relays.  The relays go through ``_relay_field`` as
+    one row, with ``buf`` as its scratch (fresh when None), so a trial holds
+    one piece of relays whatever the relay count.  Its rate sum gives the
+    stage-1 minimum, drawn exactly by ``draw_min_gain``.  Each
+    eavesdropper's stage-2 relay sum is drawn last, from its exact
     conditional law: the combined fadings h_ij e^{j(phi_ij - theta_i)} are
     i.i.d. CN(0, 2*mu) over (i, j) and independent of the receiver links
     (rotating i.i.d. circular Gaussians by the common phase theta_i leaves
     them i.i.d.), so given the relay field and all positions the sums are
     independent over j and CN(0, 2*mu*T_j), T_j = sum_i g_i d_ij**-gamma.
-    Its power |z_j|**2 is 2*mu*T_j times one Exp(1), drawn last.  Only when
-    there are eavesdroppers are the relay positions built and the T_j
-    summed (``_relay_sums``).
+    Its power |z_j|**2 is 2*mu*T_j times one Exp(1).
 
-    Precision: per-relay values (u, angle, h**2, squared distances, gains)
-    are float32, about 1e-7 relative each; every reduction over relays is
-    float64, and so are the relay->eavesdropper distances and the
-    exponentials.
-
-    The relay arrays are rows of one float32 block: fresh, or taken from
-    ``rows``, in which case the realization is valid until the next take.
+    Precision: as in ``_relay_field``, with the relay->eavesdropper
+    distances in float64, since an eavesdropper can sit arbitrarily close to
+    a relay; the exponentials are float64 too.
 
     Returns (realization, n_in_bl) where the realization carries
     min(n_in_bl, n_r) relays (all available nodes when short).
@@ -299,40 +328,24 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     side = cfg.side
     if 2.0 * plan.a_l > side:
         raise ValueError("relay disc does not fit inside the network square")
-    f32 = np.float32
     n_in_bl = int(rng.poisson(cfg.lambda_l * math.pi * plan.a_l ** 2))
     n_e = int(rng.poisson(cfg.lambda_e * side * side))
     k = min(n_in_bl, plan.n_r)
 
-    relay = (np.empty((RelayRows.N_ROWS, k), dtype=f32) if rows is None
-             else rows.take(k))
-    d2_tx, turn, h2_rx, r, d2_rx, scratch = relay
-    _relay_draws(rng, (k,), cfg.mu, out=relay[:3])
-    d2_tx *= f32(plan.a_l ** 2)
-    min_gain = draw_min_gain(d2_tx, cfg.gamma, cfg.mu, rng)
-
-    np.sqrt(d2_tx, out=r)
-    # d_rx**2 = 4*d_tr*r*sin(theta/2)**2 + (d_tr - r)**2
-    np.multiply(turn, f32(math.pi), out=d2_rx)
-    np.sin(d2_rx, out=d2_rx)
-    d2_rx *= d2_rx
-    d2_rx *= r
-    d2_rx *= f32(4.0 * cfg.d_tr)
-    np.subtract(r, f32(cfg.d_tr), out=scratch)
-    scratch *= scratch
-    d2_rx += scratch
-
     eaves_x = (rng.random(n_e) - 0.5) * side
     eaves_y = (rng.random(n_e) - 0.5) * side
     eaves_h2_tx = rng.standard_exponential(n_e) * (2.0 * cfg.mu)
-    sum_var = _relay_sums(r, turn, d2_rx, h2_rx, eaves_x, eaves_y, cfg.gamma)
+    rate, s, t = _relay_field(
+        rng, 1, k, plan.a_l, cfg, eaves_x[None, :], eaves_y[None, :],
+        _relay_buffer() if buf is None else buf, stage1=True)
+    min_gain = draw_min_gain(float(rate[0]), cfg.mu, rng)
+    sum_var = t[0]
     sum_var *= 2.0 * cfg.mu
     sum_power = rng.standard_exponential(n_e)
     sum_power *= sum_var
 
     realization = beamform.NetworkRealization(
-        relay_d2_tx=d2_tx, relay_min_gain=min_gain,
-        relay_d2_rx=d2_rx, relay_h2_rx=h2_rx,
+        relay_min_gain=min_gain, relay_count=k, relay_gain_sum=float(s[0]),
         eaves_dist_tx=np.hypot(eaves_x, eaves_y), eaves_h2_tx=eaves_h2_tx,
         eaves_sum_var=sum_var, eaves_sum_power=sum_power)
     return realization, n_in_bl
@@ -350,11 +363,11 @@ def _e6_outage_given_field(sum_var: np.ndarray, p_t: float, n_relays: int,
 
 def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
               trial_index: int, seed: int,
-              rows: RelayRows | None = None) -> TrialOutcome:
+              buf: np.ndarray | None = None) -> TrialOutcome:
     """Score one independent transmission attempt.
 
-    Deterministic in (seed, trial_index), with or without ``rows``, relay
-    arrays to reuse across trials.  When the relay disc falls short,
+    Deterministic in (seed, trial_index), with or without ``buf``, kernel
+    scratch (``_relay_buffer``) to reuse across trials.  When the relay disc falls short,
     stage-1 statistics still use the available nodes for diagnostics, the
     beamforming stage is skipped (its rates and powers report 0), and the
     composite flag is false.
@@ -362,7 +375,7 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     if plan.mode != "beamforming":
         raise ValueError("run_trial requires a beamforming-mode plan")
     rng = _trial_rng(seed, trial_index)
-    realization, n_in_bl = sample_realization(plan, cfg, rng, rows)
+    realization, n_in_bl = sample_realization(plan, cfg, rng, buf)
     e1 = n_in_bl >= plan.n_r
 
     min_rate, max_e1, disc_violated = beamform.stage1_rates(
@@ -441,9 +454,9 @@ def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     max_p_e = RunningMoments()
     total_power = RunningMoments()
     e6_given_field = RunningMoments()
-    rows = RelayRows()
+    buf = _relay_buffer()
     for i in range(n_trials):
-        out = run_trial(plan, cfg, target, i, seed, rows)
+        out = run_trial(plan, cfg, target, i, seed, buf)
         for j, ok in enumerate(out.flags()):
             ok_counts[j] += ok
         composite_ok += out.composite
@@ -568,41 +581,32 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
     ]
 
 
-#: relay elements (samples x relays) per chunk of the theorem-4 sampler: one
-#: sample at the reference plan (n_r = 110446); a thread's five float32 rows
-#: of it take 2.5 MiB, small enough to stay in cache between passes
-POWER_BOUNDS_CHUNK = 1 << 17
-
-
 def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                          seed: int):
     """Draws of P_l and P_e (normalized by p_t and p_t**2) for the bound
     check: n_r relays uniform in the relay disc, one eavesdropper uniform on
     the square but outside the protected disc, Rayleigh fading.
 
-    Per relay this takes only ``_relay_draws``, giving the gains
-    g_i = h_i**2 * d_rx,i**-gamma and P_l = (sum_i g_i)**2 / n_r.  Given those
-    and the eavesdropper's distances d_e,i, its received sum is
-    CN(0, 2*mu * sum_i g_i * d_e,i**-gamma), so P_e is drawn exactly as
-    2*mu * Exp(1) * sum_i g_i * d_e,i**-gamma / n_r, one exponential per
-    sample and no per-relay eavesdropper fading or phase.
+    The relay field of a sample gives S = sum_i g_i and P_l = S**2 / n_r.
+    Given the field and the eavesdropper's distances d_e,i, its received
+    sum is CN(0, 2*mu * T), T = sum_i g_i * d_e,i**-gamma, so P_e is drawn
+    exactly as 2*mu * Exp(1) * T / n_r, one exponential per sample and no
+    per-relay eavesdropper fading or phase.
 
-    The samples fall into chunks of POWER_BOUNDS_CHUNK relay elements:
-    POWER_BOUNDS_CHUNK // n_r samples each, or one when n_r is larger.
-    Chunk c draws only from ``np.random.default_rng([seed, 1, c])``, so the
-    layout and every value depend on n_r and the seed alone.  The chunks
-    run on one thread per usable CPU (the calling thread among them), never
-    more than there are chunks, each with its own reused float32 buffers:
-    the result is the same for any number of threads, and memory is
-    O(threads * POWER_BOUNDS_CHUNK) for any n_r.
+    The samples fall into chunks of RELAY_PIECE relay elements:
+    RELAY_PIECE // n_r samples each, or one when n_r is larger.  Chunk c
+    draws only from ``np.random.default_rng([seed, 1, c])``, so the layout
+    and every value depend on n_r and the seed alone.  The chunks run on one
+    thread per usable CPU (the calling thread among them), never more than
+    there are chunks, each with its own reused kernel buffer: the result is
+    the same for any number of threads, and memory is
+    O(threads * RELAY_PIECE) for any n_r.
 
-    Precision: per-relay values are float32, about 1e-7 relative each, far
-    below the gaps of the bounds; the sums over relays and the final
-    exponential are float64.
+    Precision: as in ``_relay_field``, with the relay->eavesdropper
+    distances in float32 too, far below the gaps of the bounds; the final
+    exponential is float64.
     """
-    n_r = plan.n_r
-    rows = max(1, POWER_BOUNDS_CHUNK // n_r)  # samples per chunk
-    width = min(n_r, POWER_BOUNDS_CHUNK)      # relays per piece of a chunk
+    rows = max(1, RELAY_PIECE // plan.n_r)  # samples per chunk
     n_chunks = -(-n_samples // rows)
     p_l = np.empty(n_samples)
     p_e = np.empty(n_samples)
@@ -612,7 +616,7 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
 
     def work():
         try:
-            buf = np.empty(5 * rows * width, dtype=np.float32)
+            buf = _relay_buffer()
             while not errors:
                 with lock:
                     c = taken[0]
@@ -622,7 +626,7 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                 lo, hi = c * rows, min((c + 1) * rows, n_samples)
                 p_l[lo:hi], p_e[lo:hi] = _power_bounds_chunk(
                     plan, cfg, np.random.default_rng([seed, 1, c]), hi - lo,
-                    width, buf)
+                    buf)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
@@ -639,16 +643,10 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
 
 
 def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
-                        rng: np.random.Generator, m: int, width: int,
-                        buf: np.ndarray):
+                        rng: np.random.Generator, m: int, buf: np.ndarray):
     """(P_l, P_e) of m samples drawn from ``rng``: first the m eavesdropper
-    positions, then the relays in pieces of ``width``, accumulating
-    sum_i g_i and sum_i g_i * d_e,i**-gamma in float64, then the m
-    exponentials of P_e.  ``buf`` is float32 scratch of at least
-    5 * m * width values."""
-    f32 = np.float32
-    e = -cfg.gamma / 2.0
-    n_r = plan.n_r
+    positions, then the m rows of relays (``_relay_field`` with ``buf``),
+    then the m exponentials of P_e."""
     side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
     # one eavesdropper per sample, uniform outside the disc
     ex = np.empty(m)
@@ -661,41 +659,13 @@ def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
         ex[need[ok]] = cx[ok]
         ey[need[ok]] = cy[ok]
         need = need[~ok]
-    ex = ex[:, None].astype(f32)
-    ey = ey[:, None].astype(f32)
-    s = np.zeros(m)
-    t = np.zeros(m)
-    for start in range(0, n_r, width):
-        k = min(width, n_r - start)
-        block = buf[:5 * m * k].reshape(5, m, k)
-        r, ang, h2, x, gain = block
-        _relay_draws(rng, (m, k), cfg.mu, out=block[:3])
-        np.sqrt(r, out=r)
-        r *= f32(plan.a_l)
-        ang *= f32(2.0 * math.pi)
-        np.cos(ang, out=x)
-        x *= r
-        y = np.sin(ang, out=ang)
-        y *= r
-        # d_rx**2, then d_rx**-gamma, then g_i
-        np.subtract(x, f32(cfg.d_tr), out=gain)
-        gain *= gain
-        np.multiply(y, y, out=r)  # r is free: reuse it as scratch
-        gain += r
-        _neg_power(gain, e, out=gain)
-        gain *= h2
-        s += gain.sum(axis=1, dtype=np.float64)
-        x -= ex  # d_e**2, then g_i * d_e**-gamma
-        x *= x
-        y -= ey
-        y *= y
-        x += y
-        _neg_power(x, e, out=x)
-        x *= gain
-        t += x.sum(axis=1, dtype=np.float64)
+    f32 = np.float32
+    _, s, t = _relay_field(rng, m, plan.n_r, plan.a_l, cfg,
+                           ex[:, None].astype(f32), ey[:, None].astype(f32),
+                           buf, stage1=False)
     p_e = rng.standard_exponential(m)
-    p_e *= (2.0 * cfg.mu / n_r) * t
-    return s * s / n_r, p_e
+    p_e *= (2.0 * cfg.mu / plan.n_r) * t[:, 0]
+    return s * s / plan.n_r, p_e
 
 
 def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,

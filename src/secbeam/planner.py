@@ -83,18 +83,6 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class LayerBudget:
-    """Per-layer pieces of the annulus union bound at layer k."""
-
-    k: int
-    beta_k: float
-    eps_k: float
-    t_k: float
-    count_cap: float
-    a_e_k: float
-
-
-@dataclass(frozen=True)
 class ConstraintCheck:
     name: str
     satisfied: bool
@@ -113,33 +101,6 @@ def a_l_upper(cfg: NetworkConfig, target: SecrecyTarget, n_r: int) -> float:
     return ((-cfg.p_t * cfg.mu * math.log1p(-frac)) / denom) ** (1.0 / cfg.gamma)
 
 
-def t_slack(beta_k: float, eps_prime: float, lambda_e: float, s_k: float) -> float:
-    """Chebyshev slack factor sqrt(beta_k / (eps' * lambda_e * S_k)) for the
-    per-layer eavesdropper count cap."""
-    if min(beta_k, eps_prime, lambda_e, s_k) <= 0:
-        raise ValueError("all arguments must be positive")
-    return math.sqrt(beta_k / (eps_prime * lambda_e * s_k))
-
-
-def a_e_layer(cfg: NetworkConfig, target: SecrecyTarget, k: int,
-              lambda_e: float, t_k: float, s_k: float) -> float:
-    """Lower bound on a_e imposed by layer k:
-    2**-(k-1) * ((-p_t*mu/(2**(rho*R_S)-1)) * ln(eps'/(2**k*lambda_e*(1+t_k)*S_k)))**(1/gamma).
-
-    ``s_k`` is the layer area; it must be supplied because it scales with the
-    a_e being bounded (see a_e_layer_fixed_point for the self-consistent
-    evaluation at the maximum eavesdropper density, where the product
-    lambda_e*S_k is a_e-free).
-    """
-    if k < 1:
-        raise ValueError(f"layer index must be >= 1, got {k}")
-    arg = target.eps_prime / (2.0 ** k * lambda_e * (1.0 + t_k) * s_k)
-    if not 0 < arg < 1:
-        raise InfeasiblePlanError("a_e_bound", f"layer {k} bound degenerate (ln arg {arg})")
-    pref = cfg.p_t * cfg.mu / (2.0 ** (target.rho * target.secure_rate) - 1.0)
-    return 2.0 ** (-(k - 1)) * (pref * (-math.log(arg))) ** (1.0 / cfg.gamma)
-
-
 def a_e_layer_fixed_point(target: SecrecyTarget, cfg: NetworkConfig, k: int) -> float:
     """Layer-k lower bound on a_e at the self-consistent operating point
     (beta_k = 2**k, lambda_e at its maximum -ln(1-eps')/(pi*a_e**2)).
@@ -150,7 +111,7 @@ def a_e_layer_fixed_point(target: SecrecyTarget, cfg: NetworkConfig, k: int) -> 
     """
     eps = target.eps_prime
     lam_sk = -3.0 * math.log1p(-eps) * 4.0 ** (k - 1)  # lambda_e_max * S_k
-    t_k = t_slack(2.0 ** k, eps, 1.0, lam_sk)
+    t_k = math.sqrt(2.0 ** k / (eps * lam_sk))  # Chebyshev slack of the cap
     arg = eps / (2.0 ** k * lam_sk * (1.0 + t_k))
     if arg >= 1:
         raise InfeasiblePlanError("a_e_bound", f"layer {k} bound degenerate")
@@ -194,29 +155,6 @@ def nu_constant(mu: float) -> float:
     """
     return math.sqrt(max(moments.var_pl_nopath(1, mu),
                          moments.var_pe_nopath(1, mu)))
-
-
-def n_r_bound_general(cfg: NetworkConfig, target: SecrecyTarget, eta: float,
-                      nu: float, a_l: float) -> float:
-    """Real-valued stage-2 legitimate-rate bound on n_r with the exact
-    distance envelope (d_tr -+ a_l); n_r must strictly exceed it."""
-    if cfg.d_tr <= a_l:
-        raise InfeasiblePlanError("n_r_bound", f"d_tr={cfg.d_tr} <= a_l={a_l}")
-    eps = target.eps_prime
-    near = cfg.d_tr - a_l
-    far = cfg.d_tr + a_l
-    g = cfg.gamma
-    zeta = (nu * nu / eps
-            + 4.0 * eta * far ** (-2 * g) / (cfg.p_t * near ** (-4 * g))
-            * (2.0 ** ((1.0 + target.kappa) * target.secure_rate) - 1.0))
-    return (near ** (-4 * g) / (4.0 * eta * eta * far ** (-4 * g))) * (
-        nu / math.sqrt(eps) + math.sqrt(zeta)) ** 2
-
-
-def n_r_min_general(cfg: NetworkConfig, target: SecrecyTarget, eta: float,
-                    nu: float, a_l: float) -> int:
-    """Smallest integer relay count strictly above the general bound."""
-    return math.ceil(n_r_bound_general(cfg, target, eta, nu, a_l)) + 1
 
 
 def n_r_bound_simplified(cfg: NetworkConfig, target: SecrecyTarget, eta: float,
@@ -279,23 +217,6 @@ def lambda_e_max(eps_prime: float, a_e: float) -> float:
     if a_e <= 0:
         raise ValueError("a_e must be positive")
     return -math.log1p(-eps_prime) / (math.pi * a_e * a_e) * (1.0 - STRICT_MARGIN)
-
-
-def layer_budgets(cfg: NetworkConfig, target: SecrecyTarget, a_e: float,
-                  lambda_e: float, n_layers: int) -> list[LayerBudget]:
-    """Per-layer union-bound bookkeeping at beta_k = 2**k for diagnostics."""
-    from .geometry import layer_area
-    eps = target.eps_prime
-    out = []
-    for k in range(1, n_layers + 1):
-        beta_k = 2.0 ** k
-        s_k = layer_area(k, a_e)
-        t_k = t_slack(beta_k, eps, lambda_e, s_k)
-        out.append(LayerBudget(
-            k=k, beta_k=beta_k, eps_k=eps / 2.0 ** k, t_k=t_k,
-            count_cap=(1.0 + t_k) * lambda_e * s_k,
-            a_e_k=a_e_layer_fixed_point(target, cfg, k)))
-    return out
 
 
 def plan(cfg: NetworkConfig, target: SecrecyTarget) -> Plan:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secbeam.beamform import (NetworkRealization, received_powers,
-                              select_relays, stage1_rates, stage2_rates)
+                              stage1_rates, stage2_rates)
 from secbeam.moments import mean_pl_nopath, mean_pe_nopath
+
+from test_montecarlo import select_relays
 
 
 def random_channels(n_relays, n_eaves, rng, mu=0.5):
@@ -70,7 +72,7 @@ def complex_channel_powers(ch, p_t, gamma):
     return p_l, p_e, per_relay
 
 
-# --- relay recruitment -----------------------------------------------------
+# --- relay recruitment (the full-process oracle) ---------------------------
 
 def test_select_relays_shortfall():
     pts = np.array([[0.1, 0.0], [5.0, 5.0]])

@@ -5,12 +5,14 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import secbeam
-from secbeam import moments, montecarlo, planner
+from secbeam import cli, moments, montecarlo, planner
 from secbeam.cli import main
 from secbeam.geometry import NetworkConfig
 from secbeam.planner import SecrecyTarget, plan
@@ -367,24 +369,31 @@ def test_verify_theorem4_output_does_not_depend_on_thread_count(
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-def run_limited(argv, limit_bytes):
-    """Run ``secbeam <argv>`` in a child process whose address space is
-    capped at ``limit_bytes`` (RLIMIT_AS), with one BLAS thread, since
-    every BLAS thread's buffers count against the cap too."""
+def limited(argv, limit_bytes):
+    """Arguments of subprocess.run or Popen for ``secbeam <argv>`` in a
+    child process whose address space is capped at ``limit_bytes``
+    (RLIMIT_AS), with one BLAS thread, since every BLAS thread's buffers
+    count against the cap too."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
     src = str(Path(secbeam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "secbeam.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          preexec_fn=cap, timeout=300)
+    return dict(args=[sys.executable, "-m", "secbeam.cli", *argv], text=True,
+                env=env, preexec_fn=cap)
+
+
+def run_limited(argv, limit_bytes):
+    """Run ``secbeam <argv>`` under ``limited``; returns the finished
+    process with its captured output."""
+    return subprocess.run(**limited(argv, limit_bytes), capture_output=True,
+                          timeout=300)
 
 
 def test_huge_relay_count_in_bounded_memory(tmp_path, capsys):
-    # n_r = 53 101 045: a trial's relay rows alone take 1.19 GiB, but the
-    # theorem-4 sampler walks each sample's relays in fixed-size pieces
+    # n_r = 53 101 045: a trial's relays as arrays would take 1.19 GiB, but
+    # both samplers walk the relays in fixed-size pieces
     plan_path = tmp_path / "plan.json"
     assert main(["plan", "--rate", "5", "--outage", "0.35",
                  "--out", str(plan_path)]) == 0
@@ -398,11 +407,50 @@ def test_huge_relay_count_in_bounded_memory(tmp_path, capsys):
     csv_path.write_text("x" * 10_000)
     simulate = run_limited(["simulate", "--plan", str(plan_path),
                             "--trials", "1", "--csv", str(csv_path)], 1 << 30)
-    assert simulate.returncode == 2, simulate.stderr
+    assert simulate.returncode == 0, simulate.stderr
     assert "Traceback" not in simulate.stderr
-    assert simulate.stderr.startswith("cannot simulate n_r=53101045 relays: ")
-    assert simulate.stderr.count("\n") == 1
-    assert csv_path.read_text().splitlines() == [",".join(montecarlo.CSV_COLUMNS)]
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == ",".join(montecarlo.CSV_COLUMNS)
+    assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+def test_simulate_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    # a run that runs out of memory after two trials: one line, exit 2, and
+    # the CSV keeps the finished trials without the old tail
+    _, plan_path = run_plan(tmp_path)
+    n_r = json.loads(plan_path.read_text())["n_r"]
+    csv_path = tmp_path / "trials.csv"
+    csv_path.write_text("x" * 10_000)
+    estimate = montecarlo.estimate_outage
+
+    def short(p, cfg, target, n_trials, seed, collect=None):
+        estimate(p, cfg, target, 2, seed, collect=collect)
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(montecarlo, "estimate_outage", short)
+    capsys.readouterr()
+    assert main(["simulate", "--plan", str(plan_path), "--trials", "5",
+                 "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err == f"cannot simulate n_r={n_r} relays: no room\n"
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == ",".join(montecarlo.CSV_COLUMNS)
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+
+@pytest.mark.parametrize("what,flags", [
+    ("moments", ["--samples", "1000000000"]),
+    ("theorem4", ["--samples", "1000000000"]),
+    ("lemmas", ["--samples", str(10 ** 12), "--instances", "1"]),
+])
+def test_verify_samples_that_cannot_fit_exit_2(tmp_path, what, flags):
+    # each needs gigabytes at once: one line and exit 2, not a traceback
+    _, plan_path = run_plan(tmp_path)
+    verify = run_limited(["verify", what, "--plan", str(plan_path), *flags],
+                         1 << 30)
+    assert verify.returncode == 2, verify.stderr
+    assert "Traceback" not in verify.stderr
+    assert verify.stderr.startswith(f"cannot verify {what} with ")
+    assert verify.stderr.count("\n") == 1
 
 
 def test_verify_theorem4_missing_plan_file(tmp_path, capsys):
@@ -536,6 +584,61 @@ def test_sweep_lambda_l_feasibility(tmp_path):
     assert len({r[3] for r in rows}) == 1   # n_r
     assert len({r[4] for r in rows}) == 1   # a_l
     assert len({r[5] for r in rows}) == 1   # a_e
+
+
+GRIDS = [("0.25:1.0:4", False), ("0.1:1:7", False), ("5:1e-6:2", False),
+         ("1:1:5", False), ("0.5:0.5:1", False), ("1e-3:10:9", True),
+         ("-5:-1e-2:6", True), ("2:2:3", True)]
+
+
+@pytest.mark.parametrize("block", [2, 3, 4096])
+def test_sweep_grid_values_are_numpy_values(monkeypatch, block):
+    # the grid yields the values np.linspace / np.geomspace give, bit for
+    # bit and as numpy floats, whatever the block they are computed in
+    monkeypatch.setattr(cli, "GRID_BLOCK", block)
+    for text, log in GRIDS:
+        lo, hi, steps = text.split(":")
+        space = np.geomspace if log else np.linspace
+        want = ([float(lo)] if steps == "1" else
+                list(space(float(lo), float(hi), int(steps))))
+        got = list(cli._parse_range(text, log))
+        assert [type(x) for x in got] == [type(x) for x in want], text
+        assert np.array(got).tobytes() == np.array(want).tobytes(), text
+
+
+def test_sweep_csv_does_not_depend_on_grid_block(tmp_path, monkeypatch):
+    runs = {}
+    for block in (2, 4096):
+        monkeypatch.setattr(cli, "GRID_BLOCK", block)
+        for name, flags in (("linear", ["--rate", "0.25:2.0:5"]),
+                            ("log", ["--rate", "0.25:2.0:5", "--log"])):
+            out = tmp_path / f"{name}-{block}.csv"
+            assert main(["sweep", *flags, "--outage", "0.35",
+                         "--out", str(out)]) == 0
+            runs[name, block] = out.read_bytes()
+    assert runs["linear", 2] == runs["linear", 4096]
+    assert runs["log", 2] == runs["log", 4096]
+    assert runs["linear", 2] != runs["log", 2]
+
+
+def test_sweep_huge_grid_streams_rows():
+    # 10**11 grid points, 745 GiB as one array: rows start at once under a
+    # 1 GiB address-space cap, and the run is stopped after 50
+    proc = subprocess.Popen(**limited(
+        ["sweep", "--rate", "0.1:1:100000000000", "--outage", "0.35"], 1 << 30),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    timer = threading.Timer(120, proc.kill)
+    timer.start()
+    try:
+        lines = [proc.stdout.readline() for _ in range(51)]
+    finally:
+        timer.cancel()
+        proc.kill()
+        _, err = proc.communicate(timeout=60)
+    assert lines[0].startswith("rate,feasible,")
+    assert all(line.endswith("\n") for line in lines)
+    assert lines[1].startswith("0.1,yes,")
+    assert "Traceback" not in err
 
 
 def test_sweep_bad_range(capsys):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from secbeam.geometry import NetworkConfig, layer_area, num_layers, sample_ppp
+from secbeam.geometry import NetworkConfig
+
+from test_montecarlo import sample_ppp
 
 
 def test_config_validation():
@@ -71,43 +72,3 @@ def test_sample_ppp_deterministic():
     a = sample_ppp(2.0, 5.0, np.random.default_rng(42))
     b = sample_ppp(2.0, 5.0, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
-
-
-def test_layer_area_values():
-    assert layer_area(1, 1.0) == pytest.approx(3 * math.pi)
-    assert layer_area(2, 1.0) == pytest.approx(12 * math.pi)
-
-
-def test_layer_area_telescopes():
-    # annuli plus the inner disc tile the disc of radius 2**K * a_e
-    a_e = 1.7
-    for big_k in (1, 3, 6):
-        total = math.pi * a_e ** 2 + sum(layer_area(k, a_e)
-                                         for k in range(1, big_k + 1))
-        assert total == pytest.approx(math.pi * 4.0 ** big_k * a_e ** 2)
-
-
-@given(k=st.integers(min_value=2, max_value=40),
-       a_e=st.floats(min_value=1e-3, max_value=1e3))
-def test_layer_area_quadruples(k, a_e):
-    assert layer_area(k, a_e) == pytest.approx(4 * layer_area(k - 1, a_e))
-
-
-def test_num_layers():
-    a_e = 1.3
-    assert num_layers(math.sqrt(2) * a_e, a_e) == 1
-    assert num_layers(math.sqrt(2) * 4 * a_e, a_e) == 2
-    assert num_layers(0.1 * a_e, a_e) == 1  # minimum clamp
-
-
-def test_every_point_gets_one_layer(reference_config):
-    # the num_layers annuli around the inner disc reach every point of the
-    # square, so each point outside a_e has a layer k in 1..K
-    rng = np.random.default_rng(7)
-    pts = sample_ppp(5.0, reference_config.side, rng)
-    a_e = 0.8
-    big_k = num_layers(reference_config.side, a_e)
-    d = np.hypot(pts[:, 0], pts[:, 1])
-    outside = d[d >= a_e]
-    ks = np.floor(np.log2(outside / a_e)) + 1
-    assert np.all((1 <= ks) & (ks <= big_k))

@@ -2,16 +2,17 @@ import csv
 import dataclasses
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from secbeam.beamform import select_relays
-from secbeam.geometry import NetworkConfig, sample_ppp
-from secbeam.montecarlo import (CSV_COLUMNS, EVENT_NAMES, RelayRows,
-                                RunningMoments, estimate_outage, run_trial,
+from secbeam import montecarlo
+from secbeam.geometry import NetworkConfig
+from secbeam.montecarlo import (CSV_COLUMNS, EVENT_NAMES, RunningMoments,
+                                estimate_outage, run_trial,
                                 sample_realization, verify_moments,
                                 verify_power_bounds, wilson_interval,
                                 write_trials_csv)
@@ -67,22 +68,20 @@ def test_sample_realization_shapes():
     rng = np.random.default_rng(0)
     plan = small_plan()
     realization, n_in_bl = sample_realization(plan, small_cfg(), rng)
-    k = realization.n_relays
-    assert k == min(n_in_bl, plan.n_r)
+    assert realization.n_relays == realization.relay_count == min(n_in_bl, plan.n_r)
     m = realization.n_eaves
     assert m > 0
-    for name in ("relay_d2_tx", "relay_d2_rx", "relay_h2_rx"):
-        arr = getattr(realization, name)
-        assert arr.shape == (k,) and arr.dtype == np.float32, name
     for name in ("eaves_h2_tx", "eaves_sum_var", "eaves_sum_power"):
         arr = getattr(realization, name)
         assert arr.shape == (m,) and arr.dtype == np.float64, name
     assert np.all(realization.eaves_sum_var > 0)
-    # stage 2 is carried per eavesdropper, never per (eavesdropper, relay)
-    assert realization.eaves_d2_relay is None
-    assert realization.eaves_fading_relay is None
-    assert np.all(realization.relay_d2_tx <= np.float32(plan.a_l ** 2))
-    assert np.all(realization.relay_d2_rx > 0)
+    # the relays are carried as sums, never per relay or per
+    # (eavesdropper, relay) pair
+    for name in ("relay_d2_tx", "relay_d2_rx", "relay_h2_rx",
+                 "eaves_d2_relay", "eaves_fading_relay"):
+        assert getattr(realization, name) is None, name
+    assert type(realization.relay_gain_sum) is float
+    assert realization.relay_gain_sum > 0
     assert 0 < realization.relay_min_gain < math.inf
 
 
@@ -95,13 +94,15 @@ def test_sample_realization_skips_cross_arrays_without_eavesdroppers():
 
 
 def test_trial_with_reused_rows_matches_fresh_arrays():
-    # the rows grow for the wider plan and are then reused, wider than needed
-    rows = RelayRows()
-    cfg, target = small_cfg(), small_target()
+    # one kernel buffer reused across plans and across trials with and
+    # without eavesdroppers gives the trials of a fresh buffer each
+    buf = montecarlo._relay_buffer()
+    target = small_target()
     for plan in (small_plan(n_r=5), small_plan(), small_plan(n_r=5)):
-        for i in range(4):
-            assert (run_trial(plan, cfg, target, i, 9, rows)
-                    == run_trial(plan, cfg, target, i, 9))
+        for cfg in (small_cfg(), small_cfg(lambda_e=0.0)):
+            for i in range(4):
+                assert (run_trial(plan, cfg, target, i, 9, buf)
+                        == run_trial(plan, cfg, target, i, 9))
 
 
 def test_sample_realization_disc_must_fit():
@@ -120,36 +121,89 @@ def test_sample_realization_count_statistics():
     assert abs(np.mean(counts) - lam) < 5 * se
 
 
+# --- full-process oracle ------------------------------------------------------
+# The brute-force relay recruitment over a full Poisson process on the
+# square, which the sampler's disc shortcut is tested against.
+
+@dataclass(frozen=True)
+class RelaySelection:
+    """Outcome of relay recruitment: chosen indices, or a shortfall when the
+    disc holds fewer than the requested count (``indices`` is None)."""
+
+    indices: np.ndarray | None
+    available: int
+
+    @property
+    def shortfall(self) -> bool:
+        return self.indices is None
+
+
+def select_relays(legit_points: np.ndarray, a_l: float, n_r: int,
+                  rng: np.random.Generator) -> RelaySelection:
+    """Recruit n_r relays uniformly at random among the legitimate points
+    inside the disc of radius a_l around the transmitter (origin)."""
+    pts = np.asarray(legit_points, dtype=float).reshape(-1, 2)
+    inside = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) <= a_l)
+    if len(inside) < n_r:
+        return RelaySelection(indices=None, available=len(inside))
+    chosen = rng.choice(inside, size=n_r, replace=False)
+    return RelaySelection(indices=chosen, available=len(inside))
+
+
+def sample_ppp(density: float, side: float, rng: np.random.Generator) -> np.ndarray:
+    """Sample a homogeneous Poisson point process on the centered square:
+    an (n, 2) array of positions, n Poisson with mean density*side**2."""
+    if not (math.isfinite(density) and density >= 0):
+        raise ValueError(f"density must be finite and >= 0, got {density}")
+    if not (math.isfinite(side) and side > 0):
+        raise ValueError(f"side must be finite and > 0, got {side}")
+    n = rng.poisson(density * side * side)
+    return (rng.random((n, 2)) - 0.5) * side
+
+
 def test_disc_shortcut_matches_full_process_oracle():
     # oracle: the full Poisson process on the square, then recruitment from
-    # the disc; the sampler draws the disc count and positions directly
+    # the disc; the sampler draws the disc count and positions directly.
+    # The relay field enters a trial only through the kernel's sums, so
+    # those are compared: the stage-1 rate sum sum_i d_tx,i**gamma and the
+    # gain sum S = sum_i h_i**2 d_rx,i**-gamma, over the oracle's recruited
+    # points with h**2 ~ Exp(mean 2 mu) drawn in float64
     plan = small_plan(n_r=20)
     cfg = small_cfg(lambda_l=16.0, lambda_e=0.0, n_legit=256)  # side 4
     lam = cfg.lambda_l * math.pi * plan.a_l ** 2  # about 50 points
     n_seeds = 2000
     counts = {"oracle": [], "shortcut": []}
-    radii = {"oracle": [], "shortcut": []}
+    rate = {"oracle": [], "shortcut": []}
+    gain = {"oracle": [], "shortcut": []}
+    buf = montecarlo._relay_buffer()
+    none = np.empty((1, 0))
     for seed in range(n_seeds):
         rng = np.random.default_rng([seed, 0])
         pts = sample_ppp(cfg.lambda_l, cfg.side, rng)
         sel = select_relays(pts, plan.a_l, plan.n_r, rng)
         counts["oracle"].append(sel.available)
         if not sel.shortfall:
-            radii["oracle"].append(np.hypot(*pts[sel.indices].T))
+            x, y = pts[sel.indices].T
+            h2 = rng.exponential(2.0 * cfg.mu, plan.n_r)
+            rate["oracle"].append(np.sum(np.hypot(x, y) ** cfg.gamma))
+            gain["oracle"].append(np.sum(h2 * np.hypot(x - cfg.d_tr, y) ** -cfg.gamma))
         realization, n_in_bl = sample_realization(
-            plan, cfg, np.random.default_rng([seed, 1]))
+            plan, cfg, np.random.default_rng([seed, 1]), buf)
         counts["shortcut"].append(n_in_bl)
         if n_in_bl >= plan.n_r:
-            radii["shortcut"].append(np.sqrt(realization.relay_d2_tx))
+            gain["shortcut"].append(realization.relay_gain_sum)
+            rate["shortcut"].append(montecarlo._relay_field(
+                np.random.default_rng([seed, 2]), 1, plan.n_r, plan.a_l, cfg,
+                none, none, buf, stage1=True)[0][0])
     # Poisson(lam): variance lam, fourth central moment lam*(1 + 3*lam)
     se_mean = math.sqrt(lam / n_seeds)
     se_var = math.sqrt((lam * (1 + 3 * lam) - lam * lam) / n_seeds)
     for c in counts.values():
         assert abs(np.mean(c) - lam) < 5 * se_mean
         assert abs(np.var(c, ddof=1) - lam) < 5 * se_var
-    _, p_value = stats.ks_2samp(np.concatenate(radii["oracle"]),
-                                np.concatenate(radii["shortcut"]))
-    assert p_value > 1e-3
+    for sums in (rate, gain):
+        _, p_value = stats.ks_2samp(sums["oracle"], sums["shortcut"])
+        assert p_value > 1e-3
 
 
 # --- trials ----------------------------------------------------------------
@@ -322,7 +376,7 @@ INTEGER_COLUMNS = ["trial_index", *EVENT_NAMES, "composite", "n_in_Bl", "n_in_Be
 
 
 def test_golden_trial_table(tmp_path):
-    # random stream 4: the rows of 20 trials at seed 0 on the small plan.
+    # random stream 6: the rows of 20 trials at seed 0 on the small plan.
     # Integer columns must match exactly; float columns to rtol 1e-5, since
     # float32 SIMD cos/pow may differ in the last ulp across CPUs.
     outcomes = []

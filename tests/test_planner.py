@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secbeam.geometry import NetworkConfig, layer_area, num_layers
+from secbeam.geometry import NetworkConfig
 from secbeam import moments
 from secbeam import planner
-from secbeam.planner import (InfeasiblePlanError, SecrecyTarget, a_e_layer,
+from secbeam.planner import (InfeasiblePlanError, SecrecyTarget,
                              a_e_layer_fixed_point, a_e_min, a_l_upper,
                              eta_constant, lambda_e_max, lambda_l_min,
-                             layer_budgets, n_e_cap, n_r_bound_general,
-                             n_r_min_general, n_r_min_simplified, nu_constant,
-                             plan, t_slack, validate_plan)
+                             n_e_cap, n_r_min_simplified, nu_constant,
+                             plan, validate_plan)
 
 
 def make_cfg(**kw):
@@ -70,31 +69,6 @@ def test_a_l_upper_rejects_degenerate():
 
 
 # --- layer machinery -------------------------------------------------------
-
-def test_t_slack():
-    assert t_slack(4.0, 1.0, 1.0, 1.0) == pytest.approx(2.0)
-    assert t_slack(2.0, 0.01, 50.0, 1.0) == pytest.approx(2.0)
-    assert t_slack(3.0, 1.0, 3.0, 1.0) == pytest.approx(1.0)
-
-
-def test_a_e_layer_forced():
-    # choose inputs so the log argument is e^-1 and the prefactor is 1
-    cfg = make_cfg(p_t=2.0, mu=0.5)
-    t = SecrecyTarget(secure_rate=1.0, outage=0.35, rho=1.0)  # 2^{rho R_S}-1 = 1
-    eps = t.eps_prime
-    # pick lambda_e*(1+t_k)*S_k = eps*e/2^k by fixing t_k and S_k=1
-    for k, expect in [(1, 1.0), (2, 0.5)]:
-        lam = eps * math.e / 2.0 ** k / 2.0  # with t_k = 1
-        got = a_e_layer(cfg, t, k, lam, 1.0, 1.0)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-
-def test_a_e_layer_degenerate():
-    cfg = make_cfg()
-    t = make_target()
-    with pytest.raises(InfeasiblePlanError):
-        a_e_layer(cfg, t, 1, 1e-9, 1.0, 1.0)  # log argument >= 1
-
 
 def test_layer_argmax_at_first_layer():
     # with beta_k = 2^k and the maximum eavesdropper density, the binding
@@ -173,6 +147,29 @@ def test_nu_certifies_scan():
 
 
 # --- relay count bounds ----------------------------------------------------
+# The general bound, with the exact distance envelope (d_tr -+ a_l), is the
+# oracle of the simplified one the planner uses.
+
+def n_r_bound_general(cfg, target, eta, nu, a_l):
+    """Real-valued stage-2 legitimate-rate bound on n_r with the exact
+    distance envelope (d_tr -+ a_l); n_r must strictly exceed it."""
+    if cfg.d_tr <= a_l:
+        raise InfeasiblePlanError("n_r_bound", f"d_tr={cfg.d_tr} <= a_l={a_l}")
+    eps = target.eps_prime
+    near = cfg.d_tr - a_l
+    far = cfg.d_tr + a_l
+    g = cfg.gamma
+    zeta = (nu * nu / eps
+            + 4.0 * eta * far ** (-2 * g) / (cfg.p_t * near ** (-4 * g))
+            * (2.0 ** ((1.0 + target.kappa) * target.secure_rate) - 1.0))
+    return (near ** (-4 * g) / (4.0 * eta * eta * far ** (-4 * g))) * (
+        nu / math.sqrt(eps) + math.sqrt(zeta)) ** 2
+
+
+def n_r_min_general(cfg, target, eta, nu, a_l):
+    """Smallest integer relay count strictly above the general bound."""
+    return math.ceil(n_r_bound_general(cfg, target, eta, nu, a_l)) + 1
+
 
 def test_n_r_general_collapses_at_zero_radius():
     # hand algebra: R_S -> 0, nu=eta=1, eps'=1/9, a_l=0 gives
@@ -358,20 +355,6 @@ def test_a_e_independent_of_densities_and_extent():
     base = plan(make_cfg(), t).a_e
     assert plan(make_cfg(lambda_l=123.0, n_legit=10_000), t).a_e == base
     assert plan(make_cfg(lambda_e=0.1), t).a_e == base
-
-
-def test_layer_budget_bookkeeping(reference_plan):
-    cfg = make_cfg()
-    t = make_target()
-    big_k = num_layers(40.0, reference_plan.a_e)
-    budgets = layer_budgets(cfg, t, reference_plan.a_e,
-                            reference_plan.lambda_e_max, big_k)
-    assert sum(1.0 / b.beta_k for b in budgets) < 1.0
-    assert sum(b.eps_k for b in budgets) < t.eps_prime
-    assert all(b.t_k > 0 for b in budgets)
-    for b in budgets:
-        assert b.count_cap == pytest.approx(
-            (1 + b.t_k) * reference_plan.lambda_e_max * layer_area(b.k, reference_plan.a_e))
 
 
 @settings(max_examples=30, deadline=None)
