@@ -71,28 +71,13 @@ def _print_validation(checks) -> bool:
     return all_ok
 
 
-def _open_text(path):
-    """Open ``path`` for writing text: created if missing, else written over
-    in place; ``_cut`` ends it after the last write.  Opening with O_TRUNC
-    instead makes ext4 start writeback when a file emptied that way is
-    closed, and the next run's truncation then waits for that disk write."""
-    return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="")
-
-
-def _cut(fh) -> None:
-    """Cut the old tail off a file from ``_open_text`` (None: not requested)
-    at the current position; a stream that cannot seek has none."""
-    if fh is not None and fh.seekable():
-        fh.truncate()
-
-
-def _open_outputs(stack: contextlib.ExitStack, paths, opener=_open_text):
+def _open_outputs(stack: contextlib.ExitStack, paths):
     """Open every requested output path (None: not requested) on ``stack``
     before any work, so a bad path costs no run.  Returns the files (None
     for the unrequested), or None after printing why one cannot be
     written."""
     try:
-        return [stack.enter_context(opener(path)) if path else None
+        return [stack.enter_context(planner.open_output(path)) if path else None
                 for path in paths]
     except OSError as exc:
         print(f"cannot write {exc.filename}: {exc}", file=sys.stderr)
@@ -104,7 +89,7 @@ def cmd_plan(args) -> int:
     # when the target is infeasible, and an existing one is left as it was
     created = bool(args.out) and not os.path.lexists(args.out)
     with contextlib.ExitStack() as stack:
-        opened = _open_outputs(stack, [args.out], planner.open_plan_file)
+        opened = _open_outputs(stack, [args.out])
         if opened is None:
             return 2
         out_fh, = opened
@@ -152,6 +137,11 @@ def cmd_simulate(args) -> int:
     if loaded is None:
         return 2
     cfg, target, p = loaded
+    if p.mode != "beamforming":
+        print("cannot simulate a direct-mode plan: the receiver is within "
+              "2*a_l of the transmitter, so no relay beamforms",
+              file=sys.stderr)
+        return 2
     if 2.0 * p.a_l > cfg.side:
         print(f"cannot simulate: the relay disc (diameter {2.0 * p.a_l:.6g}) "
               f"does not fit inside the network square (side {cfg.side:.6g})",
@@ -170,10 +160,10 @@ def cmd_simulate(args) -> int:
             # a trial holds one kernel buffer whatever n_r, but its
             # eavesdropper arrays grow with the count; the CSV keeps the
             # trials that finished, without an old tail
-            _cut(csv_fh)
+            planner.cut_tail(csv_fh)
             print(f"cannot simulate n_r={p.n_r} relays: {exc}", file=sys.stderr)
             return 2
-        _cut(csv_fh)
+        planner.cut_tail(csv_fh)
         doc = report.to_dict()
         doc["manifest"] = _manifest("simulate", args,
                                     [x for x in (args.csv, args.json) if x])
@@ -184,7 +174,7 @@ def cmd_simulate(args) -> int:
         if json_fh:
             json.dump(doc, json_fh, indent=2)
             json_fh.write("\n")
-            _cut(json_fh)
+            planner.cut_tail(json_fh)
     for name, ev in report.event_outage.items():
         print(f"  {name}: outage={ev.outage:.4f}  ci=[{ev.ci_low:.4f}, {ev.ci_high:.4f}]")
     print(f"  E6 given the relay field: outage={report.e6_outage_given_field:.4f}  "
@@ -338,7 +328,7 @@ def cmd_sweep(args) -> int:
         for value in grid:
             writer.writerow(_sweep_row(args, name, value))
             n_rows += 1
-        _cut(opened[0])
+        planner.cut_tail(opened[0])
     if args.out:
         print(f"wrote {args.out} ({n_rows} rows)")
     return 0

@@ -345,7 +345,7 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     sum_power *= sum_var
 
     realization = beamform.NetworkRealization(
-        relay_min_gain=min_gain, relay_count=k, relay_gain_sum=float(s[0]),
+        relay_min_gain=min_gain, n_relays=k, relay_gain_sum=float(s[0]),
         eaves_dist_tx=np.hypot(eaves_x, eaves_y), eaves_h2_tx=eaves_h2_tx,
         eaves_sum_var=sum_var, eaves_sum_power=sum_power)
     return realization, n_in_bl
@@ -387,7 +387,7 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     e7 = realization.n_eaves <= plan.n_e_max
 
     if e1:
-        powers = beamform.received_powers(realization, cfg.p_t, cfg.gamma)
+        powers = beamform.received_powers(realization, cfg.p_t)
         rate_l, max_e2 = beamform.stage2_rates(powers.p_l, powers.p_e)
         p_l = powers.p_l
         max_p_e = float(np.max(powers.p_e)) if realization.n_eaves else 0.0

@@ -64,9 +64,8 @@ class SecrecyTarget:
 class Plan:
     """Planner output: the six design parameters plus the moment constants.
 
-    ``a_l`` is the working relay radius (half the raw bound value), ``mode``
-    is "direct" when the receiver is close enough that relaying is not
-    needed, else "beamforming".
+    ``a_l`` is the working relay radius (half the raw bound value), and
+    ``mode`` the ``transport_mode`` it gives.
     """
 
     a_l: float
@@ -176,47 +175,80 @@ def n_r_min_simplified(cfg: NetworkConfig, target: SecrecyTarget, eta: float,
     return math.ceil(n_r_bound_simplified(cfg, target, eta, nu)) + 1
 
 
+def transport_mode(d_tr: float, a_l: float) -> str:
+    """The plan's mode: "direct" when the receiver is close enough that
+    relaying is not needed (d_tr <= 2*a_l), else "beamforming"."""
+    return "direct" if d_tr <= 2.0 * a_l else "beamforming"
+
+
+def relay_reach(mode: str, a_l: float) -> float:
+    """Relay radius seen by the eavesdropper-count bound: a_l when the
+    relays beamform, 0 in direct mode, where the transmitter sends alone."""
+    return a_l if mode == "beamforming" else 0.0
+
+
+def n_e_bound(cfg: NetworkConfig, target: SecrecyTarget, eta: float, nu: float,
+              a_l: float, a_e: float) -> float:
+    """Real-valued network-wide eavesdropper count below which the stage-2
+    eavesdropper-rate Chebyshev bound holds:
+    eps' * (numer / (nu*A*p_t))**2, numer = 2**(kappa*R_S) - eta*A*p_t - 1,
+    A = (a_e-a_l)**(-gamma) * (d_tr-a_l)**(-gamma).  When numer <= 0 (the
+    rate threshold lies below the mean eavesdropper power bound) no count
+    meets it, and numer itself is returned."""
+    a_fact = (a_e - a_l) ** (-cfg.gamma) * (cfg.d_tr - a_l) ** (-cfg.gamma)
+    numer = 2.0 ** (target.kappa * target.secure_rate) - eta * a_fact * cfg.p_t - 1.0
+    if numer <= 0:
+        return numer
+    return target.eps_prime * (numer / (nu * a_fact * cfg.p_t)) ** 2
+
+
 def n_e_cap(cfg: NetworkConfig, target: SecrecyTarget, eta: float, nu: float,
             a_l: float, a_e: float) -> int:
-    """Largest network-wide eavesdropper count for which the stage-2
-    eavesdropper-rate Chebyshev bound holds:
-    eps' * ((2**(kappa*R_S) - eta*A*p_t - 1) / (nu*A*p_t))**2,
-    A = (a_e-a_l)**(-gamma) * (d_tr-a_l)**(-gamma)."""
+    """Largest integer eavesdropper count strictly below ``n_e_bound``."""
     if a_e <= a_l:
         raise InfeasiblePlanError("n_e_bound", f"a_e={a_e} <= a_l={a_l}")
     if cfg.d_tr <= a_l:
         raise InfeasiblePlanError("n_e_bound", f"d_tr={cfg.d_tr} <= a_l={a_l}")
-    a_fact = (a_e - a_l) ** (-cfg.gamma) * (cfg.d_tr - a_l) ** (-cfg.gamma)
-    numer = 2.0 ** (target.kappa * target.secure_rate) - eta * a_fact * cfg.p_t - 1.0
-    if numer <= 0:
+    bound = n_e_bound(cfg, target, eta, nu, a_l, a_e)
+    if bound <= 0:
         raise InfeasiblePlanError(
             "n_e_bound", "scheme infeasible at this geometry (rate threshold "
             "below the mean eavesdropper power bound)")
-    bound = target.eps_prime * (numer / (nu * a_fact * cfg.p_t)) ** 2
     cap = math.floor(bound)
     if cap == bound:  # strict inequality
         cap -= 1
     return max(cap, 0)
 
 
-def lambda_l_min(eps_prime: float, n_r: int, a_l: float) -> float:
-    """Smallest legitimate density putting n_r relays in the recruitment disc
-    with outage eps': beta_l * n_r / (pi * a_l**2)."""
-    if eps_prime <= 0 or n_r < 1 or a_l <= 0:
-        raise ValueError("eps_prime, n_r, a_l must be positive")
+def lambda_l_bound(eps_prime: float, n_r: int, a_l: float) -> float:
+    """Legitimate density putting n_r relays in the recruitment disc with
+    outage eps': beta_l * n_r / (pi * a_l**2),
+    beta_l = 1 + x + sqrt((1 + x)**2 - 1), x = 1/(2*eps'*n_r)."""
     x = 1.0 / (2.0 * eps_prime * n_r)
     beta_l = 1.0 + x + math.sqrt((1.0 + x) ** 2 - 1.0)
-    return beta_l * n_r / (math.pi * a_l * a_l) * (1.0 + STRICT_MARGIN)
+    return beta_l * n_r / (math.pi * a_l * a_l)
+
+
+def lambda_l_min(eps_prime: float, n_r: int, a_l: float) -> float:
+    """Smallest legitimate density strictly above ``lambda_l_bound``."""
+    if eps_prime <= 0 or n_r < 1 or a_l <= 0:
+        raise ValueError("eps_prime, n_r, a_l must be positive")
+    return lambda_l_bound(eps_prime, n_r, a_l) * (1.0 + STRICT_MARGIN)
+
+
+def lambda_e_bound(eps_prime: float, a_e: float) -> float:
+    """Eavesdropper density keeping the disc of radius a_e empty with
+    probability exactly 1 - eps': -ln(1 - eps')/(pi * a_e**2)."""
+    return -math.log1p(-eps_prime) / (math.pi * a_e * a_e)
 
 
 def lambda_e_max(eps_prime: float, a_e: float) -> float:
-    """Largest eavesdropper density keeping the disc of radius a_e empty with
-    probability 1 - eps': -ln(1 - eps')/(pi * a_e**2)."""
+    """Largest eavesdropper density strictly below ``lambda_e_bound``."""
     if not 0 < eps_prime < 1:
         raise ValueError(f"eps_prime must be in (0, 1), got {eps_prime}")
     if a_e <= 0:
         raise ValueError("a_e must be positive")
-    return -math.log1p(-eps_prime) / (math.pi * a_e * a_e) * (1.0 - STRICT_MARGIN)
+    return lambda_e_bound(eps_prime, a_e) * (1.0 - STRICT_MARGIN)
 
 
 def plan(cfg: NetworkConfig, target: SecrecyTarget) -> Plan:
@@ -235,11 +267,8 @@ def plan(cfg: NetworkConfig, target: SecrecyTarget) -> Plan:
     lam_l = lambda_l_min(target.eps_prime, n_r, a_l)
     a_e = a_e_min(cfg, target) * (1.0 + STRICT_MARGIN)
     lam_e = lambda_e_max(target.eps_prime, a_e)
-    mode = "direct" if cfg.d_tr <= 2.0 * a_l else "beamforming"
-    if mode == "beamforming":
-        n_e = n_e_cap(cfg, target, eta, nu, a_l, a_e)
-    else:
-        n_e = n_e_cap(cfg, target, eta, nu, 0.0, a_e)
+    mode = transport_mode(cfg.d_tr, a_l)
+    n_e = n_e_cap(cfg, target, eta, nu, relay_reach(mode, a_l), a_e)
     result = Plan(a_l=a_l, a_l_raw=a_l_raw, a_e=a_e, n_r=n_r,
                   lambda_l_min=lam_l, lambda_e_max=lam_e, n_e_max=n_e,
                   eta=eta, nu=nu, eps_prime=target.eps_prime, mode=mode)
@@ -257,8 +286,6 @@ def validate_plan(cfg: NetworkConfig, target: SecrecyTarget,
     (positive means satisfied with room).
     """
     checks = []
-    eps = target.eps_prime
-
     upper = a_l_upper(cfg, target, p.n_r)
     checks.append(ConstraintCheck("a_l_bound", p.a_l_raw < upper, upper - p.a_l_raw))
 
@@ -268,25 +295,19 @@ def validate_plan(cfg: NetworkConfig, target: SecrecyTarget,
     nr_bound = n_r_bound_simplified(cfg, target, p.eta, p.nu)
     checks.append(ConstraintCheck("n_r_bound", p.n_r > nr_bound, p.n_r - nr_bound))
 
-    if p.mode == "beamforming":
-        ne_arg_al = p.a_l
-    else:
-        ne_arg_al = 0.0
-    a_fact = (p.a_e - ne_arg_al) ** (-cfg.gamma) * (cfg.d_tr - ne_arg_al) ** (-cfg.gamma)
-    numer = 2.0 ** (target.kappa * target.secure_rate) - p.eta * a_fact * cfg.p_t - 1.0
-    if numer > 0:
-        ne_bound = eps * (numer / (p.nu * a_fact * cfg.p_t)) ** 2
+    ne_bound = n_e_bound(cfg, target, p.eta, p.nu, relay_reach(p.mode, p.a_l),
+                         p.a_e)
+    if ne_bound > 0:
         checks.append(ConstraintCheck("n_e_bound", p.n_e_max < ne_bound,
                                       ne_bound - p.n_e_max))
     else:
-        checks.append(ConstraintCheck("n_e_bound", False, numer))
+        checks.append(ConstraintCheck("n_e_bound", False, ne_bound))
 
-    x = 1.0 / (2.0 * eps * p.n_r)
-    lam_l_req = (1.0 + x + math.sqrt((1.0 + x) ** 2 - 1.0)) * p.n_r / (math.pi * p.a_l ** 2)
+    lam_l_req = lambda_l_bound(target.eps_prime, p.n_r, p.a_l)
     checks.append(ConstraintCheck("lambda_l_bound", p.lambda_l_min > lam_l_req,
                                   p.lambda_l_min - lam_l_req))
 
-    lam_e_cap = -math.log1p(-eps) / (math.pi * p.a_e ** 2)
+    lam_e_cap = lambda_e_bound(target.eps_prime, p.a_e)
     checks.append(ConstraintCheck("lambda_e_bound", p.lambda_e_max < lam_e_cap,
                                   lam_e_cap - p.lambda_e_max))
 
@@ -310,36 +331,45 @@ def plan_document(cfg: NetworkConfig, target: SecrecyTarget, p: Plan) -> dict:
     return doc
 
 
-def open_plan_file(path):
-    """Open ``path`` for ``write_plan``: created if missing, else overwritten
-    in place.  Opening with O_TRUNC instead makes ext4 start writeback when a
-    file emptied that way is closed, and the next save's truncation then
-    waits for that disk write."""
-    return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
+def open_output(path):
+    """Open ``path`` for writing text: created if missing, else written over
+    in place; ``cut_tail`` ends it after the last write.  Opening with
+    O_TRUNC instead makes ext4 start writeback when a file emptied that way
+    is closed, and the next run's truncation then waits for that disk
+    write."""
+    return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="")
+
+
+def cut_tail(fh) -> None:
+    """Cut the old tail off a file from ``open_output`` (None: not
+    requested) at the current position; a stream that cannot seek has
+    none."""
+    if fh is not None and fh.seekable():
+        fh.truncate()
 
 
 def write_plan(fh, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
                extra: dict | None = None) -> None:
-    """Write the plan document to the file ``fh`` from ``open_plan_file``
-    and cut off any old tail; a stream that cannot seek has none."""
+    """Write the plan document to the file ``fh`` from ``open_output`` and
+    cut off any old tail."""
     doc = plan_document(cfg, target, p)
     if extra:
         doc.update(extra)
     fh.write(json.dumps(doc, indent=2) + "\n")
-    if fh.seekable():
-        fh.truncate()
+    cut_tail(fh)
 
 
 def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
               extra: dict | None = None) -> None:
-    with open_plan_file(path) as fh:
+    with open_output(path) as fh:
         write_plan(fh, cfg, target, p, extra)
 
 
 def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:
     """Read a file written by ``save_plan``.  Raises ValueError for another
-    format version or for relay/eavesdropper counts that are not integers
-    (a hand-edited ``110446.0`` or ``true``)."""
+    format version, for relay/eavesdropper counts that are not integers
+    (a hand-edited ``110446.0`` or ``true``) or for a mode that is not the
+    one the plan's geometry gives (``transport_mode``)."""
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -356,4 +386,8 @@ def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:
         value = getattr(p, name)
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    mode = transport_mode(cfg.d_tr, p.a_l)
+    if p.mode != mode:
+        raise ValueError(f"mode {p.mode!r} does not match the geometry "
+                         f"(d_tr={cfg.d_tr!r}, a_l={p.a_l!r} give {mode!r})")
     return cfg, target, p

@@ -9,16 +9,19 @@ criteria run at full scale, so this module dominates the suite's runtime.
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from secbeam.beamform import NetworkRealization, received_powers
+from secbeam.beamform import received_powers
 from secbeam.geometry import NetworkConfig
 from secbeam import moments
 from secbeam.montecarlo import (estimate_outage, verify_moments,
                                 verify_power_bounds)
 from secbeam.planner import SecrecyTarget, a_e_layer_fixed_point, a_e_min, plan, validate_plan
+
+from test_beamform import realization_of
 
 SIDE = 20.0
 REFERENCE_KWARGS = dict(p_t=1.0, mu=0.5, gamma=2.0, d_tr=5.0)
@@ -182,16 +185,15 @@ def test_criterion_7_beamforming_oracle_equivalence():
         d_e = rng.uniform(0.5, 2.0, (n_e, n_r))
         h_e = rng.rayleigh(scale, (n_e, n_r))
         phi = rng.uniform(0, 2 * math.pi, (n_e, n_r))
-        r = NetworkRealization(
-            relay_d2_tx=rng.uniform(0.5, 2.0, n_r) ** 2,
-            relay_min_gain=1.0,
-            relay_d2_rx=d_rx ** 2,
-            relay_h2_rx=h_rx ** 2,
-            eaves_dist_tx=rng.uniform(0.5, 2.0, n_e),
-            eaves_h2_tx=rng.rayleigh(scale, n_e) ** 2,
-            eaves_d2_relay=d_e ** 2,
-            eaves_fading_relay=h_e * np.exp(1j * (phi - theta[None, :])))
-        p = received_powers(r, 1.3, 2.0)
+        # then the stage-1 links, which stage 2 does not read (the relay
+        # magnitudes toward the transmitter are 1, not drawn)
+        ch = SimpleNamespace(
+            d_rx=d_rx, h_rx=h_rx, theta=theta, d_e=d_e, h_e=h_e, phi=phi,
+            d_tx=rng.uniform(0.5, 2.0, n_r), h_tx=np.ones(n_r),
+            e_tx=rng.uniform(0.5, 2.0, n_e), eh_tx=rng.rayleigh(scale, n_e))
+        # the production stage 2 on the links reduced, in float64, to the
+        # sums a sampled realization carries
+        p = received_powers(realization_of(ch), 1.3)
         # raw complex expansion |sum_i w_i g_i|^2 * p_t
         w = d_rx ** -1.0 * h_rx * np.exp(-1j * theta) / math.sqrt(n_r)
         g_rx = d_rx ** -1.0 * h_rx * np.exp(1j * theta)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -33,20 +32,24 @@ def random_channels(n_relays, n_eaves, rng, mu=0.5):
     )
 
 
-def realization_of(ch, gamma=2.0):
-    """The realization the sampler would store for these raw links: squared
-    distances and magnitudes, the worst stage-1 relay gain, and each
-    eavesdropper link's fading times its relay's weight phase."""
+def realization_of(ch, gamma=2.0, mu=0.5):
+    """These raw links reduced, in float64, to the sums a realization
+    carries: the worst stage-1 relay gain, S = sum_i h_rx,i**2 d_rx,i**-gamma,
+    and per eavesdropper |z_j|**2 with
+    z_j = sum_i sqrt(g_i) d_ij**(-gamma/2) h_ij e^{j(phi_ij - theta_i)},
+    and its conditional variance 2*mu * sum_i g_i d_ij**-gamma."""
+    gain = ch.h_rx ** 2 * ch.d_rx ** -gamma
+    z = (np.sqrt(gain) * ch.d_e ** (-gamma / 2.0) * ch.h_e
+         * np.exp(1j * (ch.phi - ch.theta))).sum(axis=1)
     return NetworkRealization(
-        relay_d2_tx=ch.d_tx ** 2,
         relay_min_gain=float(np.min(ch.h_tx ** 2 * ch.d_tx ** -gamma,
                                     initial=np.inf)),
-        relay_d2_rx=ch.d_rx ** 2,
-        relay_h2_rx=ch.h_rx ** 2,
+        n_relays=len(ch.d_rx),
+        relay_gain_sum=float(gain.sum()),
         eaves_dist_tx=ch.e_tx,
         eaves_h2_tx=ch.eh_tx ** 2,
-        eaves_d2_relay=ch.d_e ** 2,
-        eaves_fading_relay=ch.h_e * np.exp(1j * (ch.phi - ch.theta[None, :])),
+        eaves_sum_var=2.0 * mu * (gain * ch.d_e ** -gamma).sum(axis=1),
+        eaves_sum_power=np.abs(z) ** 2,
     )
 
 
@@ -121,16 +124,16 @@ def test_select_relays_uniform():
 # --- stage 1 ---------------------------------------------------------------
 
 def test_stage1_rates_hand_case():
-    # relays at distances 1 and 2 with magnitudes 1 and 2: gains 1 and 1
+    # relays at distances 1 and 2 with magnitudes 1 and 2: gains 1 and 1;
+    # unit receiver and eavesdropper links with unit fading
     r = NetworkRealization(
-        relay_d2_tx=np.array([1.0, 4.0]),
         relay_min_gain=1.0,
-        relay_d2_rx=np.ones(2),
-        relay_h2_rx=np.ones(2),
+        n_relays=2,
+        relay_gain_sum=2.0,
         eaves_dist_tx=np.array([1.0]),
         eaves_h2_tx=np.array([3.0]),
-        eaves_d2_relay=np.ones((1, 2)),
-        eaves_fading_relay=np.ones((1, 2), dtype=complex),
+        eaves_sum_var=np.array([2.0]),
+        eaves_sum_power=np.array([4.0]),
     )
     min_rate, max_rate, violated = stage1_rates(r, 1.0, 2.0, 0.5)
     # relay SNRs: 1 and 1, eavesdropper SNR: 3
@@ -177,17 +180,20 @@ def test_weights_align_channel_phase():
 # --- stage-2 powers --------------------------------------------------------
 
 def test_received_powers_single_relay_hand_case():
+    # one relay at distance 2 from the receiver with magnitude 3, and at
+    # distance 4 from the eavesdropper with link fading 2 e^{j(1.9 - 0.7)}
+    gain = 3.0 ** 2 * 2.0 ** -2.0
+    z = math.sqrt(gain) * 4.0 ** -1.0 * 2.0 * np.exp(1j * (1.9 - 0.7))
     r = NetworkRealization(
-        relay_d2_tx=np.array([1.0]),
         relay_min_gain=1.0,
-        relay_d2_rx=np.array([4.0]),
-        relay_h2_rx=np.array([9.0]),
+        n_relays=1,
+        relay_gain_sum=gain,
         eaves_dist_tx=np.array([1.0]),
         eaves_h2_tx=np.array([1.0]),
-        eaves_d2_relay=np.array([[16.0]]),
-        eaves_fading_relay=np.array([[2.0 * np.exp(1j * (1.9 - 0.7))]]),
+        eaves_sum_var=np.array([gain * 4.0 ** -2.0]),
+        eaves_sum_power=np.array([abs(z) ** 2]),
     )
-    p = received_powers(r, 2.0, 2.0)
+    p = received_powers(r, 2.0)
     # coherent amplitude: 2^-2 * 9 = 2.25, squared times p_t
     assert p.p_l == pytest.approx(2.25 ** 2 * 2.0)
     # cross amplitude magnitude: (1/2)*(1/4)*3*2 = 0.75 (phase drops in | |)
@@ -201,7 +207,7 @@ def test_closed_form_matches_complex_oracle(n_relays, n_eaves):
     rng = np.random.default_rng(10 + n_relays)
     for _ in range(50):
         ch = random_channels(n_relays, n_eaves, rng)
-        p = received_powers(realization_of(ch), 1.7, 2.0)
+        p = received_powers(realization_of(ch), 1.7)
         p_l, p_e, per_relay = complex_channel_powers(ch, 1.7, 2.0)
         assert p.p_l == pytest.approx(p_l, rel=1e-12)
         np.testing.assert_allclose(p.p_e, p_e, rtol=1e-12)
@@ -214,7 +220,7 @@ def test_p_l_invariant_to_receiver_phases():
     # which stores no receiver-link phase, gives that value
     rng = np.random.default_rng(11)
     ch = random_channels(8, 0, rng)
-    base = received_powers(realization_of(ch), 1.0, 2.0).p_l
+    base = received_powers(realization_of(ch), 1.0).p_l
     for _ in range(3):
         turned = SimpleNamespace(**{**vars(ch),
                                     "theta": rng.uniform(0, 2 * math.pi, 8)})
@@ -231,19 +237,19 @@ def test_coherent_gain_grows_linearly():
         acc_e = np.empty(n_samples)
         for s in range(n_samples):
             theta = rng.uniform(0, 2 * math.pi, n_r)
+            h2_rx = rng.rayleigh(math.sqrt(0.5), n_r) ** 2
+            fading = (rng.rayleigh(math.sqrt(0.5), (1, n_r))
+                      * np.exp(1j * (rng.uniform(0, 2 * math.pi, (1, n_r)) - theta)))
             r = NetworkRealization(
-                relay_d2_tx=np.ones(n_r),
                 relay_min_gain=1.0,
-                relay_d2_rx=np.ones(n_r),
-                relay_h2_rx=rng.rayleigh(math.sqrt(0.5), n_r) ** 2,
+                n_relays=n_r,
+                relay_gain_sum=float(h2_rx.sum()),
                 eaves_dist_tx=np.ones(1),
                 eaves_h2_tx=np.ones(1),
-                eaves_d2_relay=np.ones((1, n_r)),
-                eaves_fading_relay=(
-                    rng.rayleigh(math.sqrt(0.5), (1, n_r))
-                    * np.exp(1j * (rng.uniform(0, 2 * math.pi, (1, n_r)) - theta))),
+                eaves_sum_var=np.array([h2_rx.sum()]),
+                eaves_sum_power=np.abs(fading @ np.sqrt(h2_rx)) ** 2,
             )
-            p = received_powers(r, 1.0, 2.0)
+            p = received_powers(r, 1.0)
             acc_l[s] = p.p_l
             acc_e[s] = p.p_e[0]
         se_l = acc_l.std(ddof=1) / math.sqrt(n_samples)
@@ -256,20 +262,9 @@ def test_total_power_identity():
     # sum of per-relay transmit powers equals sum |w_i|^2 * p_t
     rng = np.random.default_rng(13)
     ch = random_channels(12, 3, rng)
-    p = received_powers(realization_of(ch), 3.0, 2.0)
+    p = received_powers(realization_of(ch), 3.0)
     w = conjugate_weights(ch, 2.0)
     assert p.total == pytest.approx(float((np.abs(w) ** 2).sum()) * 3.0, rel=1e-12)
-
-
-def test_received_powers_rejects_bad_distance():
-    rng = np.random.default_rng(14)
-    r = realization_of(random_channels(3, 1, rng))
-    bad = dataclasses.replace(r, relay_d2_rx=np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        received_powers(bad, 1.0, 2.0)
-    bad = dataclasses.replace(r, eaves_d2_relay=np.array([[1.0, 0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        received_powers(bad, 1.0, 2.0)
 
 
 # --- stage-2 rates ---------------------------------------------------------
@@ -291,7 +286,7 @@ def test_stage2_rates_values():
        seed=st.integers(min_value=0, max_value=10 ** 6))
 def test_powers_nonnegative_property(n_relays, n_eaves, seed):
     ch = random_channels(n_relays, n_eaves, np.random.default_rng(seed))
-    p = received_powers(realization_of(ch), 1.0, 2.0)
+    p = received_powers(realization_of(ch), 1.0)
     assert p.p_l >= 0
     assert np.all(p.p_e >= 0)
     assert p.total >= 0

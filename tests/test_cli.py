@@ -290,6 +290,37 @@ def test_simulate_rejects_relay_disc_outside_square(tmp_path, capsys):
     assert main(["verify", "theorem4", "--plan", str(out), "--samples", "2"]) in (0, 1)
 
 
+@pytest.mark.parametrize("mode", ["direct", "banana"])
+def test_plan_mode_must_match_geometry(tmp_path, capsys, mode):
+    # the reference geometry gives "beamforming" (d_tr > 2*a_l)
+    _, out = run_plan(tmp_path)
+    edit_plan(out, mode=mode)
+    capsys.readouterr()
+    csv_path = tmp_path / "trials.csv"
+    for argv in (["simulate", "--plan", str(out), "--trials", "2",
+                  "--csv", str(csv_path)],
+                 ["verify", "theorem4", "--plan", str(out), "--samples", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"cannot load plan: mode {mode!r}" in captured.err
+        assert captured.out == ""
+    assert not csv_path.exists()
+
+
+def test_simulate_direct_mode_plan_exits_2(tmp_path, capsys):
+    # at this power the relay disc reaches the receiver: no relay beamforms
+    code, out = run_plan(tmp_path, ["--power", "1e9"])
+    assert code == 0 and json.loads(out.read_text())["mode"] == "direct"
+    capsys.readouterr()
+    csv_path = tmp_path / "trials.csv"
+    assert main(["simulate", "--plan", str(out), "--trials", "2",
+                 "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "direct-mode plan" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists()
+
+
 def test_simulate_reruns_byte_identical(tmp_path):
     _, plan_path = run_plan(tmp_path)
     blobs = []

@@ -23,7 +23,8 @@ before its relays and keeps sums, not relay arrays, so the trials of the
 two streams agree in distribution, and in their draws when there is no
 eavesdropper; the theorem-4 samples agree exactly.  The tests comparing
 the current sampler with an older stream keep the names of the stream they
-were written for.
+were written for.  The oracles build their realizations as a local copy of
+the realization type that carried relay arrays (``LinkRealization``).
 """
 
 import math
@@ -31,6 +32,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from secbeam.montecarlo import (CSV_COLUMNS, TrialOutcome,
                                 _sample_powers_nopath, _trial_rng,
                                 _uniform_f32, draw_min_gain, estimate_outage,
                                 run_trial, sample_realization)
-from secbeam.beamform import NetworkRealization, received_powers
+from secbeam.beamform import received_powers
 from secbeam.geometry import NetworkConfig
 from secbeam.planner import Plan, SecrecyTarget
 
@@ -121,6 +123,65 @@ def trial_v1(plan, cfg, target, rng):
     return {"min_relay_rate": min_rate, "max_eaves_rate_s1": max_e1,
             "P_l": p_l, "total_relay_power": total, "max_P_e": max_p_e,
             "n_in_Bl": n_in_bl}
+
+
+# --- the realization of the stream-3 and stream-5 oracles --------------------
+# The realization type of streams 3 to 6, verbatim but for its name: unlike
+# the package's, which carries only sums, it holds the relay arrays and
+# links those oracles draw.  ``beamform.stage1_rates`` reads only
+# attributes it has.
+
+@dataclass(frozen=True)
+class LinkRealization:
+    """Sampled geometry and fading for one trial, reduced to what the two
+    stages read.
+
+    Distances and fading powers are stored squared: ``*_d2_*`` are squared
+    distances and ``*_h2_*`` squared fading magnitudes ``h**2``.
+
+    Stage 1 needs only the worst relay, so the realization carries
+    ``relay_min_gain = min_i h_tx,i**2 * d_tx,i**-gamma`` itself (drawn under
+    the configuration's path-loss exponent).  Stage 2 reads the
+    relay->receiver gains g_i = h_i**2 * d_rx,i**-gamma.  Eavesdropper j
+    receives the relay sum z_j = sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij, where
+    c_ij = h_ij e^{j(phi_ij - theta_i)} is its link fading times the phase
+    of relay i's conjugate weight.  Given the relay field and all
+    positions, z_j is CN(0, 2*mu * sum_i g_i d_ij**-gamma).
+
+    A sampled realization carries no per-relay array: the relay count
+    ``relay_count``, the gain sum ``relay_gain_sum`` = sum_i g_i, and per
+    eavesdropper that variance, ``eaves_sum_var``, and the drawn power
+    ``eaves_sum_power = |z_j|**2``, all under the configuration's path-loss
+    exponent and fading parameter.  A realization built from explicit links
+    carries the relay arrays ``relay_d2_rx`` and ``relay_h2_rx`` (and,
+    unread, ``relay_d2_tx``), with ``eaves_d2_relay`` and
+    ``eaves_fading_relay``, and ``received_powers`` evaluates the sums from
+    them.  Shapes: relay arrays (n,), eavesdropper arrays (m,), link arrays
+    (m, n).
+    """
+
+    relay_min_gain: float
+    eaves_dist_tx: np.ndarray
+    eaves_h2_tx: np.ndarray
+    relay_count: int | None = None
+    relay_gain_sum: float | None = None
+    eaves_sum_var: np.ndarray | None = None
+    eaves_sum_power: np.ndarray | None = None
+    relay_d2_tx: np.ndarray | None = None
+    relay_d2_rx: np.ndarray | None = None
+    relay_h2_rx: np.ndarray | None = None
+    eaves_d2_relay: np.ndarray | None = None
+    eaves_fading_relay: np.ndarray | None = None
+
+    @property
+    def n_relays(self) -> int:
+        if self.relay_d2_rx is None:
+            return self.relay_count
+        return len(self.relay_d2_rx)
+
+    @property
+    def n_eaves(self) -> int:
+        return len(self.eaves_dist_tx)
 
 
 # --- stream-3 oracle --------------------------------------------------------
@@ -203,7 +264,7 @@ def sample_realization_v3(plan, cfg, rng):
         d2_cross = np.empty((0, k))
         fading = np.empty((0, k), dtype=np.complex64)
 
-    realization = beamform.NetworkRealization(
+    realization = LinkRealization(
         relay_d2_tx=d2_tx, relay_min_gain=min_gain,
         relay_d2_rx=d2_rx, relay_h2_rx=h2_rx,
         eaves_dist_tx=np.hypot(eaves_x, eaves_y), eaves_h2_tx=eaves_h2_tx,
@@ -419,7 +480,7 @@ def sample_realization_v5(plan: Plan, cfg: NetworkConfig,
     sum_power = rng.standard_exponential(n_e)
     sum_power *= sum_var
 
-    realization = beamform.NetworkRealization(
+    realization = LinkRealization(
         relay_d2_tx=d2_tx, relay_min_gain=min_gain,
         relay_d2_rx=d2_rx, relay_h2_rx=h2_rx,
         eaves_dist_tx=np.hypot(eaves_x, eaves_y), eaves_h2_tx=eaves_h2_tx,
@@ -481,7 +542,7 @@ def run_trial_v5(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
         e6_outage_given_field=e6_given_field)
 
 
-def received_powers_v5(realization: NetworkRealization, p_t: float,
+def received_powers_v5(realization: LinkRealization, p_t: float,
                     gamma: float) -> beamform.ReceivedPowers:
     """Received powers of the beamforming stage from the closed-form sums.
 
@@ -726,7 +787,7 @@ def test_float32_field_with_float64_reductions():
     cfg = small_cfg(lambda_l=40_000.0, n_legit=4_000_000)  # side 10
     r, n_in_bl = sample_realization(plan, cfg, np.random.default_rng(5))
     assert n_in_bl >= plan.n_r and r.n_eaves
-    p = received_powers(r, cfg.p_t, cfg.gamma)
+    p = received_powers(r, cfg.p_t)
     # replay the trial's draws: the counts, the eavesdroppers, the relays
     rng = np.random.default_rng(5)
     assert rng.poisson(cfg.lambda_l * math.pi * plan.a_l ** 2) == n_in_bl

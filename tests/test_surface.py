@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import secbeam
@@ -42,6 +43,21 @@ def test_cli_subcommands():
     (layer, attr) for layer, attrs in traced_attributes().items() for attr in attrs])
 def test_traced_attribute_resolves(layer, attr):
     assert callable(getattr(MODULES[layer], attr))
+
+
+def test_traced_realization_counts():
+    # the tracer's notes read these counts from what sample_realization
+    # returns and from received_powers' first argument
+    plan = planner.Plan(a_l=1.0, a_l_raw=2.0, a_e=3.0, n_r=20,
+                        lambda_l_min=50.0, lambda_e_max=0.05, n_e_max=10,
+                        eta=1.0, nu=20.0 ** 0.5, eps_prime=0.05,
+                        mode="beamforming")
+    cfg = secbeam.NetworkConfig(p_t=1.0, mu=0.5, gamma=2.0, d_tr=5.0,
+                                lambda_l=50.0, lambda_e=0.05, n_legit=5000)
+    realization, _ = montecarlo.sample_realization(
+        plan, cfg, np.random.default_rng(0))
+    assert type(realization.n_relays) is int and realization.n_relays > 0
+    assert type(realization.n_eaves) is int and realization.n_eaves > 0
 
 
 @pytest.mark.parametrize("qualname,leading", [
