@@ -102,13 +102,15 @@ def cmd_plan(args) -> int:
                 os.remove(args.out)
             return 2
         cfg = _build_config(args, p)
-        print(f"mode={p.mode}  n_r={p.n_r}  a_l={p.a_l:.6g}  a_e={p.a_e:.6g}")
-        print(f"lambda_l_min={p.lambda_l_min:.6g}  lambda_e_max={p.lambda_e_max:.6g}  "
-              f"n_e_max={p.n_e_max}  eta={p.eta:.6g}  nu={p.nu:.6g}")
-        ok = _print_validation(planner.validate_plan(cfg, target, p))
+        # the plan is written before anything is printed, so a reader that
+        # closes stdout early (``| head -1``) cannot leave the file empty
         if out_fh:
             planner.write_plan(out_fh, cfg, target, p,
                                extra={"manifest": _manifest("plan", args, [args.out])})
+    print(f"mode={p.mode}  n_r={p.n_r}  a_l={p.a_l:.6g}  a_e={p.a_e:.6g}")
+    print(f"lambda_l_min={p.lambda_l_min:.6g}  lambda_e_max={p.lambda_e_max:.6g}  "
+          f"n_e_max={p.n_e_max}  eta={p.eta:.6g}  nu={p.nu:.6g}")
+    ok = _print_validation(planner.validate_plan(cfg, target, p))
     if args.out:
         print(f"wrote {args.out}")
     return 0 if ok else 2
@@ -194,8 +196,8 @@ def cmd_verify(args) -> int:
     try:
         failures = _verify(args)
     except MemoryError as exc:
-        # the samples are held in memory: 16 bytes each for moments and
-        # theorem4, and --samples / --instances per lemma instance
+        # moments and theorem4 hold one chunk or batch of samples whatever
+        # --samples; lemmas holds --samples / --instances per instance
         print(f"cannot verify {args.what} with {args.samples} samples: {exc}",
               file=sys.stderr)
         return 2
@@ -224,6 +226,11 @@ def _verify(args):
         if loaded is None:
             return None
         cfg, _target, p = loaded
+        if p.mode != "beamforming":
+            print("cannot verify theorem4 on a direct-mode plan: the receiver "
+                  "is within 2*a_l of the transmitter, so no relay beamforms",
+                  file=sys.stderr)
+            return None
         checks = montecarlo.verify_power_bounds(p, cfg, args.samples, args.seed)
         for c in checks:
             ok = c.margin_se > -5.0  # broken beyond 5 SE, one-sided; NaN fails
@@ -445,7 +452,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.what == "theorem4" and not args.plan:
         parser.error("verify theorem4 requires --plan")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send what is left to
+        # devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -35,8 +35,9 @@ EVENT_NAMES = ["E1", "E2", "E3", "E4", "E5", "E6", "E7"]
 #: float64, 2 sufficient statistics, 3 those from one uniform source, 4 each
 #: eavesdropper's stage-2 power from its conditional law; 5: theorem-4
 #: samples from per-chunk generators; trial draws as in 4; 6: a trial's
-#: eavesdroppers before its relays, and its relays in pieces
-STREAM_VERSION = 6
+#: eavesdroppers before its relays, and its relays in pieces; 7: ``verify
+#: moments`` samples from per-chunk generators
+STREAM_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -416,21 +417,75 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
 
 
 class RunningMoments:
-    """Count, mean and sum of squared deviations of a stream of floats,
-    updated one value at a time (Welford), in O(1) memory."""
+    """Count, mean and sums of squared, cubed and fourth-power deviations
+    (m2, m3, m4) of a stream of floats, in O(1) memory.
 
-    __slots__ = ("n", "mean", "m2")
+    ``push`` adds one value (Welford for the mean and m2, Pebay 2008,
+    SAND2008-6212, for m3 and m4); ``of`` reduces an array in two passes;
+    ``merge`` adds another accumulator with the exact pairwise update (Chan,
+    Golub & LeVeque 1979; Pebay 2008), so chunks reduced on their own and
+    merged in order give the moments of the whole stream."""
+
+    __slots__ = ("n", "mean", "m2", "m3", "m4")
 
     def __init__(self):
         self.n = 0
         self.mean = 0.0
         self.m2 = 0.0
+        self.m3 = 0.0
+        self.m4 = 0.0
 
     def push(self, x: float) -> None:
+        n1 = self.n
         self.n += 1
         delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
+        delta_n = delta / self.n
+        self.mean += delta_n
+        term = delta * (x - self.mean)  # delta**2 * n1 / n
+        self.m4 += (term * delta_n * delta_n * (n1 * n1 - n1 + 1)
+                    + 6.0 * delta_n * delta_n * self.m2
+                    - 4.0 * delta_n * self.m3)
+        self.m3 += term * delta_n * (n1 - 1) - 3.0 * delta_n * self.m2
+        self.m2 += term
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> "RunningMoments":
+        """The moments of a non-empty float64 array: its mean, then the
+        deviations d and their squares d2, with m4 = sum(d2 * d2)."""
+        acc = cls()
+        acc.n = len(x)
+        acc.mean = float(x.mean())
+        d = x - acc.mean
+        d2 = d * d
+        acc.m2 = float(d2.sum())
+        d *= d2
+        acc.m3 = float(d.sum())
+        d2 *= d2
+        acc.m4 = float(d2.sum())
+        return acc
+
+    def merge(self, other: "RunningMoments") -> None:
+        """Add the values ``other`` has seen, as if pushed after ours."""
+        na, nb = self.n, other.n
+        if nb == 0:
+            return
+        if na == 0:
+            for name in self.__slots__:
+                setattr(self, name, getattr(other, name))
+            return
+        n = na + nb
+        delta = other.mean - self.mean
+        delta_n = delta / n
+        m2a, m3a = self.m2, self.m3
+        self.mean += delta_n * nb
+        self.m4 += (other.m4
+                    + delta * delta_n ** 3 * na * nb * (na * na - na * nb + nb * nb)
+                    + 6.0 * delta_n * delta_n * (na * na * other.m2 + nb * nb * m2a)
+                    + 4.0 * delta_n * (na * other.m3 - nb * m3a))
+        self.m3 += (other.m3 + delta * delta_n * delta_n * na * nb * (na - nb)
+                    + 3.0 * delta_n * (na * other.m2 - nb * m2a))
+        self.m2 += other.m2 + delta * delta_n * na * nb
+        self.n = n
 
     def variance(self) -> float:
         """Unbiased sample variance; 0 for fewer than two values."""
@@ -554,25 +609,49 @@ def _sample_powers_nopath(mu: float, n_r: int, n_samples: int,
     return s * s / n_r, p_e
 
 
-def _mean_check(name: str, closed: float, x: np.ndarray) -> MomentCheck:
-    return MomentCheck(name, closed, float(x.mean()),
-                       float(x.std(ddof=1) / math.sqrt(len(x))))
+def _mean_check(name: str, closed: float, acc: RunningMoments) -> MomentCheck:
+    return MomentCheck(name, closed, acc.mean,
+                       math.sqrt(acc.m2 / (acc.n - 1) / acc.n))
 
 
-def _var_check(name: str, closed: float, x: np.ndarray) -> MomentCheck:
-    dev = x - x.mean()
-    s2 = float((dev * dev).sum() / (len(x) - 1))
-    m4 = float((dev ** 4).mean())
-    se = math.sqrt(max(m4 - s2 * s2, 0.0) / len(x))
+def _var_check(name: str, closed: float, acc: RunningMoments) -> MomentCheck:
+    s2 = acc.m2 / (acc.n - 1)
+    se = math.sqrt(max(acc.m4 / acc.n - s2 * s2, 0.0) / acc.n)
     return MomentCheck(name, closed, s2, se)
+
+
+def _moments_of(batches):
+    """RunningMoments of P_l and of P_e over (P_l, P_e) array pairs, each
+    pair reduced on its own (``RunningMoments.of``) and merged in order."""
+    p_l, p_e = RunningMoments(), RunningMoments()
+    for x_l, x_e in batches:
+        p_l.merge(RunningMoments.of(x_l))
+        p_e.merge(RunningMoments.of(x_e))
+        del x_l, x_e  # free this pair before the next one is drawn
+    return p_l, p_e
+
+
+#: samples per chunk of ``verify_moments``: a chunk's arrays (128 KiB each)
+#: stay in cache between the sampler and the moments
+MOMENT_CHUNK = 1 << 14
+
+
+def _nopath_chunks(mu: float, n_r: int, n_samples: int, seed: int):
+    """Yield the (P_l, P_e) draws of ``verify_moments`` chunk by chunk:
+    MOMENT_CHUNK samples per chunk, fewer in the last, chunk c drawn by
+    ``_sample_powers_nopath`` from ``np.random.default_rng([seed, 0, c])``."""
+    for c, lo in enumerate(range(0, n_samples, MOMENT_CHUNK)):
+        yield _sample_powers_nopath(mu, n_r, min(MOMENT_CHUNK, n_samples - lo),
+                                    np.random.default_rng([seed, 0, c]))
 
 
 def verify_moments(mu: float, n_r: int, n_samples: int,
                    seed: int) -> list[MomentCheck]:
     """Compare sampled mean/variance of the no-path-loss received powers
-    against the exact closed forms; z-scores should sit within noise."""
-    rng = np.random.default_rng([seed, 0])
-    p_l, p_e = _sample_powers_nopath(mu, n_r, n_samples, rng)
+    against the exact closed forms; z-scores should sit within noise.
+    The samples are drawn and reduced a chunk at a time
+    (``_nopath_chunks``), so memory does not grow with n_samples."""
+    p_l, p_e = _moments_of(_nopath_chunks(mu, n_r, n_samples, seed))
     return [
         _mean_check("mean_P_l", moments.mean_pl_nopath(n_r, mu), p_l),
         _var_check("var_P_l", moments.var_pl_nopath(n_r, mu), p_l),
@@ -581,11 +660,19 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
     ]
 
 
+def _bound_rows(n_r: int) -> int:
+    """Samples per theorem-4 chunk: RELAY_PIECE // n_r, at least one."""
+    return max(1, RELAY_PIECE // n_r)
+
+
 def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
-                         seed: int):
+                         seed: int, lo: int = 0, hi: int | None = None):
     """Draws of P_l and P_e (normalized by p_t and p_t**2) for the bound
     check: n_r relays uniform in the relay disc, one eavesdropper uniform on
-    the square but outside the protected disc, Rayleigh fading.
+    the square but outside the protected disc, Rayleigh fading.  Returns
+    samples lo to hi (n_samples by default) of the n_samples a seed draws;
+    lo is the first sample of a chunk (below), and hi the first of another
+    or n_samples.
 
     The relay field of a sample gives S = sum_i g_i and P_l = S**2 / n_r.
     Given the field and the eavesdropper's distances d_e,i, its received
@@ -593,26 +680,27 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
     exactly as 2*mu * Exp(1) * T / n_r, one exponential per sample and no
     per-relay eavesdropper fading or phase.
 
-    The samples fall into chunks of RELAY_PIECE relay elements:
-    RELAY_PIECE // n_r samples each, or one when n_r is larger.  Chunk c
-    draws only from ``np.random.default_rng([seed, 1, c])``, so the layout
-    and every value depend on n_r and the seed alone.  The chunks run on one
-    thread per usable CPU (the calling thread among them), never more than
-    there are chunks, each with its own reused kernel buffer: the result is
-    the same for any number of threads, and memory is
-    O(threads * RELAY_PIECE) for any n_r.
+    The samples fall into chunks of RELAY_PIECE relay elements
+    (``_bound_rows``): RELAY_PIECE // n_r samples each, or one when n_r is
+    larger.  Chunk c draws only from ``np.random.default_rng([seed, 1, c])``,
+    so the layout and every value depend on n_r, n_samples and the seed
+    alone.  The chunks run on one thread per usable CPU (the calling thread
+    among them), never more than there are chunks, each with its own reused
+    kernel buffer: the result is the same for any number of threads, and
+    memory is O(threads * RELAY_PIECE) for any n_r.
 
     Precision: as in ``_relay_field``, with the relay->eavesdropper
     distances in float32 too, far below the gaps of the bounds; the final
     exponential is float64.
     """
-    rows = max(1, RELAY_PIECE // plan.n_r)  # samples per chunk
-    n_chunks = -(-n_samples // rows)
-    p_l = np.empty(n_samples)
-    p_e = np.empty(n_samples)
+    hi = n_samples if hi is None else hi
+    rows = _bound_rows(plan.n_r)
+    first, n_chunks = lo // rows, -(-hi // rows)
+    p_l = np.empty(hi - lo)
+    p_e = np.empty(hi - lo)
     lock = threading.Lock()
-    taken = [0]    # chunks handed out so far
-    errors = []    # exceptions raised in any thread; they stop the others
+    taken = [first]  # next chunk to hand out
+    errors = []      # exceptions raised in any thread; they stop the others
 
     def work():
         try:
@@ -623,14 +711,13 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                     taken[0] += 1
                 if c >= n_chunks:
                     return
-                lo, hi = c * rows, min((c + 1) * rows, n_samples)
-                p_l[lo:hi], p_e[lo:hi] = _power_bounds_chunk(
-                    plan, cfg, np.random.default_rng([seed, 1, c]), hi - lo,
-                    buf)
+                a, b = c * rows, min((c + 1) * rows, n_samples)
+                p_l[a - lo:b - lo], p_e[a - lo:b - lo] = _power_bounds_chunk(
+                    plan, cfg, np.random.default_rng([seed, 1, c]), b - a, buf)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
-    n_threads = min(len(os.sched_getaffinity(0)), n_chunks)
+    n_threads = min(len(os.sched_getaffinity(0)), n_chunks - first)
     threads = [threading.Thread(target=work) for _ in range(n_threads - 1)]
     for t in threads:
         t.start()
@@ -668,13 +755,27 @@ def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
     return s * s / plan.n_r, p_e
 
 
+#: samples per batch of ``verify_power_bounds``, rounded down to whole
+#: chunks (at least one): the reference plan's 2**16 one-sample chunks, or
+#: 16 chunks of 4096 samples at n_r = 32
+BOUND_BATCH = 1 << 16
+
+
 def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                         seed: int) -> list[BoundCheck]:
     """Check the four distance-envelope moment bounds against the sampled
-    mean/variance of P_l and P_e (``_sample_power_bounds``) and their SEs."""
-    p_l, p_e = _sample_power_bounds(plan, cfg, n_samples, seed)
+    mean/variance of P_l and P_e (``_sample_power_bounds``) and their SEs.
+    The samples are drawn a batch of whole chunks at a time and reduced
+    batch by batch, so memory does not grow with n_samples; the batches
+    depend on n_r and n_samples alone."""
     b = moments.power_moment_bounds(cfg.gamma, cfg.d_tr, plan.eta, plan.nu,
                                     plan.n_r, plan.a_l, plan.a_e)
+    rows = _bound_rows(plan.n_r)
+    batch = rows * max(1, BOUND_BATCH // rows)
+    p_l, p_e = _moments_of(
+        _sample_power_bounds(plan, cfg, n_samples, seed, lo,
+                             min(lo + batch, n_samples))
+        for lo in range(0, n_samples, batch))
     checks = [
         _mean_check("mean_P_l_lower", b.mean_pl_lower, p_l),
         _mean_check("mean_P_e_upper", b.mean_pe_upper, p_e),

@@ -321,6 +321,45 @@ def test_simulate_direct_mode_plan_exits_2(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_verify_theorem4_direct_mode_plan_exits_2(tmp_path, capsys):
+    # no relay beamforms, so theorem 4 has no relay disc to bound: one
+    # line and exit 2, not the ValueError of the bounds
+    code, out = run_plan(tmp_path, ["--power", "1e9"])
+    assert code == 0 and json.loads(out.read_text())["mode"] == "direct"
+    capsys.readouterr()
+    assert main(["verify", "theorem4", "--plan", str(out),
+                 "--samples", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "direct-mode plan" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_plan_into_a_closed_pipe(tmp_path, buffered):
+    # ``secbeam plan ... | head -0``: the reader is gone before the first
+    # line.  Exit 1 with nothing on stderr, and the plan file is whole,
+    # whether the summary waits in stdout's buffer or is written at once
+    out = tmp_path / "plan.json"
+    src = str(Path(secbeam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "secbeam.cli", "plan", *PLAN_FLAGS,
+             "--out", str(out)], stdout=write, stderr=subprocess.PIPE,
+            text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    _cfg, _target, p = planner.load_plan(out)
+    assert p.mode == "beamforming"
+
+
 def test_simulate_reruns_byte_identical(tmp_path):
     _, plan_path = run_plan(tmp_path)
     blobs = []
@@ -468,9 +507,17 @@ def test_simulate_memory_error_exits_2(tmp_path, capsys, monkeypatch):
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
 
+def test_verify_moments_streams_samples_in_bounded_memory():
+    # 5e7 samples held at once took over 1 GiB, and the run exited 2 in a
+    # 1 GiB address space; drawn and reduced a chunk at a time they fit
+    verify = run_limited(["verify", "moments", "--samples", "50000000"],
+                         1 << 30)
+    assert verify.returncode == 0, verify.stderr
+    assert verify.stderr == ""
+    assert "var_P_e" in verify.stdout
+
+
 @pytest.mark.parametrize("what,flags", [
-    ("moments", ["--samples", "1000000000"]),
-    ("theorem4", ["--samples", "1000000000"]),
     ("lemmas", ["--samples", str(10 ** 12), "--instances", "1"]),
 ])
 def test_verify_samples_that_cannot_fit_exit_2(tmp_path, what, flags):

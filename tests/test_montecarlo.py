@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -326,6 +327,66 @@ def test_running_moments_offset_stream():
     assert RunningMoments().variance() == 0.0
 
 
+def two_pass_moments(x):
+    """n, mean and the sums of squared, cubed and fourth-power deviations,
+    in float64 with exactly rounded sums: the reference for RunningMoments."""
+    mean = math.fsum(x) / len(x)
+    d = x - mean
+    return [len(x), mean] + [math.fsum(d ** k) for k in (2, 3, 4)]
+
+
+def moments_of(acc):
+    return [acc.n, acc.mean, acc.m2, acc.m3, acc.m4]
+
+
+@pytest.mark.parametrize("sizes", [
+    [5000],
+    [1, 1, 7, 300, 1, 2500, 1000, 189, 1000, 1],
+    [1] * 5000,
+], ids=["one", "unequal", "singles"])
+def test_running_moments_of_merge_push_agree_with_two_pass(sizes):
+    # offset, skewed data: 1e3 + Exp(1), whose m3 and m4 are far from 0;
+    # chunks reduced with ``of`` (or pushed one by one) and merged in order
+    x = 1e3 + np.random.default_rng(33).exponential(1.0, sum(sizes))
+    want = two_pass_moments(x)
+    merged, pushed = RunningMoments(), RunningMoments()
+    lo = 0
+    for size in sizes:
+        chunk = x[lo:lo + size]
+        lo += size
+        merged.merge(RunningMoments.of(chunk))
+        acc = RunningMoments()
+        for v in chunk:
+            acc.push(float(v))
+        pushed.merge(acc)
+    for acc in (merged, pushed):
+        assert moments_of(acc) == pytest.approx(want, rel=1e-12)
+
+
+def test_running_moments_merge_with_empty_is_a_copy():
+    x = 1e3 + np.random.default_rng(34).exponential(1.0, 300)
+    one = RunningMoments.of(x)
+    acc = RunningMoments()
+    acc.merge(one)
+    acc.merge(RunningMoments())
+    assert moments_of(acc) == moments_of(one)
+
+
+def test_running_moments_push_keeps_welford_mean_and_m2():
+    # the mean and m2 of ``push`` are those of the two-line Welford update,
+    # bit for bit, so the simulate report does not move
+    x = 1e3 + np.random.default_rng(35).exponential(1.0, 2000)
+    acc = RunningMoments()
+    n, mean, m2 = 0, 0.0, 0.0
+    for v in map(float, x):
+        acc.push(v)
+        n += 1
+        delta = v - mean
+        mean += delta / n
+        m2 += delta * (v - mean)
+    assert (acc.n, acc.mean, acc.m2) == (n, mean, m2)
+
+
 def test_estimate_outage_single_trial():
     report = estimate_outage(small_plan(), small_cfg(), small_target(), 1, seed=31)
     assert report.var_p_l == 0.0
@@ -462,11 +523,32 @@ def test_bound_check_margin_in_standard_errors():
     assert math.isnan(BoundCheck("x", 1.0, math.nan, "lower", 1.0).margin_se)
 
 
+def test_verify_power_bounds_do_not_depend_on_threads_or_batches(monkeypatch):
+    # 3 samples per chunk of 64 relay elements; the estimates are the same
+    # for 1, 2 and 3 threads, and batches of 2 chunks (6 samples) merge to
+    # the moments of one batch within rounding
+    monkeypatch.setattr(montecarlo, "RELAY_PIECE", 64)
+    plan, cfg = small_plan(), small_cfg()
+    runs = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=n: set(range(n)))
+        runs.append(verify_power_bounds(plan, cfg, n_samples=200, seed=73))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    monkeypatch.setattr(montecarlo, "BOUND_BATCH", 7)
+    batched = verify_power_bounds(plan, cfg, n_samples=200, seed=73)
+    for a, b in zip(batched, runs[0]):
+        assert a.bound == b.bound
+        assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
+        assert a.std_err == pytest.approx(b.std_err, rel=1e-12)
+    assert batched != runs[0]  # the batches did split the samples
+
+
 def test_power_bound_std_errors_match_moment_checks():
     from secbeam.montecarlo import _mean_check, _sample_power_bounds, _var_check
     plan, cfg = small_plan(), small_cfg()
     checks = verify_power_bounds(plan, cfg, n_samples=300, seed=71)
-    p_l, p_e = _sample_power_bounds(plan, cfg, 300, seed=71)
+    p_l, p_e = map(RunningMoments.of, _sample_power_bounds(plan, cfg, 300, seed=71))
     want = [_mean_check("", 0.0, p_l), _mean_check("", 0.0, p_e),
             _var_check("", 0.0, p_l), _var_check("", 0.0, p_e)]
     assert [c.std_err for c in checks] == [w.std_err for w in want]

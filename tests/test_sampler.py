@@ -1,4 +1,4 @@
-"""Distributional checks of the trial sampler (random stream 6), of the
+"""Distributional checks of the trial sampler (random stream 7), of the
 theorem-4 bound sampler and of the no-path-loss moments sampler.
 
 The stream-1 sampler and its closed forms are kept here verbatim as the
@@ -21,7 +21,10 @@ and bound samplers are kept verbatim as the oracles of stream 6, where
 both go through one relay-field kernel: a trial draws its eavesdroppers
 before its relays and keeps sums, not relay arrays, so the trials of the
 two streams agree in distribution, and in their draws when there is no
-eavesdropper; the theorem-4 samples agree exactly.  The tests comparing
+eavesdropper; the theorem-4 samples agree exactly.  The stream-6 draws of ``verify
+moments``, all its samples from one generator, are kept verbatim as the
+oracle of stream 7, whose chunks each draw from their own generator; the
+two agree in distribution.  The tests comparing
 the current sampler with an older stream keep the names of the stream they
 were written for.  The oracles build their realizations as a local copy of
 the realization type that carried relay arrays (``LinkRealization``).
@@ -1322,3 +1325,73 @@ def test_nopath_sampler_matches_per_relay_draws(n_r, mu):
     for power, a, b in zip(["P_l", "P_e"], old, new):
         _, p_value = stats.ks_2samp(a, b)
         assert p_value > KS_FLOOR, (power, p_value)
+
+
+# --- stream 7 against stream 6: verify moments in chunks -----------------------
+
+def verify_moments_draws_v6(mu: float, n_r: int, n_samples: int, seed: int):
+    """Stream-6 draws of ``verify_moments``: every sample from one
+    generator, in one call of the sampler."""
+    rng = np.random.default_rng([seed, 0])
+    p_l, p_e = _sample_powers_nopath(mu, n_r, n_samples, rng)
+    return p_l, p_e
+
+
+@pytest.mark.parametrize("n_r", [1, 3, 16])
+@pytest.mark.parametrize("mu", [0.5, 1.3])
+def test_nopath_stream_7_matches_stream_6(monkeypatch, n_r, mu):
+    # chunks of 300 samples, so the 4000 draws cross 13 chunk boundaries
+    monkeypatch.setattr(montecarlo, "MOMENT_CHUNK", 300)
+    seed = 7000 + 100 * n_r + int(10 * mu)
+    old = verify_moments_draws_v6(mu, n_r, N_TRIALS, seed)
+    chunks = list(montecarlo._nopath_chunks(mu, n_r, N_TRIALS, seed + 50))
+    assert len(chunks) == 14
+    new = [np.concatenate(x) for x in zip(*chunks)]
+    for power, a, b in zip(["P_l", "P_e"], old, new):
+        assert len(b) == N_TRIALS
+        _, p_value = stats.ks_2samp(a, b)
+        assert p_value > KS_FLOOR, (power, p_value)
+
+
+def test_nopath_chunk_c_draws_from_its_own_generator(monkeypatch):
+    # 10 samples in chunks of 3, 3, 3 and 1; verify_moments reduces exactly
+    # these draws
+    monkeypatch.setattr(montecarlo, "MOMENT_CHUNK", 3)
+    chunks = list(montecarlo._nopath_chunks(0.7, 5, 10, seed=59))
+    assert [len(p_l) for p_l, _ in chunks] == [3, 3, 3, 1]
+    for c, (p_l, p_e) in enumerate(chunks):
+        want = _sample_powers_nopath(0.7, 5, len(p_l),
+                                     np.random.default_rng([59, 0, c]))
+        assert p_l.tobytes() == want[0].tobytes()
+        assert p_e.tobytes() == want[1].tobytes()
+    p_l, p_e = map(montecarlo.RunningMoments.of,
+                   (np.concatenate(x) for x in zip(*chunks)))
+    checks = montecarlo.verify_moments(0.7, 5, 10, seed=59)
+    for c, acc in zip(checks, [p_l, p_l, p_e, p_e]):
+        want = acc.mean if c.name.startswith("mean") else acc.variance()
+        assert c.estimate == pytest.approx(want, rel=1e-12)
+
+
+# --- verifier memory ----------------------------------------------------------
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_moments_memory_does_not_grow_with_samples():
+    # 2**20 samples held at once would take 16 MiB, 16x the 2**16 run
+    small = peak_bytes(montecarlo.verify_moments, 0.5, 32, 1 << 16, 3)
+    large = peak_bytes(montecarlo.verify_moments, 0.5, 32, 1 << 20, 3)
+    assert large < 1.1 * small, (small, large)
+
+
+def test_verify_power_bounds_memory_does_not_grow_with_samples():
+    plan, cfg = small_plan(), small_cfg()
+    small = peak_bytes(montecarlo.verify_power_bounds, plan, cfg, 1 << 16, 3)
+    large = peak_bytes(montecarlo.verify_power_bounds, plan, cfg, 1 << 20, 3)
+    assert large < 1.1 * small, (small, large)
