@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from . import moments
 def _manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> dict:
     return {
         "command": command,
-        "parameters": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "parameters": dict(sorted(vars(args).items())),
         "format_version": planner.FORMAT_VERSION,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": outputs,
@@ -147,6 +148,14 @@ def cmd_simulate(args) -> int:
     if 2.0 * p.a_l > cfg.side:
         print(f"cannot simulate: the relay disc (diameter {2.0 * p.a_l:.6g}) "
               f"does not fit inside the network square (side {cfg.side:.6g})",
+              file=sys.stderr)
+        return 2
+    mean_bl, mean_e = montecarlo.expected_counts(p, cfg)
+    if not (mean_bl <= montecarlo.POISSON_MEAN_MAX
+            and mean_e <= montecarlo.POISSON_MEAN_MAX):  # NaN fails too
+        print(f"cannot simulate: a trial expects {mean_bl:.6g} nodes in the "
+              f"relay disc and {mean_e:.6g} eavesdroppers, and a Poisson "
+              f"count takes means up to {montecarlo.POISSON_MEAN_MAX:.6g}",
               file=sys.stderr)
         return 2
     with contextlib.ExitStack() as stack:
@@ -332,9 +341,12 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(opened[0] or sys.stdout)
         writer.writerow(header)
         n_rows = 0
-        for value in grid:
-            writer.writerow(_sweep_row(args, name, value))
-            n_rows += 1
+        # grid values are numpy scalars, whose overflow gives inf or NaN
+        # with a warning; the planner turns those into a "no" row
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for value in grid:
+                writer.writerow(_sweep_row(args, name, value))
+                n_rows += 1
         planner.cut_tail(opened[0])
     if args.out:
         print(f"wrote {args.out} ({n_rows} rows)")
@@ -416,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("plan", help="evaluate the design pipeline")
     _add_target_flags(sp)
     sp.add_argument("--out", default=None, help="write the plan JSON here")
-    sp.set_defaults(func=cmd_plan)
 
     ss = subs.add_parser("simulate", help="Monte Carlo outage estimation")
     ss.add_argument("--plan", required=True)
@@ -424,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--seed", type=_non_negative, default=0)
     ss.add_argument("--csv", default=None, help="per-trial CSV path")
     ss.add_argument("--json", default=None, help="summary JSON path")
-    ss.set_defaults(func=cmd_simulate)
 
     sv = subs.add_parser("verify", help="moment / bound spot checks")
     sv.add_argument("what", choices=["moments", "theorem4", "lemmas"])
@@ -435,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--plan", default=None, help="plan JSON (theorem4 only)")
     sv.add_argument("--instances", type=_positive(int), default=200,
                     help="random instances (lemmas only)")
-    sv.set_defaults(func=cmd_verify)
 
     sw = subs.add_parser("sweep", help="plan over a one-parameter grid")
     _add_target_flags(sw, sweep=True)
@@ -443,17 +452,22 @@ def build_parser() -> argparse.ArgumentParser:
                     help="legitimate density (sweepable)")
     sw.add_argument("--log", action="store_true", help="geometric grid spacing")
     sw.add_argument("--out", default=None, help="CSV output path")
-    sw.set_defaults(func=cmd_sweep)
     return parser
 
 
+#: the parser of ``main``, built once per process on first use
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.what == "theorem4" and not args.plan:
         parser.error("verify theorem4 requires --plan")
     try:
-        code = args.func(args)
+        # looked up by name at each call, so a wrapper swapped in for a
+        # cmd_* function after the parser was built is the one that runs
+        code = globals()["cmd_" + args.command](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (``| head``): send what is left to

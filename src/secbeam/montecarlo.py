@@ -14,12 +14,12 @@ import csv
 import math
 import os
 import threading
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import NetworkConfig
-from .planner import Plan, SecrecyTarget
+from .planner import Plan, SecrecyTarget, field_values
 from . import beamform
 from . import moments
 
@@ -116,9 +116,9 @@ class OutageReport:
     mean_total_relay_power: float
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["event_outage"] = {k: asdict(v) for k, v in self.event_outage.items()}
-        doc["composite"] = asdict(self.composite)
+        doc = field_values(self)
+        doc["event_outage"] = {k: field_values(v) for k, v in self.event_outage.items()}
+        doc["composite"] = field_values(self.composite)
         doc["interval_method"] = "wilson-95"
         return doc
 
@@ -297,6 +297,18 @@ def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
     return rate, s, t
 
 
+#: largest Poisson mean numpy's Generator.poisson accepts
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def expected_counts(plan: Plan, cfg: NetworkConfig) -> tuple[float, float]:
+    """The Poisson means of a trial's two counts: legitimate nodes in the
+    relay disc, lambda_l*pi*a_l**2, and eavesdroppers in the square,
+    lambda_e*side**2."""
+    side = cfg.side
+    return cfg.lambda_l * math.pi * plan.a_l ** 2, cfg.lambda_e * side * side
+
+
 def sample_realization(plan: Plan, cfg: NetworkConfig,
                        rng: np.random.Generator,
                        buf: np.ndarray | None = None):
@@ -329,8 +341,9 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     side = cfg.side
     if 2.0 * plan.a_l > side:
         raise ValueError("relay disc does not fit inside the network square")
-    n_in_bl = int(rng.poisson(cfg.lambda_l * math.pi * plan.a_l ** 2))
-    n_e = int(rng.poisson(cfg.lambda_e * side * side))
+    mean_bl, mean_e = expected_counts(plan, cfg)
+    n_in_bl = int(rng.poisson(mean_bl))
+    n_e = int(rng.poisson(mean_e))
     k = min(n_in_bl, plan.n_r)
 
     eaves_x = (rng.random(n_e) - 0.5) * side

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .geometry import NetworkConfig
 from . import moments
@@ -148,12 +148,17 @@ def nu_constant(mu: float) -> float:
     With E{H^(2k)} = (2*mu)**k * k!, the exact variances in units of
     (2*mu)**4 are Var(P_l)/n = 4 + 10/n + 6/n**2 and Var(P_e) = 1 + 2/n.
     Both strictly decrease in n, so n = 1 binds for every relay count and
-    nu**2 = Var(P_l)/1 = 20*(2*mu)**4.  Evaluating the exact formulas at
-    n = 1, rather than writing 8*sqrt(5)*mu**2, keeps nu bit-identical to a
-    scan of those formulas over n.
+    nu**2 = Var(P_l)/1 = 20*(2*mu)**4.  At n = 1 ``var_pl_nopath`` and
+    ``var_pe_nopath`` reduce exactly to E{H^8} - E{H^4}**2 and
+    E{H^4}**2 - E{H^2}**4; taking those differences of the Rayleigh
+    moments, rather than writing 8*sqrt(5)*mu**2, keeps nu bit-identical to
+    a scan of the variance formulas over n.  Raises OverflowError when
+    E{H^8} leaves the float range.
     """
-    return math.sqrt(max(moments.var_pl_nopath(1, mu),
-                         moments.var_pe_nopath(1, mu)))
+    m2 = moments.rayleigh_moment(mu, 2)
+    m4 = moments.rayleigh_moment(mu, 4)
+    m8 = moments.rayleigh_moment(mu, 8)
+    return math.sqrt(max(m8 - m4 * m4, m4 * m4 - m2 ** 4))
 
 
 def n_r_bound_simplified(cfg: NetworkConfig, target: SecrecyTarget, eta: float,
@@ -171,8 +176,15 @@ def n_r_bound_simplified(cfg: NetworkConfig, target: SecrecyTarget, eta: float,
 
 def n_r_min_simplified(cfg: NetworkConfig, target: SecrecyTarget, eta: float,
                        nu: float) -> int:
-    """Smallest integer relay count strictly above the simplified bound."""
-    return math.ceil(n_r_bound_simplified(cfg, target, eta, nu)) + 1
+    """Smallest integer relay count strictly above the simplified bound;
+    InfeasiblePlanError when the bound leaves the float range."""
+    try:
+        bound = n_r_bound_simplified(cfg, target, eta, nu)
+    except OverflowError:
+        bound = math.inf
+    if not bound < math.inf:  # inf or NaN
+        raise InfeasiblePlanError("n_r_bound", f"bound {bound} outside the float range")
+    return math.ceil(bound) + 1
 
 
 def transport_mode(d_tr: float, a_l: float) -> str:
@@ -257,10 +269,19 @@ def plan(cfg: NetworkConfig, target: SecrecyTarget) -> Plan:
     Order: moment constants, relay count (simplified bound), relay radius
     (halved), minimum legitimate density, eavesdropper-free radius, maximum
     eavesdropper density, eavesdropper count cap, and finally the transport
-    mode.  Any infeasible sub-bound raises InfeasiblePlanError naming it.
+    mode.  Any infeasible sub-bound raises InfeasiblePlanError naming it,
+    as do moment constants (``moment_constants``) or an n_r bound outside
+    the float range.
     """
-    eta = eta_constant(cfg.mu)
-    nu = nu_constant(cfg.mu)
+    try:
+        eta, nu = eta_constant(cfg.mu), nu_constant(cfg.mu)
+    except OverflowError:
+        eta = nu = math.inf
+    # the n_r bound divides by eta**2 and adds nu**2
+    if not (0 < eta * eta < math.inf and 0 < nu * nu < math.inf):
+        raise InfeasiblePlanError(
+            "moment_constants", f"eta={eta}, nu={nu} at mu={cfg.mu}: their "
+            "squares leave the float range")
     n_r = n_r_min_simplified(cfg, target, eta, nu)
     a_l_raw = a_l_upper(cfg, target, n_r) * (1.0 - STRICT_MARGIN)
     a_l = a_l_raw / 2.0
@@ -321,13 +342,22 @@ def validate_plan(cfg: NetworkConfig, target: SecrecyTarget,
 # Serialization
 # ---------------------------------------------------------------------------
 
+def field_values(obj) -> dict:
+    """The fields of a dataclass instance by name, in field order, holding
+    the instance's own values: ``dataclasses.asdict`` without its deep copy
+    of every value, for flat documents of scalars.  A dataclass without
+    slots sets its fields in field order in ``__init__``, so they are its
+    ``__dict__``."""
+    return dict(vars(obj))
+
+
 def plan_document(cfg: NetworkConfig, target: SecrecyTarget, p: Plan) -> dict:
     """Flat key/value document: plan fields plus target and config echo."""
     doc = {"format_version": FORMAT_VERSION}
-    doc.update(asdict(p))
-    doc.update({f"target_{k}": v for k, v in asdict(target).items()})
+    doc.update(field_values(p))
+    doc.update({f"target_{k}": v for k, v in field_values(target).items()})
     doc["target_eps_prime"] = target.eps_prime
-    doc.update({f"cfg_{k}": v for k, v in asdict(cfg).items()})
+    doc.update({f"cfg_{k}": v for k, v in field_values(cfg).items()})
     return doc
 
 

@@ -105,6 +105,43 @@ def test_plan_infeasible_keeps_out_as_it_was(tmp_path, capsys):
     assert old.read_text() == "earlier plan\n"
 
 
+def run_cli(argv):
+    """``secbeam <argv>`` in a fresh process; returns the finished process
+    with its output decoded, line ends as written."""
+    src = str(Path(secbeam.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "secbeam.cli", *argv],
+                          capture_output=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
+    return proc
+
+
+@pytest.mark.parametrize("mu", ["1e80", "1e-300"])
+def test_plan_moments_outside_float_range_exit_2(tmp_path, mu):
+    # E{H^8} overflows at mu = 1e80; eta = 4*mu**2 underflows to 0 at 1e-300
+    out = tmp_path / "plan.json"
+    proc = run_cli(["plan", "--rate", "0.5", "--outage", "0.35", "--mu", mu,
+                    "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "infeasible constraint moment_constants" in proc.stderr
+    assert not out.exists()
+
+
+def test_sweep_moments_outside_float_range_write_no_rows():
+    # the middle value, mu = 1e-110, has eta > 0 but eta**2 == 0
+    proc = run_cli(["sweep", "--rate", "0.5", "--outage", "0.35",
+                    "--mu", "1e-300:1e80:3", "--log"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = list(csv.reader(proc.stdout.splitlines()))
+    assert [r[:3] for r in rows[1:]] == [
+        ["1e-300", "no", "moment_constants"],
+        ["1e-110", "no", "moment_constants"],
+        ["1e+80", "no", "moment_constants"]]
+
+
 def test_plan_round_trip_full_precision(tmp_path, capsys):
     code, out = run_plan(tmp_path)
     assert code == 0
@@ -305,6 +342,36 @@ def test_plan_mode_must_match_geometry(tmp_path, capsys, mode):
         assert f"cannot load plan: mode {mode!r}" in captured.err
         assert captured.out == ""
     assert not csv_path.exists()
+
+
+def test_simulate_poisson_mean_out_of_range_exits_2(tmp_path):
+    # 1e30 eavesdroppers per unit area put ~3e32 in the square, past the
+    # largest mean numpy's Poisson sampler takes; a trial never starts
+    code, out = run_plan(tmp_path)
+    assert code == 0
+    edit_plan(out, cfg_lambda_e=1e30)
+    csv_path, json_path = tmp_path / "trials.csv", tmp_path / "report.json"
+    proc = run_cli(["simulate", "--plan", str(out), "--trials", "2",
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "Poisson" in proc.stderr and "eavesdroppers" in proc.stderr
+    assert not csv_path.exists() and not json_path.exists()
+
+
+def test_simulate_accepts_poisson_means_up_to_the_limit(tmp_path, capsys):
+    # the check sits at numpy's limit, not at the plan's lambda_e_max: a
+    # plan run at 20x lambda_e_max still simulates
+    code, out = run_plan(tmp_path)
+    cfg, _, p = planner.load_plan(out)
+    edit_plan(out, cfg_lambda_e=20 * p.lambda_e_max)
+    assert main(["simulate", "--plan", str(out), "--trials", "2"]) == 0
+    assert max(montecarlo.expected_counts(p, cfg)) < montecarlo.POISSON_MEAN_MAX
+    rng = np.random.default_rng(0)
+    rng.poisson(montecarlo.POISSON_MEAN_MAX)
+    with pytest.raises(ValueError):
+        rng.poisson(np.nextafter(montecarlo.POISSON_MEAN_MAX, np.inf))
 
 
 def test_simulate_direct_mode_plan_exits_2(tmp_path, capsys):
@@ -723,3 +790,58 @@ def test_sweep_bad_range(capsys):
     code = main(["sweep", "--rate", "0.1:1:0", "--outage", "0.35"])
     assert code == 2
     assert "bad range" in capsys.readouterr().err
+
+
+# --- one process, many commands ----------------------------------------------
+
+def _back_to_back_commands(tmp_path):
+    plan_path = tmp_path / "plan.json"
+    return [
+        ["plan", *PLAN_FLAGS, "--out", str(plan_path)],
+        ["verify", "moments", "--nr", "3", "--samples", "2000", "--seed", "4"],
+        ["plan", "--rate", "0.5", "--outage", "0.35", "--dtr", "1e-6"],
+        ["sweep", "--rate", "0.25:2.0:5", "--outage", "0.35"],
+        ["simulate", "--plan", str(plan_path), "--trials", "3", "--seed", "2",
+         "--csv", str(tmp_path / "trials.csv")],
+        ["verify", "theorem4", "--plan", str(plan_path), "--samples", "3"],
+        ["sweep", "--rate", "0.5", "--outage", "0.35", "--dtr", "5:1e-6:3"],
+        ["plan", *PLAN_FLAGS, "--mu", "1e80"],
+        ["verify", "moments", "--nr", "3", "--samples", "2000", "--seed", "4"],
+    ]
+
+
+def test_commands_back_to_back_match_fresh_processes(tmp_path, capsys):
+    # main builds its parser once per process: a command run after others
+    # in one process must print and exit as it does in a process of its own
+    fresh = []
+    for argv in _back_to_back_commands(tmp_path):
+        proc = run_cli(argv)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr,
+                      (tmp_path / "trials.csv").read_bytes()
+                      if argv[0] == "simulate" else None))
+    (tmp_path / "trials.csv").unlink()
+    for _ in range(2):
+        for argv, want in zip(_back_to_back_commands(tmp_path), fresh):
+            code = main(argv)
+            captured = capsys.readouterr()
+            got = (code, captured.out, captured.err,
+                   (tmp_path / "trials.csv").read_bytes()
+                   if argv[0] == "simulate" else None)
+            assert got == want, argv
+
+
+def test_main_dispatches_on_the_current_command_function(monkeypatch, capsys):
+    # a wrapper put in place of cmd_plan after the parser was built (as a
+    # tracer does) is the function main calls
+    assert main(["plan", *PLAN_FLAGS]) == 0
+    calls = []
+    original = cli.cmd_plan
+
+    def wrapped(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_plan", wrapped)
+    assert main(["plan", *PLAN_FLAGS]) == 0
+    assert calls == ["plan"]
+    assert cli._parser() is cli._parser()

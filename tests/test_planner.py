@@ -350,6 +350,20 @@ def test_plan_receiver_too_close_is_infeasible():
     assert exc.value.constraint == "n_e_bound"
 
 
+@pytest.mark.parametrize("mu,rate,constraint", [
+    (1e80, 0.5, "moment_constants"),    # E{H^8} overflows
+    (1e-300, 0.5, "moment_constants"),  # eta underflows to 0
+    (1e-100, 0.5, "moment_constants"),  # eta > 0, but eta**2 underflows
+    (1e-80, 0.5, "n_r_bound"),          # eta**2 subnormal: the bound is inf
+    (1e76, 0.5, "n_r_bound"),           # the bound's square overflows
+    (0.5, 1e10, "n_r_bound"),
+])
+def test_plan_outside_float_range_is_infeasible(mu, rate, constraint):
+    with pytest.raises(InfeasiblePlanError) as exc:
+        plan(make_cfg(mu=mu), make_target(rate=rate))
+    assert exc.value.constraint == constraint
+
+
 def test_a_e_independent_of_densities_and_extent():
     t = make_target()
     base = plan(make_cfg(), t).a_e
