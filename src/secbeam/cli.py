@@ -43,12 +43,19 @@ def _manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> dic
 
 
 def _build_config(args, p: planner.Plan) -> NetworkConfig:
+    """The plan's network; InfeasiblePlanError when its default extent
+    holds more legitimate nodes than the float range."""
     n_legit = args.nlegit
     if n_legit is None:
         # default extent: square comfortably containing the protected disc
         # and the receiver
         side = 2.2 * max(p.a_e, args.dtr)
-        n_legit = max(1, math.ceil(p.lambda_l_min * side * side))
+        try:
+            n_legit = max(1, math.ceil(p.lambda_l_min * side * side))
+        except OverflowError:
+            raise planner.InfeasiblePlanError(
+                "network_extent", f"lambda_l_min={p.lambda_l_min} over a "
+                f"square of side {side} leaves the float range") from None
     return NetworkConfig(p_t=args.power, mu=args.mu, gamma=args.gamma,
                          d_tr=args.dtr, lambda_l=p.lambda_l_min,
                          lambda_e=p.lambda_e_max, n_legit=n_legit)
@@ -97,12 +104,12 @@ def cmd_plan(args) -> int:
         probe, target = _planning_inputs(args)
         try:
             p = planner.plan(probe, target)
+            cfg = _build_config(args, p)
         except planner.InfeasiblePlanError as exc:
             print(f"infeasible: {exc}", file=sys.stderr)
             if created:
                 os.remove(args.out)
             return 2
-        cfg = _build_config(args, p)
         # the plan is written before anything is printed, so a reader that
         # closes stdout early (``| head -1``) cannot leave the file empty
         if out_fh:
@@ -341,12 +348,9 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(opened[0] or sys.stdout)
         writer.writerow(header)
         n_rows = 0
-        # grid values are numpy scalars, whose overflow gives inf or NaN
-        # with a warning; the planner turns those into a "no" row
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for value in grid:
-                writer.writerow(_sweep_row(args, name, value))
-                n_rows += 1
+        for value in grid:
+            writer.writerow(_sweep_row(args, name, value))
+            n_rows += 1
         planner.cut_tail(opened[0])
     if args.out:
         print(f"wrote {args.out} ({n_rows} rows)")
@@ -355,7 +359,10 @@ def cmd_sweep(args) -> int:
 
 def _sweep_row(args, name: str, value: float) -> list:
     ns = argparse.Namespace(**vars(args))
-    setattr(ns, name, value)
+    # a Python float, as from the command line: a numpy grid value would
+    # carry numpy arithmetic into the planner, where n_r > nr_bound then
+    # compares an n_r above 2**53 as a float
+    setattr(ns, name, float(value))
     for attr in SWEEPABLE:
         v = getattr(ns, attr)
         if isinstance(v, str):

@@ -433,11 +433,12 @@ class RunningMoments:
     """Count, mean and sums of squared, cubed and fourth-power deviations
     (m2, m3, m4) of a stream of floats, in O(1) memory.
 
-    ``push`` adds one value (Welford for the mean and m2, Pebay 2008,
-    SAND2008-6212, for m3 and m4); ``of`` reduces an array in two passes;
-    ``merge`` adds another accumulator with the exact pairwise update (Chan,
-    Golub & LeVeque 1979; Pebay 2008), so chunks reduced on their own and
-    merged in order give the moments of the whole stream."""
+    ``push`` adds one value to n, the mean and m2 (Welford), and leaves m3
+    and m4 alone: they are kept by ``of`` and ``merge`` only.  ``of``
+    reduces an array in two passes; ``merge`` adds another accumulator with
+    the exact pairwise update (Chan, Golub & LeVeque 1979; Pebay 2008,
+    SAND2008-6212), so chunks reduced on their own and merged in order give
+    the moments of the whole stream."""
 
     __slots__ = ("n", "mean", "m2", "m3", "m4")
 
@@ -449,17 +450,10 @@ class RunningMoments:
         self.m4 = 0.0
 
     def push(self, x: float) -> None:
-        n1 = self.n
         self.n += 1
         delta = x - self.mean
-        delta_n = delta / self.n
-        self.mean += delta_n
-        term = delta * (x - self.mean)  # delta**2 * n1 / n
-        self.m4 += (term * delta_n * delta_n * (n1 * n1 - n1 + 1)
-                    + 6.0 * delta_n * delta_n * self.m2
-                    - 4.0 * delta_n * self.m3)
-        self.m3 += term * delta_n * (n1 - 1) - 3.0 * delta_n * self.m2
-        self.m2 += term
+        self.mean += delta / self.n
+        self.m2 += delta * (x - self.mean)
 
     @classmethod
     def of(cls, x: np.ndarray) -> "RunningMoments":

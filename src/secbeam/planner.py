@@ -94,7 +94,11 @@ def a_l_upper(cfg: NetworkConfig, target: SecrecyTarget, n_r: int) -> float:
     frac = target.eps_prime / n_r
     if not 0 < frac < 1:
         raise InfeasiblePlanError("a_l_bound", f"eps'/n_r = {frac} outside (0, 1)")
-    denom = 2.0 ** ((1.0 + target.rho) * target.secure_rate) - 1.0
+    try:
+        denom = 2.0 ** ((1.0 + target.rho) * target.secure_rate) - 1.0
+    except OverflowError:
+        raise InfeasiblePlanError(
+            "a_l_bound", "rate threshold outside the float range") from None
     if denom <= 0:
         raise InfeasiblePlanError("a_l_bound", "rate threshold denominator <= 0")
     return ((-cfg.p_t * cfg.mu * math.log1p(-frac)) / denom) ** (1.0 / cfg.gamma)
@@ -129,8 +133,12 @@ def a_e_min(cfg: NetworkConfig, target: SecrecyTarget) -> float:
     lg = -math.log1p(-eps)
     c1 = 3.0 * lg / (4.0 * eps)
     c2 = math.sqrt(4.0 / (3.0 * eps * lg))
-    pref = (cfg.p_t * cfg.mu) ** (1.0 / cfg.gamma) / (
-        2.0 ** (target.rho * target.secure_rate) - 1.0) ** (1.0 / cfg.gamma)
+    try:
+        pref = (cfg.p_t * cfg.mu) ** (1.0 / cfg.gamma) / (
+            2.0 ** (target.rho * target.secure_rate) - 1.0) ** (1.0 / cfg.gamma)
+    except ZeroDivisionError:
+        raise InfeasiblePlanError(
+            "a_e_bound", "rate threshold 2**(rho*R_S) - 1 underflows to 0") from None
     return pref * (3.0 * math.log(2.0) + math.log(c1) + c2 / (4.0 * math.sqrt(2.0) * c1))
 
 
@@ -216,12 +224,18 @@ def n_e_bound(cfg: NetworkConfig, target: SecrecyTarget, eta: float, nu: float,
 
 def n_e_cap(cfg: NetworkConfig, target: SecrecyTarget, eta: float, nu: float,
             a_l: float, a_e: float) -> int:
-    """Largest integer eavesdropper count strictly below ``n_e_bound``."""
+    """Largest integer eavesdropper count strictly below ``n_e_bound``;
+    InfeasiblePlanError when the bound leaves the float range."""
     if a_e <= a_l:
         raise InfeasiblePlanError("n_e_bound", f"a_e={a_e} <= a_l={a_l}")
     if cfg.d_tr <= a_l:
         raise InfeasiblePlanError("n_e_bound", f"d_tr={cfg.d_tr} <= a_l={a_l}")
-    bound = n_e_bound(cfg, target, eta, nu, a_l, a_e)
+    try:
+        bound = n_e_bound(cfg, target, eta, nu, a_l, a_e)
+    except (OverflowError, ZeroDivisionError):
+        # a power overflows, or a division meets one that underflows to 0
+        raise InfeasiblePlanError(
+            "n_e_bound", "bound outside the float range") from None
     if bound <= 0:
         raise InfeasiblePlanError(
             "n_e_bound", "scheme infeasible at this geometry (rate threshold "
@@ -270,8 +284,8 @@ def plan(cfg: NetworkConfig, target: SecrecyTarget) -> Plan:
     (halved), minimum legitimate density, eavesdropper-free radius, maximum
     eavesdropper density, eavesdropper count cap, and finally the transport
     mode.  Any infeasible sub-bound raises InfeasiblePlanError naming it,
-    as do moment constants (``moment_constants``) or an n_r bound outside
-    the float range.
+    as do moment constants (``moment_constants``) or a bound outside the
+    float range.
     """
     try:
         eta, nu = eta_constant(cfg.mu), nu_constant(cfg.mu)
@@ -285,7 +299,11 @@ def plan(cfg: NetworkConfig, target: SecrecyTarget) -> Plan:
     n_r = n_r_min_simplified(cfg, target, eta, nu)
     a_l_raw = a_l_upper(cfg, target, n_r) * (1.0 - STRICT_MARGIN)
     a_l = a_l_raw / 2.0
-    lam_l = lambda_l_min(target.eps_prime, n_r, a_l)
+    try:
+        lam_l = lambda_l_min(target.eps_prime, n_r, a_l)
+    except (ValueError, ZeroDivisionError):
+        raise InfeasiblePlanError(
+            "a_l_bound", f"a_l = {a_l}: a_l or a_l**2 underflows to 0") from None
     a_e = a_e_min(cfg, target) * (1.0 + STRICT_MARGIN)
     lam_e = lambda_e_max(target.eps_prime, a_e)
     mode = transport_mode(cfg.d_tr, a_l)

@@ -142,6 +142,71 @@ def test_sweep_moments_outside_float_range_write_no_rows():
         ["1e+80", "no", "moment_constants"]]
 
 
+@pytest.mark.parametrize("flags,constraint", [
+    (["--rho", "1e-50"], "a_e_bound"),     # 2**(rho*R_S) - 1 underflows to 0
+    (["--rho", "1e10"], "a_l_bound"),      # 2**((1+rho)*R_S) overflows
+    (["--dtr", "1e-300"], "n_e_bound"),    # d_tr**-gamma overflows
+    (["--power", "1e-300"], "a_l_bound"),  # a_l underflows to 0
+], ids=["rho-tiny", "rho-huge", "dtr-tiny", "power-tiny"])
+def test_plan_bound_outside_float_range_exit_2(tmp_path, capsys, flags,
+                                               constraint):
+    out = tmp_path / "plan.json"
+    assert main(["plan", *PLAN_FLAGS, *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"infeasible constraint {constraint}:" in captured.err
+    assert not out.exists()
+
+
+def test_sweep_bound_outside_float_range_writes_no_row():
+    proc = run_cli(["sweep", *PLAN_FLAGS, "--power", "1e-300:1:2", "--log"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = list(csv.reader(proc.stdout.splitlines()))
+    assert [r[:3] for r in rows[1:]] == [["1e-300", "no", "a_l_bound"],
+                                         ["1.0", "yes", "beamforming"]]
+
+
+#: a feasible target whose default network square would hold more
+#: legitimate nodes than the float range (lambda_l_min is about 1.3e308)
+EXTENT_FLAGS = ["--rate", "0.5838545984233751", "--outage", "0.7448075942464373",
+                "--mu", "7.41709285904938e-60", "--power", "0.002346746109537296",
+                "--dtr", "1.212853695046593", "--rho", "2.7554763931929216",
+                "--kappa", "0.2655318743661818"]
+
+
+def test_plan_network_extent_outside_float_range_exit_2(tmp_path, capsys):
+    new = tmp_path / "new.json"
+    assert main(["plan", *EXTENT_FLAGS, "--out", str(new)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "infeasible constraint network_extent:" in captured.err
+    assert not new.exists()
+    old = tmp_path / "old.json"
+    old.write_text("earlier plan\n")
+    assert main(["plan", *EXTENT_FLAGS, "--out", str(old)]) == 2
+    assert old.read_text() == "earlier plan\n"
+
+
+def test_sweep_above_2_53_relays_agrees_with_plan():
+    # mu = 3.45e-7 plans n_r > 2**53, which the planner must compare with
+    # its bound as an int, not as a float: the row is the plan
+    mu = "3.450213329218536e-07"
+    proc = run_cli(["sweep", *PLAN_FLAGS, "--mu", "1e-60:1e60:3000", "--log"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    row = next(r for r in csv.reader(proc.stdout.splitlines()) if r[0] == mu)
+    p = plan(NetworkConfig(p_t=1.0, mu=float(mu), gamma=2.0, d_tr=5.0,
+                           lambda_l=1.0, lambda_e=0.0, n_legit=1),
+             SecrecyTarget(secure_rate=0.5, outage=0.35))
+    assert p.n_r > 2 ** 53
+    assert row == [mu, "yes", p.mode, str(p.n_r), repr(p.a_l), repr(p.a_e),
+                   repr(p.lambda_l_min), repr(p.lambda_e_max), str(p.n_e_max),
+                   repr(p.eta), repr(p.nu)]
+
+
 def test_plan_round_trip_full_precision(tmp_path, capsys):
     code, out = run_plan(tmp_path)
     assert code == 0

@@ -1,33 +1,25 @@
-"""Distributional checks of the trial sampler (random stream 7), of the
-theorem-4 bound sampler and of the no-path-loss moments sampler.
+"""Distributional checks of the three samplers: trials (``run_trial``),
+theorem-4 samples (``_sample_power_bounds``) and the no-path-loss moments
+of ``verify moments`` (``_nopath_chunks``).
 
-The stream-1 sampler and its closed forms are kept here verbatim as the
-oracle: every per-relay link drawn in float64 as a Rayleigh magnitude with
-a uniform phase, the stage-1 minimum taken over explicit per-relay gains.
-Stream 4 draws the same law through sufficient statistics and float32
-draws from one uniform source, so on fixed seeds the two must agree in
-distribution, not in values.  The stream-3 sampler, which still drew every
-relay->eavesdropper fading and phase, is kept verbatim too, with its
-per-link stage 2: stream 4 draws each eavesdropper's power from its
-conditional law instead, so the two agree in distribution, and exactly in
-trials with no eavesdropper.  Likewise the theorem-4 sampler that drew
-every relay->eavesdropper fading and phase is kept as the oracle of the one
-that draws P_e from its conditional law, and the per-relay no-path-loss
-sampler as the oracle of the one that draws only the gain sum.  The
-stream-4 theorem-4 sampler, which drew chunks of rows from one generator,
-is kept verbatim as the oracle of stream 5, whose chunks each draw from
-their own generator and may run on several threads.  The stream-5 trial
-and bound samplers are kept verbatim as the oracles of stream 6, where
-both go through one relay-field kernel: a trial draws its eavesdroppers
-before its relays and keeps sums, not relay arrays, so the trials of the
-two streams agree in distribution, and in their draws when there is no
-eavesdropper; the theorem-4 samples agree exactly.  The stream-6 draws of ``verify
-moments``, all its samples from one generator, are kept verbatim as the
-oracle of stream 7, whose chunks each draw from their own generator; the
-two agree in distribution.  The tests comparing
-the current sampler with an older stream keep the names of the stream they
-were written for.  The oracles build their realizations as a local copy of
-the realization type that carried relay arrays (``LinkRealization``).
+Each sampler has one reference, kept here verbatim from random stream 1,
+which drew every per-relay link in float64 as a Rayleigh magnitude with a
+uniform phase: ``trial_v1`` (with ``sample_realization_v1``), whose
+stage-1 minimum runs over explicit per-relay gains and whose eavesdropper
+powers are complex sums over relays; ``sample_power_bounds_v1``, with
+per-relay complex eavesdropper fading; and ``sample_powers_nopath_v1``,
+per-relay draws at unit distances.  The samplers draw the same laws
+through sufficient statistics, conditional laws and float32 draws, so on
+fixed seeds they agree with their references in distribution (two-sample
+KS tests, and a two-proportion test of the E6 failure rate), not in
+values.
+
+The exact laws those reductions rest on are tested on their own: the
+minimum of independent exponentials, the power of a weighted sum of
+circular Gaussians, the float32 exponential, and the E6 failure
+probability given the relay field.  Where values can be compared, float64
+evaluations of a sampler's own draws check it: the kernel's relay sums, a
+large trial, and trials without eavesdroppers.
 """
 
 import math
@@ -35,23 +27,18 @@ import os
 import sys
 import threading
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from secbeam import beamform, montecarlo
-from secbeam.montecarlo import (CSV_COLUMNS, TrialOutcome,
-                                _e6_outage_given_field, _exponential_f32,
-                                _neg_power, _relay_buffer, _relay_draws,
-                                _relay_field, _sample_power_bounds,
-                                _sample_powers_nopath, _trial_rng,
-                                _uniform_f32, draw_min_gain, estimate_outage,
+from secbeam import montecarlo
+from secbeam.montecarlo import (CSV_COLUMNS, _exponential_f32, _relay_buffer,
+                                _relay_draws, _relay_field,
+                                _sample_power_bounds, _sample_powers_nopath,
+                                _trial_rng, draw_min_gain, estimate_outage,
                                 run_trial, sample_realization)
 from secbeam.beamform import received_powers
-from secbeam.geometry import NetworkConfig
-from secbeam.planner import Plan, SecrecyTarget
 
 from test_montecarlo import small_cfg, small_plan, small_target
 
@@ -123,472 +110,10 @@ def trial_v1(plan, cfg, target, rng):
                                     - r["relay_phase_rx"][None, :]))
                  ).sum(axis=1) / math.sqrt(n)
             max_p_e = float(np.max(np.abs(z) ** 2 * p_t))
+    e6 = math.log2(1.0 + max_p_e) <= target.kappa * target.secure_rate
     return {"min_relay_rate": min_rate, "max_eaves_rate_s1": max_e1,
             "P_l": p_l, "total_relay_power": total, "max_P_e": max_p_e,
-            "n_in_Bl": n_in_bl}
-
-
-# --- the realization of the stream-3 and stream-5 oracles --------------------
-# The realization type of streams 3 to 6, verbatim but for its name: unlike
-# the package's, which carries only sums, it holds the relay arrays and
-# links those oracles draw.  ``beamform.stage1_rates`` reads only
-# attributes it has.
-
-@dataclass(frozen=True)
-class LinkRealization:
-    """Sampled geometry and fading for one trial, reduced to what the two
-    stages read.
-
-    Distances and fading powers are stored squared: ``*_d2_*`` are squared
-    distances and ``*_h2_*`` squared fading magnitudes ``h**2``.
-
-    Stage 1 needs only the worst relay, so the realization carries
-    ``relay_min_gain = min_i h_tx,i**2 * d_tx,i**-gamma`` itself (drawn under
-    the configuration's path-loss exponent).  Stage 2 reads the
-    relay->receiver gains g_i = h_i**2 * d_rx,i**-gamma.  Eavesdropper j
-    receives the relay sum z_j = sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij, where
-    c_ij = h_ij e^{j(phi_ij - theta_i)} is its link fading times the phase
-    of relay i's conjugate weight.  Given the relay field and all
-    positions, z_j is CN(0, 2*mu * sum_i g_i d_ij**-gamma).
-
-    A sampled realization carries no per-relay array: the relay count
-    ``relay_count``, the gain sum ``relay_gain_sum`` = sum_i g_i, and per
-    eavesdropper that variance, ``eaves_sum_var``, and the drawn power
-    ``eaves_sum_power = |z_j|**2``, all under the configuration's path-loss
-    exponent and fading parameter.  A realization built from explicit links
-    carries the relay arrays ``relay_d2_rx`` and ``relay_h2_rx`` (and,
-    unread, ``relay_d2_tx``), with ``eaves_d2_relay`` and
-    ``eaves_fading_relay``, and ``received_powers`` evaluates the sums from
-    them.  Shapes: relay arrays (n,), eavesdropper arrays (m,), link arrays
-    (m, n).
-    """
-
-    relay_min_gain: float
-    eaves_dist_tx: np.ndarray
-    eaves_h2_tx: np.ndarray
-    relay_count: int | None = None
-    relay_gain_sum: float | None = None
-    eaves_sum_var: np.ndarray | None = None
-    eaves_sum_power: np.ndarray | None = None
-    relay_d2_tx: np.ndarray | None = None
-    relay_d2_rx: np.ndarray | None = None
-    relay_h2_rx: np.ndarray | None = None
-    eaves_d2_relay: np.ndarray | None = None
-    eaves_fading_relay: np.ndarray | None = None
-
-    @property
-    def n_relays(self) -> int:
-        if self.relay_d2_rx is None:
-            return self.relay_count
-        return len(self.relay_d2_rx)
-
-    @property
-    def n_eaves(self) -> int:
-        return len(self.eaves_dist_tx)
-
-
-# --- stream-3 oracle --------------------------------------------------------
-# The stream-3 sampler, trial and per-link stage 2, verbatim but for their
-# names and the trial's return value (its CSV row as a dict).
-
-def sample_realization_v3(plan, cfg, rng):
-    """Sample one trial's geometry and fading, drawing only what the two
-    stages read.
-
-    Legitimate nodes are sampled restricted to the relay disc: nodes outside
-    it enter no statistic, and conditioning a homogeneous Poisson process on
-    the disc gives a Poisson count with i.i.d. uniform positions.  Per relay
-    this takes only ``_relay_draws``; the squared receiver distance comes
-    from the law of cosines written without cancellation,
-    (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2.  The stage-1 minimum is drawn
-    exactly by ``draw_min_gain``.  Eavesdroppers are sampled on the full
-    square.  Only when there are some are the relay positions and the
-    relay->eavesdropper arrays built.  Each combined fading
-    h_ij e^{j(phi_ij - theta_i)} is circular Gaussian CN(0, 2*mu), i.i.d.
-    over (i, j) and independent of the receiver links: rotating i.i.d.
-    circular Gaussians by the common phase theta_i leaves them i.i.d.  So no
-    receiver-link phase is drawn; the combined fading is drawn in polar
-    form, magnitude sqrt(2*mu*Exp(1)) and a uniform phase.
-
-    Precision: per-relay values (u, angle, h**2, squared distances, the
-    combined fading) are float32, about 1e-7 relative each; every reduction
-    over relays is float64.  Relay->eavesdropper distances are float64,
-    since an eavesdropper can sit arbitrarily close to a relay.
-
-    Returns (realization, n_in_bl) where the realization carries
-    min(n_in_bl, n_r) relays (all available nodes when short).
-    """
-    side = cfg.side
-    if 2.0 * plan.a_l > side:
-        raise ValueError("relay disc does not fit inside the network square")
-    f32 = np.float32
-    n_in_bl = int(rng.poisson(cfg.lambda_l * math.pi * plan.a_l ** 2))
-    n_e = int(rng.poisson(cfg.lambda_e * side * side))
-    k = min(n_in_bl, plan.n_r)
-
-    d2_tx, turn, h2_rx = _relay_draws(rng, (k,), cfg.mu)
-    d2_tx *= f32(plan.a_l ** 2)
-    min_gain = draw_min_gain_v5(d2_tx, cfg.gamma, cfg.mu, rng)
-
-    r = np.sqrt(d2_tx)
-    # d_rx**2 = (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2
-    sin2 = np.sin(turn * f32(math.pi))
-    sin2 *= sin2
-    sin2 *= r
-    sin2 *= f32(4.0 * cfg.d_tr)
-    d2_rx = r - f32(cfg.d_tr)
-    d2_rx *= d2_rx
-    d2_rx += sin2
-
-    eaves_x = (rng.random(n_e) - 0.5) * side
-    eaves_y = (rng.random(n_e) - 0.5) * side
-    eaves_h2_tx = rng.standard_exponential(n_e) * (2.0 * cfg.mu)
-    if n_e:
-        angle = turn * f32(2.0 * math.pi)
-        x = np.cos(angle)
-        x *= r
-        y = np.sin(angle, out=angle)
-        y *= r
-        # float32 positions, float64 differences
-        d2_cross = x - eaves_x[:, None]
-        d2_cross *= d2_cross
-        dy = y - eaves_y[:, None]
-        dy *= dy
-        d2_cross += dy
-        magnitude = _exponential_f32(rng, (n_e, k), 2.0 * cfg.mu)
-        np.sqrt(magnitude, out=magnitude)
-        phase = _uniform_f32(rng, (n_e, k))
-        phase *= f32(2.0 * math.pi)
-        fading = np.empty((n_e, k), dtype=np.complex64)
-        np.cos(phase, out=fading.real)
-        np.sin(phase, out=fading.imag)
-        fading *= magnitude
-    else:
-        d2_cross = np.empty((0, k))
-        fading = np.empty((0, k), dtype=np.complex64)
-
-    realization = LinkRealization(
-        relay_d2_tx=d2_tx, relay_min_gain=min_gain,
-        relay_d2_rx=d2_rx, relay_h2_rx=h2_rx,
-        eaves_dist_tx=np.hypot(eaves_x, eaves_y), eaves_h2_tx=eaves_h2_tx,
-        eaves_d2_relay=d2_cross, eaves_fading_relay=fading)
-    return realization, n_in_bl
-
-
-def run_trial_v3(plan, cfg, target, trial_index, seed):
-    """Score one independent transmission attempt.
-
-    Deterministic in (seed, trial_index).  When the relay disc falls short,
-    stage-1 statistics still use the available nodes for diagnostics, the
-    beamforming stage is skipped (its rates and powers report 0), and the
-    composite flag is false.
-    """
-    if plan.mode != "beamforming":
-        raise ValueError("run_trial requires a beamforming-mode plan")
-    rng = _trial_rng(seed, trial_index)
-    realization, n_in_bl = sample_realization_v3(plan, cfg, rng)
-    e1 = n_in_bl >= plan.n_r
-
-    min_rate, max_e1, disc_violated = beamform.stage1_rates(
-        realization, cfg.p_t, cfg.gamma, plan.a_e)
-    rate_s1 = target.secure_rate * (1.0 + target.rho)
-    e2 = not disc_violated
-    e3 = min_rate >= rate_s1
-    e4 = max_e1 <= target.rho * target.secure_rate
-    e7 = realization.n_eaves <= plan.n_e_max
-
-    if e1:
-        powers = received_powers_v3(realization, cfg.p_t, cfg.gamma)
-        rate_l, max_e2 = beamform.stage2_rates(powers.p_l, powers.p_e)
-        p_l = powers.p_l
-        max_p_e = float(np.max(powers.p_e)) if realization.n_eaves else 0.0
-        total_power = powers.total
-        e5 = rate_l >= (1.0 + target.kappa) * target.secure_rate
-        e6 = max_e2 <= target.kappa * target.secure_rate
-        composite = (min_rate - max_e1 >= target.secure_rate
-                     and rate_l - max_e2 >= target.secure_rate)
-    else:
-        rate_l = max_e2 = p_l = max_p_e = total_power = 0.0
-        e5 = False
-        e6 = True
-        composite = False
-
-    return dict(zip(CSV_COLUMNS, TrialOutcome(
-        trial_index=trial_index, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5, e6=e6,
-        e7=e7, composite=composite, min_relay_rate=min_rate,
-        max_eaves_rate_s1=max_e1, rate_l_s2=rate_l, max_eaves_rate_s2=max_e2,
-        p_l=p_l, max_p_e=max_p_e, total_relay_power=total_power,
-        n_in_bl=n_in_bl, n_in_be=int(np.sum(realization.eaves_dist_tx <= plan.a_e)),
-        e6_outage_given_field=math.nan).csv_row()))
-
-
-def received_powers_v3(realization, p_t, gamma):
-    """Received powers of the beamforming stage from the closed-form sums.
-
-    With g_i = d_i**(-gamma) h_i**2 the relay->receiver gain of relay i,
-    S = sum_i g_i and c_ij = h_ij e^{j(phi_ij - theta_i)}:
-
-    P_l   = p_t * S**2 / n_r
-    P_e_j = p_t * |sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij|**2 / n_r
-    total = sum_i p_t * g_i / n_r = p_t * S / n_r
-
-    Per-relay terms keep the realization's precision; S and the
-    eavesdropper sums are accumulated in double precision.
-    """
-    r = realization
-    if np.any(r.relay_d2_rx <= 0) or (r.n_eaves and np.any(r.eaves_d2_relay <= 0)):
-        raise ValueError("distances must be positive")
-    scale = p_t / r.n_relays
-    gain = r.relay_d2_rx ** (-gamma / 2.0)
-    gain *= r.relay_h2_rx
-    s = float(gain.sum(dtype=np.float64))
-    if r.n_eaves:
-        amp = r.eaves_d2_relay ** (-gamma / 4.0)
-        amp *= np.sqrt(gain)
-        z = np.einsum("ij,ij->i", amp, r.eaves_fading_relay)
-        p_e = (z.real ** 2 + z.imag ** 2) * scale
-    else:
-        p_e = np.empty(0)
-    return beamform.ReceivedPowers(p_l=s * s * scale, p_e=p_e, total=s * scale)
-
-
-# --- stream-5 oracle -----------------------------------------------------------
-# The stream-5 trial sampler, its relay sums, stage-1 minimum, trial and
-# received powers, verbatim but for their names, with fresh relay rows in
-# place of the reusable ones (whose values they equal), and the
-# type annotations of the rows dropped.
-
-def draw_min_gain_v5(d2_tx: np.ndarray, gamma: float, mu: float,
-                  rng: np.random.Generator) -> float:
-    """Draw min_i h_i**2 * d_i**-gamma over relays at squared distances
-    ``d2_tx`` from the transmitter, h_i**2 i.i.d. exponential with mean 2*mu.
-
-    Given the distances the terms are independent exponentials with rates
-    d_i**gamma / (2*mu), so their minimum is exponential with the summed
-    rate: 2*mu * Exp(1) / sum_i d_i**gamma, drawn exactly with one variate.
-    The minimum over no relays is +inf.
-    """
-    rate = float(np.sum(d2_tx ** (gamma / 2.0), dtype=np.float64))
-    gain = 2.0 * mu * rng.standard_exponential()
-    return gain / rate if rate > 0 else math.inf
-
-
-#: relays per block of the eavesdropper sums: a block's arrays stay in cache
-#: and are reused across blocks, so no relay-count array is allocated
-RELAY_BLOCK = 1 << 13
-
-
-def _relay_sums_v5(r: np.ndarray, turn: np.ndarray, d2_rx: np.ndarray,
-                h2_rx: np.ndarray, eaves_x: np.ndarray, eaves_y: np.ndarray,
-                gamma: float) -> np.ndarray:
-    """T_j = sum_i g_i * d_ij**-gamma for each eavesdropper j at
-    (eaves_x[j], eaves_y[j]), with relay i at radius r_i and angle turn_i
-    turns and receiver gain g_i = h2_rx,i * d2_rx,i**(-gamma/2).
-
-    Relays are taken RELAY_BLOCK at a time, and within a block one
-    eavesdropper at a time, so memory is a few block-sized arrays whatever
-    the relay and eavesdropper counts.  Positions and gains are float32 as
-    per relay elsewhere; squared distances, their powers and the sums are
-    float64, since an eavesdropper can sit arbitrarily close to a relay.
-    """
-    sums = np.zeros(len(eaves_x))
-    if not len(eaves_x):
-        return sums
-    f32 = np.float32
-    e = -gamma / 2.0
-    block = max(1, min(RELAY_BLOCK, len(r)))
-    angle = np.empty(block, dtype=f32)
-    x, y, gain, d2, dy = np.empty((5, block))
-    for start in range(0, len(r), block):
-        s = slice(start, start + block)
-        n = min(block, len(r) - start)
-        a, bx, by, bg, bd, bdy = (v[:n] for v in (angle, x, y, gain, d2, dy))
-        np.multiply(turn[s], f32(2.0 * math.pi), out=a)
-        np.multiply(np.cos(a), r[s], out=bx)
-        np.multiply(np.sin(a, out=a), r[s], out=by)
-        np.multiply(_neg_power(d2_rx[s], e), h2_rx[s], out=bg)
-        for j, (ex, ey) in enumerate(zip(eaves_x, eaves_y)):
-            np.subtract(bx, ex, out=bd)
-            bd *= bd
-            np.subtract(by, ey, out=bdy)
-            bdy *= bdy
-            bd += bdy
-            sums[j] += np.dot(_neg_power(bd, e, out=bd), bg)
-    return sums
-
-
-def sample_realization_v5(plan: Plan, cfg: NetworkConfig,
-                       rng: np.random.Generator, rows=None):
-    """Sample one trial's geometry and fading, drawing only what the two
-    stages read.
-
-    Legitimate nodes are sampled restricted to the relay disc: nodes outside
-    it enter no statistic, and conditioning a homogeneous Poisson process on
-    the disc gives a Poisson count with i.i.d. uniform positions.  Per relay
-    this takes only ``_relay_draws``; the squared receiver distance comes
-    from the law of cosines written without cancellation,
-    (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2.  The stage-1 minimum is drawn
-    exactly by ``draw_min_gain``.  Eavesdroppers are sampled on the full
-    square.  Each eavesdropper's stage-2 relay sum is drawn from its exact
-    conditional law: the combined fadings h_ij e^{j(phi_ij - theta_i)} are
-    i.i.d. CN(0, 2*mu) over (i, j) and independent of the receiver links
-    (rotating i.i.d. circular Gaussians by the common phase theta_i leaves
-    them i.i.d.), so given the relay field and all positions the sums are
-    independent over j and CN(0, 2*mu*T_j), T_j = sum_i g_i d_ij**-gamma.
-    Its power |z_j|**2 is 2*mu*T_j times one Exp(1), drawn last.  Only when
-    there are eavesdroppers are the relay positions built and the T_j
-    summed (``_relay_sums``).
-
-    Precision: per-relay values (u, angle, h**2, squared distances, gains)
-    are float32, about 1e-7 relative each; every reduction over relays is
-    float64, and so are the relay->eavesdropper distances and the
-    exponentials.
-
-    The relay arrays are rows of one float32 block: fresh, or taken from
-    ``rows``, in which case the realization is valid until the next take.
-
-    Returns (realization, n_in_bl) where the realization carries
-    min(n_in_bl, n_r) relays (all available nodes when short).
-    """
-    side = cfg.side
-    if 2.0 * plan.a_l > side:
-        raise ValueError("relay disc does not fit inside the network square")
-    f32 = np.float32
-    n_in_bl = int(rng.poisson(cfg.lambda_l * math.pi * plan.a_l ** 2))
-    n_e = int(rng.poisson(cfg.lambda_e * side * side))
-    k = min(n_in_bl, plan.n_r)
-
-    relay = np.empty((6, k), dtype=f32)
-    d2_tx, turn, h2_rx, r, d2_rx, scratch = relay
-    _relay_draws(rng, (k,), cfg.mu, out=relay[:3])
-    d2_tx *= f32(plan.a_l ** 2)
-    min_gain = draw_min_gain_v5(d2_tx, cfg.gamma, cfg.mu, rng)
-
-    np.sqrt(d2_tx, out=r)
-    # d_rx**2 = 4*d_tr*r*sin(theta/2)**2 + (d_tr - r)**2
-    np.multiply(turn, f32(math.pi), out=d2_rx)
-    np.sin(d2_rx, out=d2_rx)
-    d2_rx *= d2_rx
-    d2_rx *= r
-    d2_rx *= f32(4.0 * cfg.d_tr)
-    np.subtract(r, f32(cfg.d_tr), out=scratch)
-    scratch *= scratch
-    d2_rx += scratch
-
-    eaves_x = (rng.random(n_e) - 0.5) * side
-    eaves_y = (rng.random(n_e) - 0.5) * side
-    eaves_h2_tx = rng.standard_exponential(n_e) * (2.0 * cfg.mu)
-    sum_var = _relay_sums_v5(r, turn, d2_rx, h2_rx, eaves_x, eaves_y, cfg.gamma)
-    sum_var *= 2.0 * cfg.mu
-    sum_power = rng.standard_exponential(n_e)
-    sum_power *= sum_var
-
-    realization = LinkRealization(
-        relay_d2_tx=d2_tx, relay_min_gain=min_gain,
-        relay_d2_rx=d2_rx, relay_h2_rx=h2_rx,
-        eaves_dist_tx=np.hypot(eaves_x, eaves_y), eaves_h2_tx=eaves_h2_tx,
-        eaves_sum_var=sum_var, eaves_sum_power=sum_power)
-    return realization, n_in_bl
-
-
-def run_trial_v5(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
-              trial_index: int, seed: int,
-              rows=None) -> TrialOutcome:
-    """Score one independent transmission attempt.
-
-    Deterministic in (seed, trial_index), with or without ``rows``, relay
-    arrays to reuse across trials.  When the relay disc falls short,
-    stage-1 statistics still use the available nodes for diagnostics, the
-    beamforming stage is skipped (its rates and powers report 0), and the
-    composite flag is false.
-    """
-    if plan.mode != "beamforming":
-        raise ValueError("run_trial requires a beamforming-mode plan")
-    rng = _trial_rng(seed, trial_index)
-    realization, n_in_bl = sample_realization_v5(plan, cfg, rng, rows)
-    e1 = n_in_bl >= plan.n_r
-
-    min_rate, max_e1, disc_violated = beamform.stage1_rates(
-        realization, cfg.p_t, cfg.gamma, plan.a_e)
-    rate_s1 = target.secure_rate * (1.0 + target.rho)
-    e2 = not disc_violated
-    e3 = min_rate >= rate_s1
-    e4 = max_e1 <= target.rho * target.secure_rate
-    e7 = realization.n_eaves <= plan.n_e_max
-
-    if e1:
-        powers = received_powers_v5(realization, cfg.p_t, cfg.gamma)
-        rate_l, max_e2 = beamform.stage2_rates(powers.p_l, powers.p_e)
-        p_l = powers.p_l
-        max_p_e = float(np.max(powers.p_e)) if realization.n_eaves else 0.0
-        total_power = powers.total
-        e5 = rate_l >= (1.0 + target.kappa) * target.secure_rate
-        e6 = max_e2 <= target.kappa * target.secure_rate
-        e6_given_field = _e6_outage_given_field(
-            realization.eaves_sum_var, cfg.p_t, realization.n_relays,
-            2.0 ** (target.kappa * target.secure_rate) - 1.0)
-        composite = (min_rate - max_e1 >= target.secure_rate
-                     and rate_l - max_e2 >= target.secure_rate)
-    else:
-        rate_l = max_e2 = p_l = max_p_e = total_power = 0.0
-        e5 = False
-        e6 = True
-        e6_given_field = 0.0
-        composite = False
-
-    return TrialOutcome(
-        trial_index=trial_index, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5, e6=e6,
-        e7=e7, composite=composite, min_relay_rate=min_rate,
-        max_eaves_rate_s1=max_e1, rate_l_s2=rate_l, max_eaves_rate_s2=max_e2,
-        p_l=p_l, max_p_e=max_p_e, total_relay_power=total_power,
-        n_in_bl=n_in_bl, n_in_be=int(np.sum(realization.eaves_dist_tx <= plan.a_e)),
-        e6_outage_given_field=e6_given_field)
-
-
-def received_powers_v5(realization: LinkRealization, p_t: float,
-                    gamma: float) -> beamform.ReceivedPowers:
-    """Received powers of the beamforming stage from the closed-form sums.
-
-    With g_i = d_i**(-gamma) h_i**2 the relay->receiver gain of relay i,
-    S = sum_i g_i and z_j eavesdropper j's relay sum (see
-    ``NetworkRealization``):
-
-    P_l   = p_t * S**2 / n_r
-    P_e_j = p_t * |z_j|**2 / n_r
-    total = sum_i p_t * g_i / n_r = p_t * S / n_r
-
-    |z_j|**2 is the realization's drawn ``eaves_sum_power`` or, for a
-    realization of explicit links,
-    |sum_i sqrt(g_i) d_ij**(-gamma/2) c_ij|**2.  Per-relay terms keep the
-    realization's precision; S and the eavesdropper sums are accumulated in
-    double precision.
-    """
-    r = realization
-    links = r.eaves_fading_relay is not None
-    if np.any(r.relay_d2_rx <= 0) or (
-            links and r.n_eaves and np.any(r.eaves_d2_relay <= 0)):
-        raise ValueError("distances must be positive")
-    scale = p_t / r.n_relays
-    gain = r.relay_d2_rx ** (-gamma / 2.0)
-    gain *= r.relay_h2_rx
-    s = float(gain.sum(dtype=np.float64))
-    if not r.n_eaves:
-        p_e = np.empty(0)
-    elif not links:
-        p_e = r.eaves_sum_power * scale
-    else:
-        amp = r.eaves_d2_relay ** (-gamma / 4.0)
-        amp *= np.sqrt(gain)
-        z = np.einsum("ij,ij->i", amp, r.eaves_fading_relay)
-        p_e = (z.real ** 2 + z.imag ** 2) * scale
-    return beamform.ReceivedPowers(p_l=s * s * scale, p_e=p_e, total=s * scale)
-
-
-
-def run_trial_v5_row(plan, cfg, target, trial_index, seed):
-    """``run_trial_v5`` as its CSV row, a dict."""
-    return dict(zip(CSV_COLUMNS, run_trial_v5(
-        plan, cfg, target, trial_index, seed).csv_row()))
+            "n_in_Bl": n_in_bl, "E6": e6}
 
 
 # --- two-sample tests ------------------------------------------------------
@@ -599,13 +124,19 @@ STATISTICS = ["min_relay_rate", "max_eaves_rate_s1", "P_l",
 
 @pytest.fixture(scope="module", params=[2.0, 3.0], ids=["gamma2", "gamma3"])
 def both_streams(request):
+    # mu != 0.5, so that a dropped or doubled 2*mu changes the law; at
+    # gamma 3 the kernel takes relays 8 at a time, so the plan's 20 relays
+    # span three pieces
     gamma = request.param
-    plan, cfg, target = small_plan(), small_cfg(gamma=gamma), small_target()
+    plan, cfg, target = small_plan(), small_cfg(gamma=gamma, mu=0.8), small_target()
     seed = int(gamma)
     old = [trial_v1(plan, cfg, target, np.random.default_rng([seed, 10 ** 6 + i]))
            for i in range(N_TRIALS)]
-    new = [run_trial(plan, cfg, target, i, seed) for i in range(N_TRIALS)]
-    columns_old = {s: np.array([t[s] for t in old]) for s in STATISTICS}
+    with pytest.MonkeyPatch.context() as mp:
+        if gamma == 3.0:
+            mp.setattr(montecarlo, "RELAY_PIECE", 8)
+        new = [run_trial(plan, cfg, target, i, seed) for i in range(N_TRIALS)]
+    columns_old = {s: np.array([t[s] for t in old]) for s in STATISTICS + ["E6"]}
     columns_new = {
         "min_relay_rate": np.array([o.min_relay_rate for o in new]),
         "max_eaves_rate_s1": np.array([o.max_eaves_rate_s1 for o in new]),
@@ -613,6 +144,7 @@ def both_streams(request):
         "total_relay_power": np.array([o.total_relay_power for o in new]),
         "max_P_e": np.array([o.max_p_e for o in new]),
         "n_in_Bl": np.array([o.n_in_bl for o in new]),
+        "E6": np.array([o.e6 for o in new]),
     }
     return columns_old, columns_new
 
@@ -626,103 +158,16 @@ def test_stream_matches_stream_1_in_distribution(both_streams, statistic):
     assert p_value > KS_FLOOR, (statistic, p_value)
 
 
-# --- stream 4 against stream 3 ------------------------------------------------
-
-@pytest.fixture(scope="module", params=[2.0, 3.0], ids=["gamma2", "gamma3"])
-def streams_3_and_4(request):
-    gamma = request.param
-    plan, cfg, target = small_plan(), small_cfg(gamma=gamma), small_target()
-    old = [run_trial_v3(plan, cfg, target, i, 610 + int(gamma))
-           for i in range(N_TRIALS)]
-    new = [dict(zip(CSV_COLUMNS, run_trial(plan, cfg, target, i,
-                                           620 + int(gamma)).csv_row()))
-           for i in range(N_TRIALS)]
-    return ({c: np.array([float(t[c]) for t in old]) for c in CSV_COLUMNS},
-            {c: np.array([float(t[c]) for t in new]) for c in CSV_COLUMNS})
-
-
-@pytest.mark.parametrize("statistic", ["max_P_e", "max_eaves_rate_s2"])
-def test_stream_4_matches_stream_3_in_distribution(streams_3_and_4, statistic):
-    old, new = streams_3_and_4
-    # eavesdroppers are present in nearly every trial (mean count 5)
-    assert np.mean(old["max_P_e"] > 0) > 0.9 and np.mean(new["max_P_e"] > 0) > 0.9
-    _, p_value = stats.ks_2samp(old[statistic], new[statistic])
-    assert p_value > KS_FLOOR, (statistic, p_value)
-
-
-def test_stream_4_e6_rate_matches_stream_3(streams_3_and_4):
-    old, new = streams_3_and_4
-    fail_old = np.mean(old["E6"] == 0)
-    fail_new = np.mean(new["E6"] == 0)
+def test_e6_rate_matches_stream_1(both_streams):
+    # max_eaves_rate_s2 = log2(1 + max_P_e) is a monotone function of a
+    # column tested above; the E6 flag thresholds it
+    old, new = both_streams
+    fail_old = np.mean(~old["E6"])
+    fail_new = np.mean(~new["E6"])
+    assert fail_old > 0.01
     pooled = (fail_old + fail_new) / 2
     se = math.sqrt(max(pooled * (1 - pooled), 1.0 / N_TRIALS) * 2 / N_TRIALS)
     assert abs(fail_new - fail_old) < 5 * se, (fail_old, fail_new)
-
-
-INTEGER_COLUMNS = ["trial_index", "E1", "E2", "E3", "E4", "E5", "E6", "E7",
-                   "composite", "n_in_Bl", "n_in_Be"]
-
-
-def test_stream_4_without_eavesdroppers_is_stream_3():
-    # every draw up to the eavesdroppers' stage-1 links is shared, and the
-    # n_e exponentials come last, so with no eavesdropper the trials agree;
-    # stream 4 drew its trials as stream 5 does, kept here as its oracle
-    plan, target = small_plan(), small_target()
-    for gamma in (2.0, 3.0):
-        cfg = small_cfg(gamma=gamma, lambda_e=0.0)
-        for i in range(60):
-            old = run_trial_v3(plan, cfg, target, i, 17)
-            new = run_trial_v5_row(plan, cfg, target, i, 17)
-            assert [new[c] for c in INTEGER_COLUMNS] == [old[c] for c in INTEGER_COLUMNS]
-            for c in CSV_COLUMNS:
-                if c not in INTEGER_COLUMNS:
-                    assert float(new[c]) == pytest.approx(float(old[c]), rel=1e-12), c
-
-
-def test_stream_6_without_eavesdroppers_draws_stream_5():
-    # with no eavesdropper (and fewer relays than a kernel piece) stream 6
-    # draws what stream 5 drew: the counts, the relays, then the stage-1
-    # exponential.  The values differ only in the last bits of float32 per
-    # relay terms (the radius as sqrt(u)*a_l, not sqrt(u*a_l**2), and
-    # 1/d**2 by reciprocal, not power), so floats agree to 1e-6
-    plan, target = small_plan(), small_target()
-    for gamma in (2.0, 3.0):
-        cfg = small_cfg(gamma=gamma, lambda_e=0.0)
-        for i in range(60):
-            old = run_trial_v5_row(plan, cfg, target, i, 23)
-            new = dict(zip(CSV_COLUMNS, run_trial(plan, cfg, target, i, 23).csv_row()))
-            assert [new[c] for c in INTEGER_COLUMNS] == [old[c] for c in INTEGER_COLUMNS]
-            for c in CSV_COLUMNS:
-                if c not in INTEGER_COLUMNS:
-                    assert float(new[c]) == pytest.approx(float(old[c]), rel=1e-6), c
-
-
-# --- stream 6 against stream 5 ------------------------------------------------
-
-@pytest.fixture(scope="module", params=[2.0, 3.0], ids=["gamma2", "gamma3"])
-def streams_5_and_6(request):
-    # mu != 0.5, so that a dropped or doubled 2*mu changes the law
-    gamma = request.param
-    plan, target = small_plan(), small_target()
-    cfg = small_cfg(gamma=gamma, mu=0.8)
-    old = [run_trial_v5_row(plan, cfg, target, i, 950 + int(gamma))
-           for i in range(N_TRIALS)]
-    buf = _relay_buffer()
-    new = [dict(zip(CSV_COLUMNS, run_trial(plan, cfg, target, i,
-                                           960 + int(gamma), buf).csv_row()))
-           for i in range(N_TRIALS)]
-    return ({c: np.array([float(t[c]) for t in old]) for c in CSV_COLUMNS},
-            {c: np.array([float(t[c]) for t in new]) for c in CSV_COLUMNS})
-
-
-@pytest.mark.parametrize("statistic", ["min_relay_rate", "P_l", "max_P_e",
-                                       "max_eaves_rate_s2"])
-def test_stream_6_matches_stream_5_in_distribution(streams_5_and_6, statistic):
-    old, new = streams_5_and_6
-    # eavesdroppers are present in nearly every trial (mean count 5)
-    assert np.mean(old["max_P_e"] > 0) > 0.9 and np.mean(new["max_P_e"] > 0) > 0.9
-    _, p_value = stats.ks_2samp(old[statistic], new[statistic])
-    assert p_value > KS_FLOOR, (statistic, p_value)
 
 
 # --- lower-variance E6 estimate -----------------------------------------------
@@ -808,34 +253,78 @@ def test_float32_field_with_float64_reductions():
                                rtol=1e-15)
 
 
+INTEGER_COLUMNS = ["trial_index", "E1", "E2", "E3", "E4", "E5", "E6", "E7",
+                   "composite", "n_in_Bl", "n_in_Be"]
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_trial_without_eavesdroppers_replays_its_draws(gamma, monkeypatch):
+    # with no eavesdropper a trial draws the counts, the relays (three
+    # kernel pieces of 8, 8 and 4), then the stage-1 exponential; its CSV
+    # row against a float64 evaluation of those draws, exact in the
+    # integer columns
+    monkeypatch.setattr(montecarlo, "RELAY_PIECE", 8)
+    plan, target = small_plan(), small_target()
+    cfg = small_cfg(gamma=gamma, mu=0.8, lambda_e=0.0)
+    rate_s, p_t, mu = target.secure_rate, cfg.p_t, cfg.mu
+    for i in range(60):
+        rng = _trial_rng(23, i)
+        n_in_bl = int(rng.poisson(cfg.lambda_l * math.pi * plan.a_l ** 2))
+        assert rng.poisson(0.0) == 0
+        k = min(n_in_bl, plan.n_r)
+        u, turn, h2 = (v.astype(np.float64) for v in kernel_draws(rng, k, mu, 8))
+        r = plan.a_l * np.sqrt(u)
+        ang = 2.0 * math.pi * turn
+        s = math.fsum(h2 * ((r * np.cos(ang) - cfg.d_tr) ** 2
+                            + (r * np.sin(ang)) ** 2) ** (-gamma / 2))
+        min_gain = 2.0 * mu * rng.standard_exponential() / math.fsum(r ** gamma)
+        min_rate = math.log2(1.0 + p_t * min_gain)
+        e1 = n_in_bl >= plan.n_r
+        p_l, total = (p_t * s * s / k, p_t * s / k) if e1 else (0.0, 0.0)
+        rate_l = math.log2(1.0 + p_l) if e1 else 0.0
+        want = dict(zip(CSV_COLUMNS, [
+            i, int(e1), 1, int(min_rate >= rate_s * (1.0 + target.rho)), 1,
+            int(e1 and rate_l >= (1.0 + target.kappa) * rate_s), 1, 1,
+            int(e1 and min_rate >= rate_s and rate_l >= rate_s),
+            min_rate, 0.0, rate_l, 0.0, p_l, 0.0, total, n_in_bl, 0]))
+        got = dict(zip(CSV_COLUMNS, run_trial(plan, cfg, target, i, 23).csv_row()))
+        assert [got[c] for c in INTEGER_COLUMNS] == [want[c] for c in INTEGER_COLUMNS]
+        for c in CSV_COLUMNS:
+            if c not in INTEGER_COLUMNS:
+                assert float(got[c]) == pytest.approx(want[c], rel=1e-6), c
+
+
 @pytest.mark.parametrize("gamma", [2.0, 3.0])
 def test_relay_sums_float64_over_float32_field(gamma, monkeypatch):
     # the kernel's sums (rate, S and the eavesdropper sums T_j) against a
     # float64 evaluation of the same float32 draws, summed exactly (fsum);
     # 100 003 relays walk pieces of 2**15 and a shorter last one.
     # Eavesdroppers lie outside the relay disc, as the protected disc keeps
-    # them in a plan
+    # them in a plan.  A trial passes their coordinates in float64 and a
+    # theorem-4 chunk in float32, and the kernel's distances take that dtype
     monkeypatch.setattr(montecarlo, "RELAY_PIECE", 1 << 15)
     buf = _relay_buffer()
     cfg, a_l, k = small_cfg(gamma=gamma), 1.2, 100_003
     seeds = np.random.default_rng(int(gamma))
     radius = seeds.uniform(1.5, 6.0, 7)
     phase = seeds.uniform(0.0, 2.0 * math.pi, 7)
-    ex, ey = radius * np.cos(phase), radius * np.sin(phase)
-    rate, s, t = _relay_field(np.random.default_rng([int(gamma), 1]), 1, k,
-                              a_l, cfg, ex[None, :], ey[None, :], buf, True)
     u, turn, h2 = (v.astype(np.float64) for v in kernel_draws(
         np.random.default_rng([int(gamma), 1]), k, cfg.mu, 1 << 15))
     r = a_l * np.sqrt(u)
     ang = 2.0 * math.pi * turn
     x, y = r * np.cos(ang), r * np.sin(ang)
     gain = h2 * ((x - cfg.d_tr) ** 2 + y ** 2) ** (-gamma / 2)
-    want = [math.fsum(gain * ((x - a) ** 2 + (y - b) ** 2) ** (-gamma / 2))
-            for a, b in zip(ex, ey)]
-    assert t.shape == (1, 7) and rate.shape == s.shape == (1,)
-    np.testing.assert_allclose(t[0], want, rtol=1e-5)
-    assert s[0] == pytest.approx(math.fsum(gain), rel=1e-5)
-    assert rate[0] == pytest.approx(math.fsum(r ** gamma), rel=1e-5)
+    for dtype in (np.float64, np.float32):
+        ex, ey = (v.astype(dtype) for v in (radius * np.cos(phase),
+                                            radius * np.sin(phase)))
+        rate, s, t = _relay_field(np.random.default_rng([int(gamma), 1]), 1, k,
+                                  a_l, cfg, ex[None, :], ey[None, :], buf, True)
+        want = [math.fsum(gain * ((x - float(a)) ** 2 + (y - float(b)) ** 2)
+                          ** (-gamma / 2)) for a, b in zip(ex, ey)]
+        assert t.shape == (1, 7) and rate.shape == s.shape == (1,)
+        np.testing.assert_allclose(t[0], want, rtol=1e-5)
+        assert s[0] == pytest.approx(math.fsum(gain), rel=1e-5)
+        assert rate[0] == pytest.approx(math.fsum(r ** gamma), rel=1e-5)
     # without eavesdroppers: the same draws and sums, no T_j
     none = np.empty((1, 0))
     rate0, s0, t0 = _relay_field(np.random.default_rng([int(gamma), 1]), 1, k,
@@ -947,17 +436,25 @@ def sample_power_bounds_v1(plan, cfg, n_samples, rng, chunk_elems=1 << 22):
     return p_l, p_e
 
 
-@pytest.fixture(scope="module", params=[(1, 2.0), (16, 2.0), (1, 3.0), (16, 3.0)],
-                ids=["nr1-gamma2", "nr16-gamma2", "nr1-gamma3", "nr16-gamma3"])
+@pytest.fixture(scope="module",
+                params=[(1, 2.0, None), (16, 2.0, None), (1, 3.0, None),
+                        (16, 3.0, None), (300, 2.0, 64), (300, 3.0, 64)],
+                ids=["nr1-gamma2", "nr16-gamma2", "nr1-gamma3", "nr16-gamma3",
+                     "nr300-gamma2-pieces", "nr300-gamma3-pieces"])
 def both_bound_samplers(request):
     # mu != 0.5, so that a dropped or doubled 2*mu changes the law, and a
-    # relay disc half as wide as d_tr, so that the relay geometry does too
-    n_r, gamma = request.param
+    # relay disc half as wide as d_tr, so that the relay geometry does too;
+    # with a piece of 64 relay elements, n_r = 300 takes the path that
+    # walks one sample's relays in pieces (four of 64 and one of 44)
+    n_r, gamma, piece = request.param
     plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
     old = sample_power_bounds_v1(plan, cfg, N_TRIALS,
                                  np.random.default_rng([n_r, int(gamma), 71]))
-    new = _sample_power_bounds(plan, cfg, N_TRIALS,
-                               seed=7300 + 10 * n_r + int(gamma))
+    with pytest.MonkeyPatch.context() as mp:
+        if piece is not None:
+            mp.setattr(montecarlo, "RELAY_PIECE", piece)
+        new = _sample_power_bounds(plan, cfg, N_TRIALS,
+                                   seed=7300 + 10 * n_r + int(gamma))
     return old, new
 
 
@@ -967,238 +464,6 @@ def test_bound_sampler_matches_per_relay_fading(both_bound_samplers, power):
     k = ["P_l", "P_e"].index(power)
     _, p_value = stats.ks_2samp(old[k], new[k])
     assert p_value > KS_FLOOR, (power, p_value)
-
-
-# --- stream-4 theorem-4 oracle -------------------------------------------------
-# The stream-4 sampler verbatim but for its name, with its chunk constant.
-
-POWER_BOUNDS_CHUNK = 1 << 18
-
-
-def sample_power_bounds_v4(plan, cfg, n_samples, rng):
-    """Draws of P_l and P_e (normalized by p_t and p_t**2) for the bound
-    check: n_r relays uniform in the relay disc, one eavesdropper uniform on
-    the square but outside the protected disc, Rayleigh fading.
-
-    Per relay this takes only ``_relay_draws``, giving the gains
-    g_i = h_i**2 * d_rx,i**-gamma and P_l = (sum_i g_i)**2 / n_r.  Given those
-    and the eavesdropper's distances d_e,i, its received sum is
-    CN(0, 2*mu * sum_i g_i * d_e,i**-gamma), so P_e is drawn exactly as
-    2*mu * Exp(1) * sum_i g_i * d_e,i**-gamma / n_r, one exponential per
-    sample and no per-relay eavesdropper fading or phase.
-
-    Precision: per-relay values are float32, about 1e-7 relative each, far
-    below the gaps of the bounds; the sums over relays and the final
-    exponential are float64.
-    """
-    f32 = np.float32
-    g = f32(cfg.gamma)
-    side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
-    n_r = plan.n_r
-    p_l = np.empty(n_samples)
-    p_e = np.empty(n_samples)
-    rows = max(1, POWER_BOUNDS_CHUNK // n_r)
-    done = 0
-    while done < n_samples:
-        m = min(rows, n_samples - done)
-        r, ang, h2 = _relay_draws(rng, (m, n_r), cfg.mu)
-        np.sqrt(r, out=r)
-        r *= f32(plan.a_l)
-        ang *= f32(2.0 * math.pi)
-        x = np.cos(ang)
-        x *= r
-        y = np.sin(ang, out=ang)
-        y *= r
-        gain = x - f32(cfg.d_tr)  # d_rx**2, then d_rx**-gamma, then g_i
-        gain *= gain
-        np.multiply(y, y, out=r)  # r is free: reuse it as scratch
-        gain += r
-        gain **= -g / 2
-        gain *= h2
-        s = gain.sum(axis=1, dtype=np.float64)
-        p_l[done:done + m] = s * s / n_r
-        # one eavesdropper per realization, uniform outside the disc
-        ex = np.empty(m)
-        ey = np.empty(m)
-        need = np.arange(m)
-        while len(need):
-            cx = (rng.random(len(need)) - 0.5) * side
-            cy = (rng.random(len(need)) - 0.5) * side
-            ok = np.hypot(cx, cy) > plan.a_e
-            ex[need[ok]] = cx[ok]
-            ey[need[ok]] = cy[ok]
-            need = need[~ok]
-        x -= ex[:, None].astype(f32)  # d_e**2, then g_i * d_e**-gamma
-        x *= x
-        y -= ey[:, None].astype(f32)
-        y *= y
-        x += y
-        x **= -g / 2
-        x *= gain
-        t = x.sum(axis=1, dtype=np.float64)
-        p_e[done:done + m] = (2.0 * cfg.mu / n_r) * rng.standard_exponential(m) * t
-        done += m
-        # free all but x before the next draws, which reuse this memory; x
-        # keeps glibc from trimming the heap top (10x fewer page faults)
-        del r, ang, y, h2, gain
-    return p_l, p_e
-
-
-@pytest.fixture(scope="module",
-                params=[(1, 2.0, None), (16, 2.0, None), (1, 3.0, None),
-                        (16, 3.0, None), (300, 2.0, 64), (300, 3.0, 64)],
-                ids=["nr1-gamma2", "nr16-gamma2", "nr1-gamma3", "nr16-gamma3",
-                     "nr300-gamma2-pieces", "nr300-gamma3-pieces"])
-def bound_streams_4_and_5(request):
-    # with a chunk of 64 relay elements, n_r = 300 takes the path that walks
-    # one sample's relays in pieces (four of 64 and one of 44)
-    n_r, gamma, chunk = request.param
-    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
-    old = sample_power_bounds_v4(plan, cfg, N_TRIALS,
-                                 np.random.default_rng([n_r, int(gamma), 101]))
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:
-            mp.setattr(montecarlo, "RELAY_PIECE", chunk)
-        new = _sample_power_bounds(plan, cfg, N_TRIALS,
-                                   seed=10_300 + 10 * n_r + int(gamma))
-    return old, new
-
-
-@pytest.mark.parametrize("power", ["P_l", "P_e"])
-def test_bound_stream_5_matches_stream_4(bound_streams_4_and_5, power):
-    old, new = bound_streams_4_and_5
-    k = ["P_l", "P_e"].index(power)
-    _, p_value = stats.ks_2samp(old[k], new[k])
-    assert p_value > KS_FLOOR, (power, p_value)
-
-
-# --- stream-5 theorem-4 oracle ------------------------------------------------
-# The stream-5 chunk verbatim but for its name, with its chunk constant, and
-# its chunks taken in order on the calling thread: the threaded sampler's
-# output does not depend on the thread count (tested below).
-
-#: relay elements (samples x relays) per chunk of the theorem-4 sampler: one
-#: sample at the reference plan (n_r = 110446); a thread's five float32 rows
-#: of it take 2.5 MiB, small enough to stay in cache between passes
-POWER_BOUNDS_CHUNK_V5 = 1 << 17
-
-
-def power_bounds_chunk_v5(plan: Plan, cfg: NetworkConfig,
-                        rng: np.random.Generator, m: int, width: int,
-                        buf: np.ndarray):
-    """(P_l, P_e) of m samples drawn from ``rng``: first the m eavesdropper
-    positions, then the relays in pieces of ``width``, accumulating
-    sum_i g_i and sum_i g_i * d_e,i**-gamma in float64, then the m
-    exponentials of P_e.  ``buf`` is float32 scratch of at least
-    5 * m * width values."""
-    f32 = np.float32
-    e = -cfg.gamma / 2.0
-    n_r = plan.n_r
-    side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
-    # one eavesdropper per sample, uniform outside the disc
-    ex = np.empty(m)
-    ey = np.empty(m)
-    need = np.arange(m)
-    while len(need):
-        cx = (rng.random(len(need)) - 0.5) * side
-        cy = (rng.random(len(need)) - 0.5) * side
-        ok = np.hypot(cx, cy) > plan.a_e
-        ex[need[ok]] = cx[ok]
-        ey[need[ok]] = cy[ok]
-        need = need[~ok]
-    ex = ex[:, None].astype(f32)
-    ey = ey[:, None].astype(f32)
-    s = np.zeros(m)
-    t = np.zeros(m)
-    for start in range(0, n_r, width):
-        k = min(width, n_r - start)
-        block = buf[:5 * m * k].reshape(5, m, k)
-        r, ang, h2, x, gain = block
-        _relay_draws(rng, (m, k), cfg.mu, out=block[:3])
-        np.sqrt(r, out=r)
-        r *= f32(plan.a_l)
-        ang *= f32(2.0 * math.pi)
-        np.cos(ang, out=x)
-        x *= r
-        y = np.sin(ang, out=ang)
-        y *= r
-        # d_rx**2, then d_rx**-gamma, then g_i
-        np.subtract(x, f32(cfg.d_tr), out=gain)
-        gain *= gain
-        np.multiply(y, y, out=r)  # r is free: reuse it as scratch
-        gain += r
-        _neg_power(gain, e, out=gain)
-        gain *= h2
-        s += gain.sum(axis=1, dtype=np.float64)
-        x -= ex  # d_e**2, then g_i * d_e**-gamma
-        x *= x
-        y -= ey
-        y *= y
-        x += y
-        _neg_power(x, e, out=x)
-        x *= gain
-        t += x.sum(axis=1, dtype=np.float64)
-    p_e = rng.standard_exponential(m)
-    p_e *= (2.0 * cfg.mu / n_r) * t
-    return s * s / n_r, p_e
-
-
-def sample_power_bounds_v5(plan, cfg, n_samples, seed):
-    """The stream-5 theorem-4 samples: chunk c from ``[seed, 1, c]``."""
-    n_r = plan.n_r
-    rows = max(1, POWER_BOUNDS_CHUNK_V5 // n_r)
-    width = min(n_r, POWER_BOUNDS_CHUNK_V5)
-    buf = np.empty(5 * rows * width, dtype=np.float32)
-    parts = [power_bounds_chunk_v5(plan, cfg, np.random.default_rng([seed, 1, c]),
-                                   min(rows, n_samples - lo), width, buf)
-             for c, lo in enumerate(range(0, n_samples, rows))]
-    return tuple(np.concatenate(v) for v in zip(*parts))
-
-
-BOUND_CASES = [(1, 2.0, None), (16, 2.0, None), (1, 3.0, None),
-               (16, 3.0, None), (300, 2.0, 64), (300, 3.0, 64)]
-BOUND_IDS = ["nr1-gamma2", "nr16-gamma2", "nr1-gamma3", "nr16-gamma3",
-             "nr300-gamma2-pieces", "nr300-gamma3-pieces"]
-
-
-@pytest.fixture(scope="module", params=BOUND_CASES, ids=BOUND_IDS)
-def bound_streams_5_and_6(request):
-    # with a piece of 64 relay elements, n_r = 300 takes the path that
-    # walks one sample's relays in pieces (four of 64 and one of 44)
-    n_r, gamma, chunk = request.param
-    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:
-            mp.setattr(sys.modules[__name__], "POWER_BOUNDS_CHUNK_V5", chunk)
-            mp.setattr(montecarlo, "RELAY_PIECE", chunk)
-        old = sample_power_bounds_v5(plan, cfg, N_TRIALS,
-                                     seed=11_900 + 10 * n_r + int(gamma))
-        new = _sample_power_bounds(plan, cfg, N_TRIALS,
-                                   seed=12_900 + 10 * n_r + int(gamma))
-    return old, new
-
-
-@pytest.mark.parametrize("power", ["P_l", "P_e"])
-def test_bound_stream_6_matches_stream_5(bound_streams_5_and_6, power):
-    old, new = bound_streams_5_and_6
-    k = ["P_l", "P_e"].index(power)
-    _, p_value = stats.ks_2samp(old[k], new[k])
-    assert p_value > KS_FLOOR, (power, p_value)
-
-
-@pytest.mark.parametrize("case", BOUND_CASES, ids=BOUND_IDS)
-def test_bound_stream_6_draws_stream_5(monkeypatch, case):
-    # the kernel draws and reduces each theorem-4 chunk as stream 5 did,
-    # with the same float32 operations: the samples are the same bytes
-    n_r, gamma, chunk = case
-    if chunk is not None:
-        monkeypatch.setattr(sys.modules[__name__], "POWER_BOUNDS_CHUNK_V5", chunk)
-        monkeypatch.setattr(montecarlo, "RELAY_PIECE", chunk)
-    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
-    old = sample_power_bounds_v5(plan, cfg, 50, seed=61)
-    new = _sample_power_bounds(plan, cfg, 50, seed=61)
-    for a, b in zip(old, new):
-        assert a.tobytes() == b.tobytes()
 
 
 class CountingThread(threading.Thread):
@@ -1318,33 +583,14 @@ def sample_powers_nopath_v1(mu: float, n_r: int, n_samples: int,
 
 @pytest.mark.parametrize("n_r", [1, 3, 16])
 @pytest.mark.parametrize("mu", [0.5, 1.3])
-def test_nopath_sampler_matches_per_relay_draws(n_r, mu):
-    seed = [n_r, int(10 * mu)]
-    old = sample_powers_nopath_v1(mu, n_r, N_TRIALS, np.random.default_rng([*seed, 89]))
-    new = _sample_powers_nopath(mu, n_r, N_TRIALS, np.random.default_rng([*seed, 97]))
-    for power, a, b in zip(["P_l", "P_e"], old, new):
-        _, p_value = stats.ks_2samp(a, b)
-        assert p_value > KS_FLOOR, (power, p_value)
-
-
-# --- stream 7 against stream 6: verify moments in chunks -----------------------
-
-def verify_moments_draws_v6(mu: float, n_r: int, n_samples: int, seed: int):
-    """Stream-6 draws of ``verify_moments``: every sample from one
-    generator, in one call of the sampler."""
-    rng = np.random.default_rng([seed, 0])
-    p_l, p_e = _sample_powers_nopath(mu, n_r, n_samples, rng)
-    return p_l, p_e
-
-
-@pytest.mark.parametrize("n_r", [1, 3, 16])
-@pytest.mark.parametrize("mu", [0.5, 1.3])
-def test_nopath_stream_7_matches_stream_6(monkeypatch, n_r, mu):
-    # chunks of 300 samples, so the 4000 draws cross 13 chunk boundaries
+def test_nopath_sampler_matches_per_relay_draws(monkeypatch, n_r, mu):
+    # the draws of verify moments in chunks of 300 samples, so the 4000
+    # draws cross 13 chunk boundaries
     monkeypatch.setattr(montecarlo, "MOMENT_CHUNK", 300)
-    seed = 7000 + 100 * n_r + int(10 * mu)
-    old = verify_moments_draws_v6(mu, n_r, N_TRIALS, seed)
-    chunks = list(montecarlo._nopath_chunks(mu, n_r, N_TRIALS, seed + 50))
+    old = sample_powers_nopath_v1(mu, n_r, N_TRIALS,
+                                  np.random.default_rng([n_r, int(10 * mu), 89]))
+    chunks = list(montecarlo._nopath_chunks(mu, n_r, N_TRIALS,
+                                            7050 + 100 * n_r + int(10 * mu)))
     assert len(chunks) == 14
     new = [np.concatenate(x) for x in zip(*chunks)]
     for power, a, b in zip(["P_l", "P_e"], old, new):
