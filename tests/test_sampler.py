@@ -20,6 +20,12 @@ circular Gaussians, the float32 exponential, and the E6 failure
 probability given the relay field.  Where values can be compared, float64
 evaluations of a sampler's own draws check it: the kernel's relay sums, a
 large trial, and trials without eavesdroppers.
+
+Two comparisons with older streams remain.  The stream-5 theorem-4 chunk
+(``sample_power_bounds_v5``) is kept verbatim: the current sampler draws
+the same bytes and so agrees with it in distribution.  The stream-6 draws
+of ``verify moments``, every sample in one call of
+``_sample_powers_nopath``, agree in distribution with the stream-7 chunks.
 """
 
 import math
@@ -33,12 +39,14 @@ import pytest
 from scipy import stats
 
 from secbeam import montecarlo
-from secbeam.montecarlo import (CSV_COLUMNS, _exponential_f32, _relay_buffer,
-                                _relay_draws, _relay_field,
+from secbeam.montecarlo import (CSV_COLUMNS, _exponential_f32, _neg_power,
+                                _relay_buffer, _relay_draws, _relay_field,
                                 _sample_power_bounds, _sample_powers_nopath,
                                 _trial_rng, draw_min_gain, estimate_outage,
                                 run_trial, sample_realization)
 from secbeam.beamform import received_powers
+from secbeam.geometry import NetworkConfig
+from secbeam.planner import Plan
 
 from test_montecarlo import small_cfg, small_plan, small_target
 
@@ -466,6 +474,138 @@ def test_bound_sampler_matches_per_relay_fading(both_bound_samplers, power):
     assert p_value > KS_FLOOR, (power, p_value)
 
 
+
+
+# --- stream-5 theorem-4 oracle ------------------------------------------------
+# The stream-5 chunk verbatim but for its name, with its chunk constant, and
+# its chunks taken in order on the calling thread: the threaded sampler's
+# output does not depend on the thread count (tested below).
+
+#: relay elements (samples x relays) per chunk of the theorem-4 sampler: one
+#: sample at the reference plan (n_r = 110446); a thread's five float32 rows
+#: of it take 2.5 MiB, small enough to stay in cache between passes
+POWER_BOUNDS_CHUNK_V5 = 1 << 17
+
+
+def power_bounds_chunk_v5(plan: Plan, cfg: NetworkConfig,
+                        rng: np.random.Generator, m: int, width: int,
+                        buf: np.ndarray):
+    """(P_l, P_e) of m samples drawn from ``rng``: first the m eavesdropper
+    positions, then the relays in pieces of ``width``, accumulating
+    sum_i g_i and sum_i g_i * d_e,i**-gamma in float64, then the m
+    exponentials of P_e.  ``buf`` is float32 scratch of at least
+    5 * m * width values."""
+    f32 = np.float32
+    e = -cfg.gamma / 2.0
+    n_r = plan.n_r
+    side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
+    # one eavesdropper per sample, uniform outside the disc
+    ex = np.empty(m)
+    ey = np.empty(m)
+    need = np.arange(m)
+    while len(need):
+        cx = (rng.random(len(need)) - 0.5) * side
+        cy = (rng.random(len(need)) - 0.5) * side
+        ok = np.hypot(cx, cy) > plan.a_e
+        ex[need[ok]] = cx[ok]
+        ey[need[ok]] = cy[ok]
+        need = need[~ok]
+    ex = ex[:, None].astype(f32)
+    ey = ey[:, None].astype(f32)
+    s = np.zeros(m)
+    t = np.zeros(m)
+    for start in range(0, n_r, width):
+        k = min(width, n_r - start)
+        block = buf[:5 * m * k].reshape(5, m, k)
+        r, ang, h2, x, gain = block
+        _relay_draws(rng, (m, k), cfg.mu, out=block[:3])
+        np.sqrt(r, out=r)
+        r *= f32(plan.a_l)
+        ang *= f32(2.0 * math.pi)
+        np.cos(ang, out=x)
+        x *= r
+        y = np.sin(ang, out=ang)
+        y *= r
+        # d_rx**2, then d_rx**-gamma, then g_i
+        np.subtract(x, f32(cfg.d_tr), out=gain)
+        gain *= gain
+        np.multiply(y, y, out=r)  # r is free: reuse it as scratch
+        gain += r
+        _neg_power(gain, e, out=gain)
+        gain *= h2
+        s += gain.sum(axis=1, dtype=np.float64)
+        x -= ex  # d_e**2, then g_i * d_e**-gamma
+        x *= x
+        y -= ey
+        y *= y
+        x += y
+        _neg_power(x, e, out=x)
+        x *= gain
+        t += x.sum(axis=1, dtype=np.float64)
+    p_e = rng.standard_exponential(m)
+    p_e *= (2.0 * cfg.mu / n_r) * t
+    return s * s / n_r, p_e
+
+
+def sample_power_bounds_v5(plan, cfg, n_samples, seed):
+    """The stream-5 theorem-4 samples: chunk c from ``[seed, 1, c]``."""
+    n_r = plan.n_r
+    rows = max(1, POWER_BOUNDS_CHUNK_V5 // n_r)
+    width = min(n_r, POWER_BOUNDS_CHUNK_V5)
+    buf = np.empty(5 * rows * width, dtype=np.float32)
+    parts = [power_bounds_chunk_v5(plan, cfg, np.random.default_rng([seed, 1, c]),
+                                   min(rows, n_samples - lo), width, buf)
+             for c, lo in enumerate(range(0, n_samples, rows))]
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
+BOUND_CASES = [(1, 2.0, None), (16, 2.0, None), (1, 3.0, None),
+               (16, 3.0, None), (300, 2.0, 64), (300, 3.0, 64)]
+BOUND_IDS = ["nr1-gamma2", "nr16-gamma2", "nr1-gamma3", "nr16-gamma3",
+             "nr300-gamma2-pieces", "nr300-gamma3-pieces"]
+
+
+@pytest.fixture(scope="module", params=BOUND_CASES, ids=BOUND_IDS)
+def bound_streams_5_and_6(request):
+    # with a piece of 64 relay elements, n_r = 300 takes the path that
+    # walks one sample's relays in pieces (four of 64 and one of 44)
+    n_r, gamma, chunk = request.param
+    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(sys.modules[__name__], "POWER_BOUNDS_CHUNK_V5", chunk)
+            mp.setattr(montecarlo, "RELAY_PIECE", chunk)
+        old = sample_power_bounds_v5(plan, cfg, N_TRIALS,
+                                     seed=11_900 + 10 * n_r + int(gamma))
+        new = _sample_power_bounds(plan, cfg, N_TRIALS,
+                                   seed=12_900 + 10 * n_r + int(gamma))
+    return old, new
+
+
+@pytest.mark.parametrize("power", ["P_l", "P_e"])
+def test_bound_stream_6_matches_stream_5(bound_streams_5_and_6, power):
+    old, new = bound_streams_5_and_6
+    k = ["P_l", "P_e"].index(power)
+    _, p_value = stats.ks_2samp(old[k], new[k])
+    assert p_value > KS_FLOOR, (power, p_value)
+
+
+@pytest.mark.parametrize("case", BOUND_CASES, ids=BOUND_IDS)
+def test_bound_stream_6_draws_stream_5(monkeypatch, case):
+    # the kernel draws and reduces each theorem-4 chunk as stream 5 did,
+    # with the same float32 operations: the samples are the same bytes
+    n_r, gamma, chunk = case
+    if chunk is not None:
+        monkeypatch.setattr(sys.modules[__name__], "POWER_BOUNDS_CHUNK_V5", chunk)
+        monkeypatch.setattr(montecarlo, "RELAY_PIECE", chunk)
+    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
+    old = sample_power_bounds_v5(plan, cfg, 50, seed=61)
+    new = _sample_power_bounds(plan, cfg, 50, seed=61)
+    for a, b in zip(old, new):
+        assert a.tobytes() == b.tobytes()
+
+
+
 class CountingThread(threading.Thread):
     started = 0
 
@@ -591,6 +731,26 @@ def test_nopath_sampler_matches_per_relay_draws(monkeypatch, n_r, mu):
                                   np.random.default_rng([n_r, int(10 * mu), 89]))
     chunks = list(montecarlo._nopath_chunks(mu, n_r, N_TRIALS,
                                             7050 + 100 * n_r + int(10 * mu)))
+    assert len(chunks) == 14
+    new = [np.concatenate(x) for x in zip(*chunks)]
+    for power, a, b in zip(["P_l", "P_e"], old, new):
+        assert len(b) == N_TRIALS
+        _, p_value = stats.ks_2samp(a, b)
+        assert p_value > KS_FLOOR, (power, p_value)
+
+
+# --- stream 7 against stream 6: verify moments in chunks -----------------------
+
+@pytest.mark.parametrize("n_r", [1, 3, 16])
+@pytest.mark.parametrize("mu", [0.5, 1.3])
+def test_nopath_stream_7_matches_stream_6(monkeypatch, n_r, mu):
+    # stream 6 drew every sample of verify moments from one generator, in
+    # one call of the sampler; stream 7 draws chunks of 300 samples here,
+    # so the 4000 draws cross 13 chunk boundaries
+    monkeypatch.setattr(montecarlo, "MOMENT_CHUNK", 300)
+    seed = 7000 + 100 * n_r + int(10 * mu)
+    old = _sample_powers_nopath(mu, n_r, N_TRIALS, np.random.default_rng([seed, 0]))
+    chunks = list(montecarlo._nopath_chunks(mu, n_r, N_TRIALS, seed + 50))
     assert len(chunks) == 14
     new = [np.concatenate(x) for x in zip(*chunks)]
     for power, a, b in zip(["P_l", "P_e"], old, new):
