@@ -32,6 +32,11 @@ from . import montecarlo
 from . import moments
 
 
+class Refusal(Exception):
+    """A command refuses its input; carries the one line ``main`` prints to
+    stderr before it exits 2."""
+
+
 def _manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> dict:
     return {
         "command": command,
@@ -62,54 +67,48 @@ def _build_config(args, p: planner.Plan) -> NetworkConfig:
 
 
 def _planning_inputs(args):
-    target = planner.SecrecyTarget(secure_rate=args.rate, outage=args.outage,
-                                   rho=args.rho, kappa=args.kappa)
-    # planning reads only the physical constants; densities are attached after
-    probe = NetworkConfig(p_t=args.power, mu=args.mu, gamma=args.gamma,
-                          d_tr=args.dtr, lambda_l=1.0, lambda_e=0.0, n_legit=1)
+    """The physical constants and target of ``args``.  Every physics flag
+    takes its domain from NetworkConfig or SecrecyTarget alone: Refusal
+    when one lies outside it."""
+    # planning reads only the physical constants; densities are attached
+    # after, but sweep's --lambda-l is checked as NetworkConfig checks it
+    lambda_l = getattr(args, "lambda_l", None)
+    try:
+        target = planner.SecrecyTarget(secure_rate=args.rate, outage=args.outage,
+                                       rho=args.rho, kappa=args.kappa)
+        probe = NetworkConfig(p_t=args.power, mu=args.mu, gamma=args.gamma,
+                              d_tr=args.dtr, n_legit=1, lambda_e=0.0,
+                              lambda_l=1.0 if lambda_l is None else lambda_l)
+    except ValueError as exc:
+        raise Refusal(f"bad input: {exc}") from None
     return probe, target
-
-
-def _print_validation(checks) -> bool:
-    all_ok = True
-    for c in checks:
-        status = "ok" if c.satisfied else "VIOLATED"
-        print(f"  {c.name:26s} {status:8s} margin={c.margin:.6g}")
-        all_ok &= c.satisfied
-    return all_ok
 
 
 def _open_outputs(stack: contextlib.ExitStack, paths):
     """Open every requested output path (None: not requested) on ``stack``
     before any work, so a bad path costs no run.  Returns the files (None
-    for the unrequested), or None after printing why one cannot be
-    written."""
+    for the unrequested); Refusal when one cannot be written."""
     try:
         return [stack.enter_context(planner.open_output(path)) if path else None
                 for path in paths]
     except OSError as exc:
-        print(f"cannot write {exc.filename}: {exc}", file=sys.stderr)
-        return None
+        raise Refusal(f"cannot write {exc.filename}: {exc}") from None
 
 
 def cmd_plan(args) -> int:
+    probe, target = _planning_inputs(args)
     # the output opens before planning; a file it created is removed again
     # when the target is infeasible, and an existing one is left as it was
     created = bool(args.out) and not os.path.lexists(args.out)
     with contextlib.ExitStack() as stack:
-        opened = _open_outputs(stack, [args.out])
-        if opened is None:
-            return 2
-        out_fh, = opened
-        probe, target = _planning_inputs(args)
+        out_fh, = _open_outputs(stack, [args.out])
         try:
             p = planner.plan(probe, target)
             cfg = _build_config(args, p)
         except planner.InfeasiblePlanError as exc:
-            print(f"infeasible: {exc}", file=sys.stderr)
             if created:
                 os.remove(args.out)
-            return 2
+            raise Refusal(f"infeasible: {exc}") from None
         # the plan is written before anything is printed, so a reader that
         # closes stdout early (``| head -1``) cannot leave the file empty
         if out_fh:
@@ -118,58 +117,45 @@ def cmd_plan(args) -> int:
     print(f"mode={p.mode}  n_r={p.n_r}  a_l={p.a_l:.6g}  a_e={p.a_e:.6g}")
     print(f"lambda_l_min={p.lambda_l_min:.6g}  lambda_e_max={p.lambda_e_max:.6g}  "
           f"n_e_max={p.n_e_max}  eta={p.eta:.6g}  nu={p.nu:.6g}")
-    ok = _print_validation(planner.validate_plan(cfg, target, p))
+    # plan() refuses a target whose plan fails any of these checks
+    for c in planner.validate_plan(cfg, target, p):
+        print(f"  {c.name:26s} {'ok':8s} margin={c.margin:.6g}")
     if args.out:
         print(f"wrote {args.out}")
-    return 0 if ok else 2
+    return 0
 
 
 def _load_checked_plan(path):
-    """Load a plan file and rerun validate_plan on it.
-
-    Returns (cfg, target, plan), or None after printing why the file is
-    unusable: unreadable, malformed, or violating a design constraint.
-    """
+    """Load a plan file and rerun validate_plan on it; returns (cfg,
+    target, plan).  Refusal when the file is unreadable, malformed,
+    violates a design constraint or holds a direct-mode plan."""
     try:
         cfg, target, p = planner.load_plan(path)
         checks = planner.validate_plan(cfg, target, p)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
-        print(f"cannot load plan: {exc}", file=sys.stderr)
-        return None
-    violated = [c for c in checks if not c.satisfied]
-    for c in violated:
-        print(f"plan violates {c.name}: margin={c.margin:.6g}", file=sys.stderr)
-    return None if violated else (cfg, target, p)
+        raise Refusal(f"cannot load plan: {exc}") from None
+    violated = [f"{c.name}: margin={c.margin:.6g}" for c in checks if not c.satisfied]
+    if violated:
+        raise Refusal("plan violates " + ", ".join(violated))
+    if p.mode != "beamforming":
+        raise Refusal("cannot use a direct-mode plan: the receiver is within "
+                      "2*a_l of the transmitter, so no relay beamforms")
+    return cfg, target, p
 
 
 def cmd_simulate(args) -> int:
-    loaded = _load_checked_plan(args.plan)
-    if loaded is None:
-        return 2
-    cfg, target, p = loaded
-    if p.mode != "beamforming":
-        print("cannot simulate a direct-mode plan: the receiver is within "
-              "2*a_l of the transmitter, so no relay beamforms",
-              file=sys.stderr)
-        return 2
+    cfg, target, p = _load_checked_plan(args.plan)
     if 2.0 * p.a_l > cfg.side:
-        print(f"cannot simulate: the relay disc (diameter {2.0 * p.a_l:.6g}) "
-              f"does not fit inside the network square (side {cfg.side:.6g})",
-              file=sys.stderr)
-        return 2
+        raise Refusal(f"cannot simulate: the relay disc (diameter {2.0 * p.a_l:.6g}) "
+                      f"does not fit inside the network square (side {cfg.side:.6g})")
     mean_bl, mean_e = montecarlo.expected_counts(p, cfg)
     if not (mean_bl <= montecarlo.POISSON_MEAN_MAX
             and mean_e <= montecarlo.POISSON_MEAN_MAX):  # NaN fails too
-        print(f"cannot simulate: a trial expects {mean_bl:.6g} nodes in the "
-              f"relay disc and {mean_e:.6g} eavesdroppers, and a Poisson "
-              f"count takes means up to {montecarlo.POISSON_MEAN_MAX:.6g}",
-              file=sys.stderr)
-        return 2
+        raise Refusal(f"cannot simulate: a trial expects {mean_bl:.6g} nodes in the "
+                      f"relay disc and {mean_e:.6g} eavesdroppers, and a Poisson "
+                      f"count takes means up to {montecarlo.POISSON_MEAN_MAX:.6g}")
     with contextlib.ExitStack() as stack:
-        opened = _open_outputs(stack, [args.csv, args.json])
-        if opened is None:
-            return 2
-        csv_fh, json_fh = opened
+        csv_fh, json_fh = _open_outputs(stack, [args.csv, args.json])
         collect = montecarlo.csv_row_writer(csv_fh) if csv_fh else None
         try:
             report = montecarlo.estimate_outage(p, cfg, target, args.trials,
@@ -179,8 +165,7 @@ def cmd_simulate(args) -> int:
             # eavesdropper arrays grow with the count; the CSV keeps the
             # trials that finished, without an old tail
             planner.cut_tail(csv_fh)
-            print(f"cannot simulate n_r={p.n_r} relays: {exc}", file=sys.stderr)
-            return 2
+            raise Refusal(f"cannot simulate n_r={p.n_r} relays: {exc}") from None
         planner.cut_tail(csv_fh)
         doc = report.to_dict()
         doc["manifest"] = _manifest("simulate", args,
@@ -206,29 +191,38 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.what in ("moments", "theorem4") and args.samples < 2:
-        print(f"verify {args.what} needs --samples >= 2 for a sample "
-              f"variance, got {args.samples}", file=sys.stderr)
-        return 2
+        raise Refusal(f"verify {args.what} needs --samples >= 2 for a sample "
+                      f"variance, got {args.samples}")
     try:
         failures = _verify(args)
     except MemoryError as exc:
         # moments and theorem4 hold one chunk or batch of samples whatever
         # --samples; lemmas holds --samples / --instances per instance
-        print(f"cannot verify {args.what} with {args.samples} samples: {exc}",
-              file=sys.stderr)
-        return 2
-    if failures is None:
-        return 2
+        raise Refusal(f"cannot verify {args.what} with {args.samples} "
+                      f"samples: {exc}") from None
     for f in failures:
         print(f"  FAIL {f}", file=sys.stderr)
     return 0 if not failures else 1
 
 
+def _closed_forms_usable(mu: float, n_r: int) -> bool:
+    """Whether every closed form ``verify moments`` compares against is a
+    finite positive float at (mu, n_r)."""
+    try:
+        closed = (moments.mean_pl_nopath(n_r, mu), moments.var_pl_nopath(n_r, mu),
+                  moments.mean_pe_nopath(mu), moments.var_pe_nopath(n_r, mu))
+    except (ValueError, OverflowError):  # mu outside (0, inf), or overflow
+        return False
+    return all(0 < c < math.inf for c in closed)  # NaN fails too
+
+
 def _verify(args):
-    """Run the checks of ``verify``; returns the failure lines, or None
-    after printing why the plan cannot be used."""
+    """Run the checks of ``verify``; returns the failure lines."""
     failures = []
     if args.what == "moments":
+        if not _closed_forms_usable(args.mu, args.nr):
+            raise Refusal(f"cannot verify moments at mu={args.mu}, n_r={args.nr}: "
+                          "a closed-form moment is not a finite positive float")
         checks = montecarlo.verify_moments(args.mu, args.nr, args.samples, args.seed)
         for c in checks:
             z = c.z_score
@@ -238,15 +232,9 @@ def _verify(args):
             if not abs(z) < 5.0:  # a NaN z-score fails too
                 failures.append(f"{c.name} z={z:+.2f}")
     elif args.what == "theorem4":
-        loaded = _load_checked_plan(args.plan)
-        if loaded is None:
-            return None
-        cfg, _target, p = loaded
-        if p.mode != "beamforming":
-            print("cannot verify theorem4 on a direct-mode plan: the receiver "
-                  "is within 2*a_l of the transmitter, so no relay beamforms",
-                  file=sys.stderr)
-            return None
+        if not args.plan:
+            raise Refusal("verify theorem4 requires --plan")
+        cfg, _target, p = _load_checked_plan(args.plan)
         checks = montecarlo.verify_power_bounds(p, cfg, args.samples, args.seed)
         for c in checks:
             ok = c.margin_se > -5.0  # broken beyond 5 SE, one-sided; NaN fails
@@ -327,46 +315,44 @@ def _grid(lo: float, hi: float, steps: int, log: bool):
 
 
 def cmd_sweep(args) -> int:
-    swept = [name for name in SWEEPABLE
-             if isinstance(getattr(args, name), str) and ":" in getattr(args, name)]
+    # a flag's text that is not a number is the range (_number_or_range)
+    swept = [name for name in SWEEPABLE if isinstance(getattr(args, name), str)]
     if len(swept) != 1:
-        print("exactly one flag must carry a lo:hi:steps range", file=sys.stderr)
-        return 2
-    name = swept[0]
+        texts = ", ".join("--" + n.replace("_", "-") for n in swept) or "none"
+        raise Refusal("exactly one flag must carry a lo:hi:steps range, and "
+                      f"every other a number; not numbers: {texts}")
+    name, = swept
+    text = getattr(args, name)
     try:
-        grid = _parse_range(getattr(args, name), args.log)
+        grid = _parse_range(text, args.log)
     except ValueError as exc:
-        print(f"bad range: {exc}", file=sys.stderr)
-        return 2
+        raise Refusal(f"bad range: {exc}") from None
+    # every grid value lies between the endpoints and every domain is an
+    # interval, so checking both endpoints checks each row before the first
+    for end in text.split(":")[:2]:
+        _planning_inputs(argparse.Namespace(**vars(args) | {name: float(end)}))
 
     header = [name, "feasible", "mode", "n_r", "a_l", "a_e", "lambda_l_min",
               "lambda_e_max", "n_e_max", "eta", "nu"]
     with contextlib.ExitStack() as stack:
-        opened = _open_outputs(stack, [args.out])
-        if opened is None:
-            return 2
-        writer = csv.writer(opened[0] or sys.stdout)
+        out_fh, = _open_outputs(stack, [args.out])
+        writer = csv.writer(out_fh or sys.stdout)
         writer.writerow(header)
         n_rows = 0
         for value in grid:
             writer.writerow(_sweep_row(args, name, value))
             n_rows += 1
-        planner.cut_tail(opened[0])
+        planner.cut_tail(out_fh)
     if args.out:
         print(f"wrote {args.out} ({n_rows} rows)")
     return 0
 
 
 def _sweep_row(args, name: str, value: float) -> list:
-    ns = argparse.Namespace(**vars(args))
     # a Python float, as from the command line: a numpy grid value would
     # carry numpy arithmetic into the planner, where n_r > nr_bound then
     # compares an n_r above 2**53 as a float
-    setattr(ns, name, float(value))
-    for attr in SWEEPABLE:
-        v = getattr(ns, attr)
-        if isinstance(v, str):
-            setattr(ns, attr, float(v))
+    ns = argparse.Namespace(**vars(args) | {name: float(value)})
     probe, target = _planning_inputs(ns)
     try:
         p = planner.plan(probe, target)
@@ -386,13 +372,11 @@ def _cell(x) -> str:
     return repr(float(x))
 
 
-def _positive(kind):
-    def convert(text):
-        value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return value
-    return convert
+def _positive(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _non_negative(text):
@@ -402,27 +386,29 @@ def _non_negative(text):
     return value
 
 
-def _outage(text):
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"outage must be in (0, 1), got {text}")
-    return value
+def _number_or_range(text):
+    """A sweepable flag's value: a float, or its text when that is not a
+    number, as a ``lo:hi:steps`` range is not."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
-def _add_target_flags(sub, sweep: bool = False):
-    num = str if sweep else _positive(float)
-    out = str if sweep else _outage
-    sub.add_argument("--rate", required=True, type=num,
+def _add_target_flags(sub, value):
+    """The target and physics flags, those that sweep can range over parsed
+    by ``value``; ``_planning_inputs`` checks their domains."""
+    sub.add_argument("--rate", required=True, type=value,
                      help="target secure rate, bits/use")
-    sub.add_argument("--outage", required=True, type=out,
+    sub.add_argument("--outage", required=True, type=value,
                      help="target outage level in (0, 1)")
-    sub.add_argument("--rho", type=_positive(float), default=1.0)
-    sub.add_argument("--kappa", type=_positive(float), default=1.0)
-    sub.add_argument("--power", type=num if sweep else _positive(float), default=1.0)
-    sub.add_argument("--mu", type=num if sweep else _positive(float), default=0.5)
-    sub.add_argument("--gamma", type=num if sweep else _positive(float), default=2.0)
-    sub.add_argument("--dtr", type=num if sweep else _positive(float), default=5.0)
-    sub.add_argument("--nlegit", type=_positive(int), default=None)
+    sub.add_argument("--rho", type=float, default=1.0)
+    sub.add_argument("--kappa", type=float, default=1.0)
+    sub.add_argument("--power", type=value, default=1.0)
+    sub.add_argument("--mu", type=value, default=0.5)
+    sub.add_argument("--gamma", type=value, default=2.0)
+    sub.add_argument("--dtr", type=value, default=5.0)
+    sub.add_argument("--nlegit", type=_positive, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,28 +419,28 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("plan", help="evaluate the design pipeline")
-    _add_target_flags(sp)
+    _add_target_flags(sp, float)
     sp.add_argument("--out", default=None, help="write the plan JSON here")
 
     ss = subs.add_parser("simulate", help="Monte Carlo outage estimation")
     ss.add_argument("--plan", required=True)
-    ss.add_argument("--trials", required=True, type=_positive(int))
+    ss.add_argument("--trials", required=True, type=_positive)
     ss.add_argument("--seed", type=_non_negative, default=0)
     ss.add_argument("--csv", default=None, help="per-trial CSV path")
     ss.add_argument("--json", default=None, help="summary JSON path")
 
     sv = subs.add_parser("verify", help="moment / bound spot checks")
     sv.add_argument("what", choices=["moments", "theorem4", "lemmas"])
-    sv.add_argument("--mu", type=_positive(float), default=0.5)
-    sv.add_argument("--nr", type=_positive(int), default=1)
-    sv.add_argument("--samples", type=_positive(int), default=100_000)
+    sv.add_argument("--mu", type=float, default=0.5)
+    sv.add_argument("--nr", type=_positive, default=1)
+    sv.add_argument("--samples", type=_positive, default=100_000)
     sv.add_argument("--seed", type=_non_negative, default=0)
     sv.add_argument("--plan", default=None, help="plan JSON (theorem4 only)")
-    sv.add_argument("--instances", type=_positive(int), default=200,
+    sv.add_argument("--instances", type=_positive, default=200,
                     help="random instances (lemmas only)")
 
     sw = subs.add_parser("sweep", help="plan over a one-parameter grid")
-    _add_target_flags(sw, sweep=True)
+    _add_target_flags(sw, _number_or_range)
     sw.add_argument("--lambda-l", dest="lambda_l", default=None,
                     help="legitimate density (sweepable)")
     sw.add_argument("--log", action="store_true", help="geometric grid spacing")
@@ -467,15 +453,15 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.what == "theorem4" and not args.plan:
-        parser.error("verify theorem4 requires --plan")
+    args = _parser().parse_args(argv)
     try:
         # looked up by name at each call, so a wrapper swapped in for a
         # cmd_* function after the parser was built is the one that runs
         code = globals()["cmd_" + args.command](args)
         sys.stdout.flush()
+    except Refusal as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader closed stdout (``| head``): send what is left to
         # devnull, so the flush at exit cannot raise again

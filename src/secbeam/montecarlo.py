@@ -575,7 +575,10 @@ class MomentCheck:
 
     @property
     def z_score(self) -> float:
-        return (self.estimate - self.closed_form) / self.std_err
+        gap = self.estimate - self.closed_form
+        if not self.std_err > 0:  # as BoundCheck.margin_se
+            return 0.0 if gap == 0 else math.copysign(math.inf, gap)
+        return gap / self.std_err
 
 
 @dataclass(frozen=True)

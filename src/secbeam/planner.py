@@ -304,6 +304,10 @@ def plan(cfg: NetworkConfig, target: SecrecyTarget) -> Plan:
     except (ValueError, ZeroDivisionError):
         raise InfeasiblePlanError(
             "a_l_bound", f"a_l = {a_l}: a_l or a_l**2 underflows to 0") from None
+    if not math.isfinite(lam_l):
+        raise InfeasiblePlanError(
+            "lambda_l_bound", f"lambda_l_min={lam_l} at a_l={a_l}: the "
+            "density leaves the float range")
     a_e = a_e_min(cfg, target) * (1.0 + STRICT_MARGIN)
     lam_e = lambda_e_max(target.eps_prime, a_e)
     mode = transport_mode(cfg.d_tr, a_l)

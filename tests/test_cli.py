@@ -49,20 +49,47 @@ def test_plan_requires_rate_and_outage():
         main(["plan", "--outage", "0.35"])
 
 
-def test_plan_rejects_bad_outage():
+def test_plan_rejects_bad_outage(capsys):
     for bad in ("0", "1", "1.5", "-0.1"):
-        with pytest.raises(SystemExit):
-            main(["plan", "--rate", "0.5", "--outage", bad])
+        assert main(["plan", "--rate", "0.5", "--outage", bad]) == 2
+        assert "outage must be in (0, 1)" in capsys.readouterr().err
 
 
-def test_plan_rejects_nonpositive_rate():
-    with pytest.raises(SystemExit):
-        main(["plan", "--rate", "0", "--outage", "0.35"])
+def test_plan_rejects_nonpositive_rate(capsys):
+    assert main(["plan", "--rate", "0", "--outage", "0.35"]) == 2
+    assert "secure_rate must be positive" in capsys.readouterr().err
 
 
-def test_verify_theorem4_requires_plan():
-    with pytest.raises(SystemExit):
-        main(["verify", "theorem4"])
+def test_verify_theorem4_requires_plan(capsys):
+    assert main(["verify", "theorem4"]) == 2
+    assert capsys.readouterr().err == "verify theorem4 requires --plan\n"
+
+
+#: inputs outside a flag's domain, each once a traceback with exit 1 (and,
+#: for plan and sweep, an output file), and theorem4 without its plan
+REFUSED = [
+    *(["plan", *PLAN_FLAGS, *flags] for flags in (
+        ["--gamma", "1"], ["--mu", "nan"], ["--rate", "inf"], ["--rho", "nan"],
+        ["--dtr", "inf"], ["--power", "inf"], ["--kappa", "inf"])),
+    *(["sweep", "--rate", "0.5:1:3", "--outage", "0.35", *flags] for flags in (
+        ["--mu", "-1"], ["--outage", "2"], ["--power", "abc"])),
+    ["sweep", *PLAN_FLAGS, "--mu", "0:1:3"],
+    *(["verify", "moments", "--samples", "10", "--mu", mu]
+      for mu in ("nan", "inf", "1e300", "1e-300", "0", "-1")),
+    ["verify", "theorem4"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_bad_input_exits_2_with_one_line(tmp_path, argv):
+    if argv[0] in ("plan", "sweep"):
+        argv = [*argv, "--out", "out.txt"]
+    proc = run_cli(argv, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "theorem4"])
@@ -105,12 +132,12 @@ def test_plan_infeasible_keeps_out_as_it_was(tmp_path, capsys):
     assert old.read_text() == "earlier plan\n"
 
 
-def run_cli(argv):
+def run_cli(argv, cwd=None):
     """``secbeam <argv>`` in a fresh process; returns the finished process
     with its output decoded, line ends as written."""
     src = str(Path(secbeam.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "secbeam.cli", *argv],
-                          capture_output=True, timeout=300,
+                          capture_output=True, timeout=300, cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=src))
     proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
     return proc
@@ -147,7 +174,8 @@ def test_sweep_moments_outside_float_range_write_no_rows():
     (["--rho", "1e10"], "a_l_bound"),      # 2**((1+rho)*R_S) overflows
     (["--dtr", "1e-300"], "n_e_bound"),    # d_tr**-gamma overflows
     (["--power", "1e-300"], "a_l_bound"),  # a_l underflows to 0
-], ids=["rho-tiny", "rho-huge", "dtr-tiny", "power-tiny"])
+    (["--mu", "1e-60"], "lambda_l_bound"),  # n_r / a_l**2 overflows
+], ids=["rho-tiny", "rho-huge", "dtr-tiny", "power-tiny", "mu-tiny"])
 def test_plan_bound_outside_float_range_exit_2(tmp_path, capsys, flags,
                                                constraint):
     out = tmp_path / "plan.json"
@@ -156,6 +184,8 @@ def test_plan_bound_outside_float_range_exit_2(tmp_path, capsys, flags,
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert f"infeasible constraint {constraint}:" in captured.err
+    # the reason is the float range, not a NaN self-check margin
+    assert "self-check" not in captured.err
     assert not out.exists()
 
 
@@ -685,6 +715,15 @@ def test_verify_moments_huge_relay_count():
     # two draws per sample, none per relay: a billion relays cost nothing
     assert main(["verify", "moments", "--nr", "1000000000",
                  "--samples", "1000"]) == 0
+
+
+def test_verify_moments_zero_standard_error_no_traceback():
+    # at n_r = 1e21 the plug-in standard error of var_P_e is 0
+    proc = run_cli(["verify", "moments", "--nr", "1000000000000000000000",
+                    "--samples", "10", "--seed", "211"])
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    assert " var_P_e " in proc.stdout
 
 
 def test_verify_moments_nan_z_fails(monkeypatch, capsys):

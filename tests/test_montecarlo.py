@@ -524,6 +524,17 @@ def test_bound_check_margin_in_standard_errors():
     assert math.isnan(BoundCheck("x", 1.0, math.nan, "lower", 1.0).margin_se)
 
 
+def test_moment_z_score_in_standard_errors():
+    from secbeam.montecarlo import MomentCheck
+    assert MomentCheck("x", 1.0, 2.0, 0.5).z_score == 2.0
+    # no spread, as BoundCheck.margin_se: any gap is infinitely many SE
+    assert MomentCheck("x", 1.0, 1.0, 0.0).z_score == 0.0
+    assert MomentCheck("x", 1.0, 2.0, 0.0).z_score == math.inf
+    assert MomentCheck("x", 1.0, 0.5, 0.0).z_score == -math.inf
+    assert math.isinf(MomentCheck("x", 1.0, math.nan, math.nan).z_score)
+    assert math.isnan(MomentCheck("x", 1.0, math.nan, 1.0).z_score)
+
+
 def test_verify_power_bounds_do_not_depend_on_threads_or_batches(monkeypatch):
     # 3 samples per chunk of 64 relay elements; the estimates are the same
     # for 1, 2 and 3 threads, and batches of 2 chunks (6 samples) merge to

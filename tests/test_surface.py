@@ -32,11 +32,34 @@ def test_public_names_exported():
         assert callable(getattr(secbeam, name)), name
 
 
+#: each subcommand's options and positionals; a new or dropped knob is a
+#: deliberate edit here
+CLI_FLAGS = {
+    "plan": ["-h", "--help", "--rate", "--outage", "--rho", "--kappa", "--power",
+             "--mu", "--gamma", "--dtr", "--nlegit", "--out"],
+    "simulate": ["-h", "--help", "--plan", "--trials", "--seed", "--csv", "--json"],
+    "verify": ["what", "-h", "--help", "--mu", "--nr", "--samples", "--seed",
+               "--plan", "--instances"],
+    "sweep": ["-h", "--help", "--rate", "--outage", "--rho", "--kappa", "--power",
+              "--mu", "--gamma", "--dtr", "--nlegit", "--lambda-l", "--log",
+              "--out"],
+}
+
+
 def test_cli_subcommands():
     parser = cli.build_parser()
     subs = [a for a in parser._actions if a.dest == "command"]
     assert len(subs) == 1
-    assert set(subs[0].choices) == {"plan", "simulate", "verify", "sweep"}
+    assert set(subs[0].choices) == set(CLI_FLAGS)
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+def test_cli_flags_frozen(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if a.dest == "command").choices[command]
+    positionals = [a.dest for a in sub._actions if not a.option_strings]
+    options = [s for a in sub._actions for s in a.option_strings]
+    assert positionals + options == CLI_FLAGS[command]
 
 
 @pytest.mark.parametrize("layer,attr", [
