@@ -65,8 +65,8 @@ def test_verify_theorem4_requires_plan(capsys):
     assert capsys.readouterr().err == "verify theorem4 requires --plan\n"
 
 
-#: inputs outside a flag's domain, each once a traceback with exit 1 (and,
-#: for plan and sweep, an output file), and theorem4 without its plan
+#: physics flags outside their domains, and theorem4 without its plan:
+#: each is refused with one line, before any output file is opened
 REFUSED = [
     *(["plan", *PLAN_FLAGS, *flags] for flags in (
         ["--gamma", "1"], ["--mu", "nan"], ["--rate", "inf"], ["--rho", "nan"],
