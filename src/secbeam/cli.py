@@ -163,10 +163,8 @@ def cmd_simulate(args) -> int:
         except MemoryError as exc:
             # a trial holds one kernel buffer whatever n_r, but its
             # eavesdropper arrays grow with the count; the CSV keeps the
-            # trials that finished, without an old tail
-            planner.cut_tail(csv_fh)
+            # trials that finished
             raise Refusal(f"cannot simulate n_r={p.n_r} relays: {exc}") from None
-        planner.cut_tail(csv_fh)
         doc = report.to_dict()
         doc["manifest"] = _manifest("simulate", args,
                                     [x for x in (args.csv, args.json) if x])
@@ -177,7 +175,6 @@ def cmd_simulate(args) -> int:
         if json_fh:
             json.dump(doc, json_fh, indent=2)
             json_fh.write("\n")
-            planner.cut_tail(json_fh)
     for name, ev in report.event_outage.items():
         print(f"  {name}: outage={ev.outage:.4f}  ci=[{ev.ci_low:.4f}, {ev.ci_high:.4f}]")
     print(f"  E6 given the relay field: outage={report.e6_outage_given_field:.4f}  "
@@ -273,23 +270,20 @@ def _parse_range(text: str, log: bool):
     lo, hi, steps = float(lo), float(hi), int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if log and (lo == 0 or hi == 0):
-        raise ValueError("Geometric sequence cannot include zero")
     return _grid(lo, hi, steps, log)
 
 
 def _grid(lo: float, hi: float, steps: int, log: bool):
     """Yield the values of np.linspace(lo, hi, steps), or of
-    np.geomspace(lo, hi, steps) with ``log`` (lo only when steps is 1),
-    computed as numpy computes them but GRID_BLOCK at a time, so that no
-    grid array is built: i*step + start, endpoints exact, and for
-    geomspace 10**(that) between log10(|lo|) and log10(hi/sign(lo))."""
+    np.geomspace(lo, hi, steps) with ``log`` for positive lo and hi (lo only
+    when steps is 1), computed as numpy computes them but GRID_BLOCK at a
+    time, so that no grid array is built: i*step + start, endpoints exact,
+    and for geomspace 10**(that) between log10(lo) and log10(hi)."""
     if steps == 1:
         yield lo
         return
     if log:
-        sign = np.sign(np.float64(lo))
-        start, stop = np.log10(lo / sign), np.log10(hi / sign)
+        start, stop = np.log10(lo), np.log10(hi)
     else:
         start, stop = np.float64(lo), np.float64(hi)
     div = steps - 1
@@ -307,10 +301,9 @@ def _grid(lo: float, hi: float, steps: int, log: bool):
         if log:
             y = np.power(10.0, y)
             if first == 0:
-                y[0] = lo / sign
+                y[0] = lo
             if first + len(y) == steps:
-                y[-1] = hi / sign
-            y *= sign
+                y[-1] = hi
         yield from y
 
 
@@ -342,7 +335,6 @@ def cmd_sweep(args) -> int:
         for value in grid:
             writer.writerow(_sweep_row(args, name, value))
             n_rows += 1
-        planner.cut_tail(out_fh)
     if args.out:
         print(f"wrote {args.out} ({n_rows} rows)")
     return 0
@@ -408,7 +400,6 @@ def _add_target_flags(sub, value):
     sub.add_argument("--mu", type=value, default=0.5)
     sub.add_argument("--gamma", type=value, default=2.0)
     sub.add_argument("--dtr", type=value, default=5.0)
-    sub.add_argument("--nlegit", type=_positive, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("plan", help="evaluate the design pipeline")
     _add_target_flags(sp, float)
+    sp.add_argument("--nlegit", type=_positive, default=None)
     sp.add_argument("--out", default=None, help="write the plan JSON here")
 
     ss = subs.add_parser("simulate", help="Monte Carlo outage estimation")

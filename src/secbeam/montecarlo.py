@@ -196,13 +196,21 @@ RELAY_PIECE = 1 << 17
 #: and two more for eavesdropper distances in float64
 KERNEL_SLOTS = 7
 
+#: each thread's ``_relay_buffer``
+_scratch = threading.local()
+
 
 def _relay_buffer() -> np.ndarray:
-    """Scratch for ``_relay_field`` pieces of RELAY_PIECE elements, to be
-    reused across calls: a fresh buffer per trial makes the C heap grow and
-    shrink by megabytes, and each trial then takes a page fault per 4 KiB
-    it touches."""
-    return np.empty(KERNEL_SLOTS * RELAY_PIECE, dtype=np.float32)
+    """This thread's scratch for ``_relay_field`` pieces of RELAY_PIECE
+    elements, made on first use and again when KERNEL_SLOTS * RELAY_PIECE
+    changes, and reused across calls: a fresh buffer per trial makes the C
+    heap grow and shrink by megabytes, and each trial then takes a page
+    fault per 4 KiB it touches.  Each thread has its own, so theorem-4
+    chunks fill theirs side by side."""
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or len(buf) != KERNEL_SLOTS * RELAY_PIECE:
+        buf = _scratch.buf = np.empty(KERNEL_SLOTS * RELAY_PIECE, dtype=np.float32)
+    return buf
 
 
 def _neg_power(a: np.ndarray, e: float, out=None) -> np.ndarray:
@@ -215,7 +223,7 @@ def _neg_power(a: np.ndarray, e: float, out=None) -> np.ndarray:
 
 def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
                  cfg: NetworkConfig, ex: np.ndarray, ey: np.ndarray,
-                 buf: np.ndarray, stage1: bool):
+                 stage1: bool):
     """The relay-field kernel: draw m rows of k relays, uniform in the disc
     of radius a_l around the transmitter, with receiver-link powers h**2
     (``_relay_draws``), and reduce each row to its sums.
@@ -226,13 +234,13 @@ def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
     t[:, j] = sum_i g_i * d_ij**-gamma for the eavesdroppers at
     (ex[:, j], ey[:, j]), arrays of shape (m, n_e).
 
-    The relays are drawn and reduced in pieces of len(buf) // KERNEL_SLOTS
-    elements, the rows side by side, in the float32 scratch ``buf``
-    (``_relay_buffer``), so memory does not grow with k.  Without
-    eavesdroppers a relay takes one transcendental, sin(theta/2), and the
-    law of cosines written without cancellation,
-    (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2; with them two, cos(theta) and
-    sin(theta) for its position, and d_rx**2 = (x - d_tr)**2 + y**2.
+    The relays are drawn and reduced in pieces of RELAY_PIECE elements, the
+    rows side by side, in this thread's float32 scratch (``_relay_buffer``),
+    so memory does not grow with k.  Without eavesdroppers a relay takes one
+    transcendental, sin(theta/2), and the law of cosines written without
+    cancellation, (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2; with them two,
+    cos(theta) and sin(theta) for its position, and
+    d_rx**2 = (x - d_tr)**2 + y**2.
 
     Precision: per-relay values (u, angle, h**2, positions, squared
     receiver distances, gains) are float32, about 1e-7 relative each; every
@@ -242,6 +250,7 @@ def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
     f32 = np.float32
     e = -cfg.gamma / 2.0
     n_e = ex.shape[1]
+    buf = _relay_buffer()
     piece = len(buf) // KERNEL_SLOTS
     q = ex.dtype.itemsize // 4  # float32 slots per eavesdropper distance
     rate, s, t = np.zeros(m), np.zeros(m), np.zeros((m, n_e))
@@ -310,8 +319,7 @@ def expected_counts(plan: Plan, cfg: NetworkConfig) -> tuple[float, float]:
 
 
 def sample_realization(plan: Plan, cfg: NetworkConfig,
-                       rng: np.random.Generator,
-                       buf: np.ndarray | None = None):
+                       rng: np.random.Generator):
     """Sample one trial's geometry and fading, reduced to the sums the two
     stages read.
 
@@ -320,16 +328,16 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     the disc gives a Poisson count with i.i.d. uniform positions.
     Eavesdroppers are sampled on the full square, with their stage-1 link
     powers, before the relays.  The relays go through ``_relay_field`` as
-    one row, with ``buf`` as its scratch (fresh when None), so a trial holds
-    one piece of relays whatever the relay count.  Its rate sum gives the
-    stage-1 minimum, drawn exactly by ``draw_min_gain``.  Each
-    eavesdropper's stage-2 relay sum is drawn last, from its exact
-    conditional law: the combined fadings h_ij e^{j(phi_ij - theta_i)} are
-    i.i.d. CN(0, 2*mu) over (i, j) and independent of the receiver links
-    (rotating i.i.d. circular Gaussians by the common phase theta_i leaves
-    them i.i.d.), so given the relay field and all positions the sums are
-    independent over j and CN(0, 2*mu*T_j), T_j = sum_i g_i d_ij**-gamma.
-    Its power |z_j|**2 is 2*mu*T_j times one Exp(1).
+    one row, so a trial holds one piece of relays whatever the relay count.
+    Its rate sum gives the stage-1 minimum, drawn exactly by
+    ``draw_min_gain``.  Each eavesdropper's stage-2 relay sum is drawn last,
+    from its exact conditional law: the combined fadings
+    h_ij e^{j(phi_ij - theta_i)} are i.i.d. CN(0, 2*mu) over (i, j) and
+    independent of the receiver links (rotating i.i.d. circular Gaussians by
+    the common phase theta_i leaves them i.i.d.), so given the relay field
+    and all positions the sums are independent over j and CN(0, 2*mu*T_j),
+    T_j = sum_i g_i d_ij**-gamma.  Its power |z_j|**2 is 2*mu*T_j times one
+    Exp(1).
 
     Precision: as in ``_relay_field``, with the relay->eavesdropper
     distances in float64, since an eavesdropper can sit arbitrarily close to
@@ -350,8 +358,7 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     eaves_y = (rng.random(n_e) - 0.5) * side
     eaves_h2_tx = rng.standard_exponential(n_e) * (2.0 * cfg.mu)
     rate, s, t = _relay_field(
-        rng, 1, k, plan.a_l, cfg, eaves_x[None, :], eaves_y[None, :],
-        _relay_buffer() if buf is None else buf, stage1=True)
+        rng, 1, k, plan.a_l, cfg, eaves_x[None, :], eaves_y[None, :], stage1=True)
     min_gain = draw_min_gain(float(rate[0]), cfg.mu, rng)
     sum_var = t[0]
     sum_var *= 2.0 * cfg.mu
@@ -376,12 +383,10 @@ def _e6_outage_given_field(sum_var: np.ndarray, p_t: float, n_relays: int,
 
 
 def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
-              trial_index: int, seed: int,
-              buf: np.ndarray | None = None) -> TrialOutcome:
+              trial_index: int, seed: int) -> TrialOutcome:
     """Score one independent transmission attempt.
 
-    Deterministic in (seed, trial_index), with or without ``buf``, kernel
-    scratch (``_relay_buffer``) to reuse across trials.  When the relay disc falls short,
+    Deterministic in (seed, trial_index).  When the relay disc falls short,
     stage-1 statistics still use the available nodes for diagnostics, the
     beamforming stage is skipped (its rates and powers report 0), and the
     composite flag is false.
@@ -389,7 +394,7 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     if plan.mode != "beamforming":
         raise ValueError("run_trial requires a beamforming-mode plan")
     rng = _trial_rng(seed, trial_index)
-    realization, n_in_bl = sample_realization(plan, cfg, rng, buf)
+    realization, n_in_bl = sample_realization(plan, cfg, rng)
     e1 = n_in_bl >= plan.n_r
 
     min_rate, max_e1, disc_violated = beamform.stage1_rates(
@@ -516,9 +521,8 @@ def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     max_p_e = RunningMoments()
     total_power = RunningMoments()
     e6_given_field = RunningMoments()
-    buf = _relay_buffer()
     for i in range(n_trials):
-        out = run_trial(plan, cfg, target, i, seed, buf)
+        out = run_trial(plan, cfg, target, i, seed)
         for j, ok in enumerate(out.flags()):
             ok_counts[j] += ok
         composite_ok += out.composite
@@ -660,14 +664,22 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
     """Compare sampled mean/variance of the no-path-loss received powers
     against the exact closed forms; z-scores should sit within noise.
     The samples are drawn and reduced a chunk at a time
-    (``_nopath_chunks``), so memory does not grow with n_samples."""
-    p_l, p_e = _moments_of(_nopath_chunks(mu, n_r, n_samples, seed))
-    return [
-        _mean_check("mean_P_l", moments.mean_pl_nopath(n_r, mu), p_l),
-        _var_check("var_P_l", moments.var_pl_nopath(n_r, mu), p_l),
-        _mean_check("mean_P_e", moments.mean_pe_nopath(mu), p_e),
-        _var_check("var_P_e", moments.var_pe_nopath(n_r, mu), p_e),
+    (``_nopath_chunks``), so memory does not grow with n_samples.
+
+    P_l and P_e scale as (2*mu)**2, so they are drawn, reduced and compared
+    in that unit, as at mu = 1/2, and only the checks are scaled back: the
+    fourth powers of the samples then stay in the float range at every mu
+    whose closed forms do."""
+    p_l, p_e = _moments_of(_nopath_chunks(0.5, n_r, n_samples, seed))
+    unit = (2.0 * mu) ** 2
+    checks = [
+        (_mean_check("mean_P_l", moments.mean_pl_nopath(n_r, 0.5), p_l), unit),
+        (_var_check("var_P_l", moments.var_pl_nopath(n_r, 0.5), p_l), unit * unit),
+        (_mean_check("mean_P_e", moments.mean_pe_nopath(0.5), p_e), unit),
+        (_var_check("var_P_e", moments.var_pe_nopath(n_r, 0.5), p_e), unit * unit),
     ]
+    return [MomentCheck(c.name, c.closed_form * scale, c.estimate * scale,
+                        c.std_err * scale) for c, scale in checks]
 
 
 def _bound_rows(n_r: int) -> int:
@@ -695,8 +707,8 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
     larger.  Chunk c draws only from ``np.random.default_rng([seed, 1, c])``,
     so the layout and every value depend on n_r, n_samples and the seed
     alone.  The chunks run on one thread per usable CPU (the calling thread
-    among them), never more than there are chunks, each with its own reused
-    kernel buffer: the result is the same for any number of threads, and
+    among them), never more than there are chunks, each with its own kernel
+    scratch: the result is the same for any number of threads, and
     memory is O(threads * RELAY_PIECE) for any n_r.
 
     Precision: as in ``_relay_field``, with the relay->eavesdropper
@@ -714,7 +726,6 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
 
     def work():
         try:
-            buf = _relay_buffer()
             while not errors:
                 with lock:
                     c = taken[0]
@@ -723,7 +734,7 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                     return
                 a, b = c * rows, min((c + 1) * rows, n_samples)
                 p_l[a - lo:b - lo], p_e[a - lo:b - lo] = _power_bounds_chunk(
-                    plan, cfg, np.random.default_rng([seed, 1, c]), b - a, buf)
+                    plan, cfg, np.random.default_rng([seed, 1, c]), b - a)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
@@ -740,10 +751,10 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
 
 
 def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
-                        rng: np.random.Generator, m: int, buf: np.ndarray):
+                        rng: np.random.Generator, m: int):
     """(P_l, P_e) of m samples drawn from ``rng``: first the m eavesdropper
-    positions, then the m rows of relays (``_relay_field`` with ``buf``),
-    then the m exponentials of P_e."""
+    positions, then the m rows of relays (``_relay_field``), then the m
+    exponentials of P_e."""
     side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
     # one eavesdropper per sample, uniform outside the disc
     ex = np.empty(m)
@@ -759,7 +770,7 @@ def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
     f32 = np.float32
     _, s, t = _relay_field(rng, m, plan.n_r, plan.a_l, cfg,
                            ex[:, None].astype(f32), ey[:, None].astype(f32),
-                           buf, stage1=False)
+                           stage1=False)
     p_e = rng.standard_exponential(m)
     p_e *= (2.0 * cfg.mu / plan.n_r) * t[:, 0]
     return s * s / plan.n_r, p_e

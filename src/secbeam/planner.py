@@ -11,6 +11,7 @@ be re-validated constraint by constraint with signed margins.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -102,24 +103,6 @@ def a_l_upper(cfg: NetworkConfig, target: SecrecyTarget, n_r: int) -> float:
     if denom <= 0:
         raise InfeasiblePlanError("a_l_bound", "rate threshold denominator <= 0")
     return ((-cfg.p_t * cfg.mu * math.log1p(-frac)) / denom) ** (1.0 / cfg.gamma)
-
-
-def a_e_layer_fixed_point(target: SecrecyTarget, cfg: NetworkConfig, k: int) -> float:
-    """Layer-k lower bound on a_e at the self-consistent operating point
-    (beta_k = 2**k, lambda_e at its maximum -ln(1-eps')/(pi*a_e**2)).
-
-    At that point the product lambda_e*S_k = -3*ln(1-eps')*4**(k-1) no
-    longer involves a_e, so the bound becomes explicit and can be compared
-    across layers; the first layer is the binding one.
-    """
-    eps = target.eps_prime
-    lam_sk = -3.0 * math.log1p(-eps) * 4.0 ** (k - 1)  # lambda_e_max * S_k
-    t_k = math.sqrt(2.0 ** k / (eps * lam_sk))  # Chebyshev slack of the cap
-    arg = eps / (2.0 ** k * lam_sk * (1.0 + t_k))
-    if arg >= 1:
-        raise InfeasiblePlanError("a_e_bound", f"layer {k} bound degenerate")
-    pref = (cfg.p_t * cfg.mu / (2.0 ** (target.rho * target.secure_rate) - 1.0))
-    return 2.0 ** (-(k - 1)) * (pref * (-math.log(arg))) ** (1.0 / cfg.gamma)
 
 
 def a_e_min(cfg: NetworkConfig, target: SecrecyTarget) -> float:
@@ -383,32 +366,30 @@ def plan_document(cfg: NetworkConfig, target: SecrecyTarget, p: Plan) -> dict:
     return doc
 
 
+@contextlib.contextmanager
 def open_output(path):
     """Open ``path`` for writing text: created if missing, else written over
-    in place; ``cut_tail`` ends it after the last write.  Opening with
-    O_TRUNC instead makes ext4 start writeback when a file emptied that way
-    is closed, and the next run's truncation then waits for that disk
-    write."""
-    return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="")
-
-
-def cut_tail(fh) -> None:
-    """Cut the old tail off a file from ``open_output`` (None: not
-    requested) at the current position; a stream that cannot seek has
-    none."""
-    if fh is not None and fh.seekable():
-        fh.truncate()
+    in place, and cut after the last write on exit.  A file nothing was
+    written to keeps its bytes, and a stream that cannot seek has no tail.
+    Opening with O_TRUNC instead makes ext4 start writeback when a file
+    emptied that way is closed, and the next run's truncation then waits
+    for that disk write."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              newline="") as fh:
+        try:
+            yield fh
+        finally:
+            if fh.seekable() and fh.tell():
+                fh.truncate()
 
 
 def write_plan(fh, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
                extra: dict | None = None) -> None:
-    """Write the plan document to the file ``fh`` from ``open_output`` and
-    cut off any old tail."""
+    """Write the plan document to the open text file ``fh``."""
     doc = plan_document(cfg, target, p)
     if extra:
         doc.update(extra)
     fh.write(json.dumps(doc, indent=2) + "\n")
-    cut_tail(fh)
 
 
 def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,

@@ -19,9 +19,10 @@ from secbeam.geometry import NetworkConfig
 from secbeam import moments
 from secbeam.montecarlo import (estimate_outage, verify_moments,
                                 verify_power_bounds)
-from secbeam.planner import SecrecyTarget, a_e_layer_fixed_point, a_e_min, plan, validate_plan
+from secbeam.planner import SecrecyTarget, a_e_min, plan, validate_plan
 
 from test_beamform import realization_of
+from test_planner import a_e_layer_fixed_point
 
 SIDE = 20.0
 REFERENCE_KWARGS = dict(p_t=1.0, mu=0.5, gamma=2.0, d_tr=5.0)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,16 +100,29 @@ def test_sample_realization_skips_cross_arrays_without_eavesdroppers():
     assert realization.eaves_sum_power.shape == (0,)
 
 
-def test_trial_with_reused_rows_matches_fresh_arrays():
-    # one kernel buffer reused across plans and across trials with and
-    # without eavesdroppers gives the trials of a fresh buffer each
-    buf = montecarlo._relay_buffer()
+def test_trial_repeats_across_plans_pieces_and_threads(monkeypatch):
+    # the kernel's scratch is kept per thread and follows RELAY_PIECE: trials
+    # of two plans, with and without eavesdroppers, repeat after each other,
+    # after RELAY_PIECE changes and on a second thread
     target = small_target()
-    for plan in (small_plan(n_r=5), small_plan(), small_plan(n_r=5)):
-        for cfg in (small_cfg(), small_cfg(lambda_e=0.0)):
-            for i in range(4):
-                assert (run_trial(plan, cfg, target, i, 9, buf)
-                        == run_trial(plan, cfg, target, i, 9))
+    cases = [(plan, cfg, i) for plan in (small_plan(n_r=5), small_plan())
+             for cfg in (small_cfg(), small_cfg(lambda_e=0.0)) for i in range(4)]
+
+    def trials():
+        return [run_trial(plan, cfg, target, i, 9) for plan, cfg, i in cases]
+
+    whole = trials()  # each trial's relays in one piece
+    assert trials() == whole
+    monkeypatch.setattr(montecarlo, "RELAY_PIECE", 8)
+    pieces = trials()  # 20 relays in pieces of 8, 8 and 4: other draws
+    assert pieces != whole
+    on_thread = []
+    thread = threading.Thread(target=lambda: on_thread.append(trials()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and on_thread == [pieces]
+    monkeypatch.undo()
+    assert trials() == whole
 
 
 def test_sample_realization_disc_must_fit():
@@ -181,7 +195,6 @@ def test_disc_shortcut_matches_full_process_oracle():
     counts = {"oracle": [], "shortcut": []}
     rate = {"oracle": [], "shortcut": []}
     gain = {"oracle": [], "shortcut": []}
-    buf = montecarlo._relay_buffer()
     none = np.empty((1, 0))
     for seed in range(n_seeds):
         rng = np.random.default_rng([seed, 0])
@@ -194,13 +207,13 @@ def test_disc_shortcut_matches_full_process_oracle():
             rate["oracle"].append(np.sum(np.hypot(x, y) ** cfg.gamma))
             gain["oracle"].append(np.sum(h2 * np.hypot(x - cfg.d_tr, y) ** -cfg.gamma))
         realization, n_in_bl = sample_realization(
-            plan, cfg, np.random.default_rng([seed, 1]), buf)
+            plan, cfg, np.random.default_rng([seed, 1]))
         counts["shortcut"].append(n_in_bl)
         if n_in_bl >= plan.n_r:
             gain["shortcut"].append(realization.relay_gain_sum)
             rate["shortcut"].append(montecarlo._relay_field(
                 np.random.default_rng([seed, 2]), 1, plan.n_r, plan.a_l, cfg,
-                none, none, buf, stage1=True)[0][0])
+                none, none, stage1=True)[0][0])
     # Poisson(lam): variance lam, fourth central moment lam*(1 + 3*lam)
     se_mean = math.sqrt(lam / n_seeds)
     se_var = math.sqrt((lam * (1 + 3 * lam) - lam * lam) / n_seeds)

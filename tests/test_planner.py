@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from secbeam.geometry import NetworkConfig
 from secbeam import moments
 from secbeam import planner
-from secbeam.planner import (InfeasiblePlanError, SecrecyTarget,
-                             a_e_layer_fixed_point, a_e_min, a_l_upper,
-                             eta_constant, lambda_e_max, lambda_l_min,
-                             n_e_cap, n_r_min_simplified, nu_constant,
-                             plan, validate_plan)
+from secbeam.planner import (InfeasiblePlanError, SecrecyTarget, a_e_min,
+                             a_l_upper, eta_constant, lambda_e_max,
+                             lambda_l_min, n_e_cap, n_r_min_simplified,
+                             nu_constant, plan, validate_plan)
 
 
 def make_cfg(**kw):
@@ -69,6 +68,26 @@ def test_a_l_upper_rejects_degenerate():
 
 
 # --- layer machinery -------------------------------------------------------
+
+def a_e_layer_fixed_point(target: SecrecyTarget, cfg: NetworkConfig, k: int) -> float:
+    """Oracle: the layer-k lower bound on a_e at the self-consistent
+    operating point (beta_k = 2**k, lambda_e at its maximum
+    -ln(1-eps')/(pi*a_e**2)).
+
+    At that point the product lambda_e*S_k = -3*ln(1-eps')*4**(k-1) no
+    longer involves a_e, so the bound becomes explicit and can be compared
+    across layers; the first layer is the binding one, which ``a_e_min``
+    covers.
+    """
+    eps = target.eps_prime
+    lam_sk = -3.0 * math.log1p(-eps) * 4.0 ** (k - 1)  # lambda_e_max * S_k
+    t_k = math.sqrt(2.0 ** k / (eps * lam_sk))  # Chebyshev slack of the cap
+    arg = eps / (2.0 ** k * lam_sk * (1.0 + t_k))
+    if arg >= 1:
+        raise InfeasiblePlanError("a_e_bound", f"layer {k} bound degenerate")
+    pref = (cfg.p_t * cfg.mu / (2.0 ** (target.rho * target.secure_rate) - 1.0))
+    return 2.0 ** (-(k - 1)) * (pref * (-math.log(arg))) ** (1.0 / cfg.gamma)
+
 
 def test_layer_argmax_at_first_layer():
     # with beta_k = 2^k and the maximum eavesdropper density, the binding
@@ -414,6 +433,28 @@ def test_save_plan_overwrites_longer_file(tmp_path, reference_plan,
                                        reference_plan)
 
 
+def test_open_output_cuts_only_a_written_file(tmp_path):
+    # a file nothing was written to keeps its bytes; a written one loses
+    # the old tail beyond the last write, and so does one left by an
+    # exception; /dev/null, which seeks but holds nothing, is not cut
+    kept, cut, failed = (tmp_path / name for name in ("kept", "cut", "failed"))
+    for path in (kept, cut, failed):
+        path.write_text("old text\n" * 100)
+    with planner.open_output(kept):
+        pass
+    with planner.open_output(cut) as fh:
+        fh.write("new\n")
+    with pytest.raises(ZeroDivisionError):
+        with planner.open_output(failed) as fh:
+            fh.write("partial\n")
+            1 / 0
+    assert kept.read_text() == "old text\n" * 100
+    assert cut.read_text() == "new\n"
+    assert failed.read_text() == "partial\n"
+    with planner.open_output("/dev/null") as fh:
+        fh.write("discarded\n")
+
+
 def test_write_plan_to_pipe(reference_plan, reference_target,
                             reference_config):
     # a stream that cannot seek, such as `secbeam plan --out /dev/stdout`
@@ -422,9 +463,12 @@ def test_write_plan_to_pipe(reference_plan, reference_target,
     import os
     read_fd, write_fd = os.pipe()
     with open(read_fd) as reader:
-        with open(write_fd, "w") as fh:
-            planner.write_plan(fh, reference_config, reference_target,
-                               reference_plan)
+        try:
+            with planner.open_output(f"/dev/fd/{write_fd}") as fh:
+                planner.write_plan(fh, reference_config, reference_target,
+                                   reference_plan)
+        finally:
+            os.close(write_fd)
         doc = planner.plan_document(reference_config, reference_target,
                                     reference_plan)
         assert reader.read() == json.dumps(doc, indent=2) + "\n"

@@ -40,10 +40,9 @@ from scipy import stats
 
 from secbeam import montecarlo
 from secbeam.montecarlo import (CSV_COLUMNS, _exponential_f32, _neg_power,
-                                _relay_buffer, _relay_draws, _relay_field,
-                                _sample_power_bounds, _sample_powers_nopath,
-                                _trial_rng, draw_min_gain, estimate_outage,
-                                run_trial, sample_realization)
+                                _relay_draws, _relay_field, _sample_power_bounds,
+                                _sample_powers_nopath, _trial_rng, draw_min_gain,
+                                estimate_outage, run_trial, sample_realization)
 from secbeam.beamform import received_powers
 from secbeam.geometry import NetworkConfig
 from secbeam.planner import Plan
@@ -311,7 +310,6 @@ def test_relay_sums_float64_over_float32_field(gamma, monkeypatch):
     # them in a plan.  A trial passes their coordinates in float64 and a
     # theorem-4 chunk in float32, and the kernel's distances take that dtype
     monkeypatch.setattr(montecarlo, "RELAY_PIECE", 1 << 15)
-    buf = _relay_buffer()
     cfg, a_l, k = small_cfg(gamma=gamma), 1.2, 100_003
     seeds = np.random.default_rng(int(gamma))
     radius = seeds.uniform(1.5, 6.0, 7)
@@ -326,7 +324,7 @@ def test_relay_sums_float64_over_float32_field(gamma, monkeypatch):
         ex, ey = (v.astype(dtype) for v in (radius * np.cos(phase),
                                             radius * np.sin(phase)))
         rate, s, t = _relay_field(np.random.default_rng([int(gamma), 1]), 1, k,
-                                  a_l, cfg, ex[None, :], ey[None, :], buf, True)
+                                  a_l, cfg, ex[None, :], ey[None, :], True)
         want = [math.fsum(gain * ((x - float(a)) ** 2 + (y - float(b)) ** 2)
                           ** (-gamma / 2)) for a, b in zip(ex, ey)]
         assert t.shape == (1, 7) and rate.shape == s.shape == (1,)
@@ -336,7 +334,7 @@ def test_relay_sums_float64_over_float32_field(gamma, monkeypatch):
     # without eavesdroppers: the same draws and sums, no T_j
     none = np.empty((1, 0))
     rate0, s0, t0 = _relay_field(np.random.default_rng([int(gamma), 1]), 1, k,
-                                 a_l, cfg, none, none, buf, True)
+                                 a_l, cfg, none, none, True)
     assert t0.shape == (1, 0)
     assert rate0[0] == rate[0]
     assert s0[0] == pytest.approx(s[0], rel=1e-5)
@@ -646,11 +644,10 @@ def test_bound_chunk_c_draws_from_its_own_generator(monkeypatch):
     plan, cfg = small_plan(n_r=20, a_l=2.5), small_cfg(mu=0.8)
     p_l, p_e = _sample_power_bounds(plan, cfg, 10, seed=53)
     assert len(np.unique(p_l)) == 10 and len(np.unique(p_e)) == 10
-    buf = _relay_buffer()
     for c, lo in enumerate(range(0, 10, 3)):
         hi = min(lo + 3, 10)
         want = montecarlo._power_bounds_chunk(
-            plan, cfg, np.random.default_rng([53, 1, c]), hi - lo, buf)
+            plan, cfg, np.random.default_rng([53, 1, c]), hi - lo)
         assert p_l[lo:hi].tobytes() == want[0].tobytes()
         assert p_e[lo:hi].tobytes() == want[1].tobytes()
 
@@ -664,7 +661,7 @@ def test_bound_samples_use_no_more_threads_than_chunks(monkeypatch):
 
 
 def test_bound_sampler_raises_what_a_thread_raised(monkeypatch):
-    def chunk(plan, cfg, rng, m, buf):
+    def chunk(plan, cfg, rng, m):
         raise MemoryError("chunk")
 
     monkeypatch.setattr(montecarlo, "_power_bounds_chunk", chunk)

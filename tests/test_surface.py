@@ -41,8 +41,7 @@ CLI_FLAGS = {
     "verify": ["what", "-h", "--help", "--mu", "--nr", "--samples", "--seed",
                "--plan", "--instances"],
     "sweep": ["-h", "--help", "--rate", "--outage", "--rho", "--kappa", "--power",
-              "--mu", "--gamma", "--dtr", "--nlegit", "--lambda-l", "--log",
-              "--out"],
+              "--mu", "--gamma", "--dtr", "--lambda-l", "--log", "--out"],
 }
 
 
