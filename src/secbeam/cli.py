@@ -204,13 +204,14 @@ def cmd_verify(args) -> int:
 
 def _closed_forms_usable(mu: float, n_r: int) -> bool:
     """Whether every closed form ``verify moments`` compares against is a
-    finite positive float at (mu, n_r)."""
+    finite positive normal float at (mu, n_r): a subnormal one has lost
+    digits, and so would the z-scores against it."""
     try:
         closed = (moments.mean_pl_nopath(n_r, mu), moments.var_pl_nopath(n_r, mu),
                   moments.mean_pe_nopath(mu), moments.var_pe_nopath(n_r, mu))
     except (ValueError, OverflowError):  # mu outside (0, inf), or overflow
         return False
-    return all(0 < c < math.inf for c in closed)  # NaN fails too
+    return all(sys.float_info.min <= c < math.inf for c in closed)  # NaN fails too
 
 
 def _verify(args):
@@ -219,7 +220,7 @@ def _verify(args):
     if args.what == "moments":
         if not _closed_forms_usable(args.mu, args.nr):
             raise Refusal(f"cannot verify moments at mu={args.mu}, n_r={args.nr}: "
-                          "a closed-form moment is not a finite positive float")
+                          "a closed-form moment is not a finite positive normal float")
         checks = montecarlo.verify_moments(args.mu, args.nr, args.samples, args.seed)
         for c in checks:
             z = c.z_score

@@ -634,90 +634,33 @@ def _var_check(name: str, closed: float, acc: RunningMoments) -> MomentCheck:
     return MomentCheck(name, closed, s2, se)
 
 
-def _moments_of(batches):
-    """RunningMoments of P_l and of P_e over (P_l, P_e) array pairs, each
-    pair reduced on its own (``RunningMoments.of``) and merged in order."""
-    p_l, p_e = RunningMoments(), RunningMoments()
-    for x_l, x_e in batches:
-        p_l.merge(RunningMoments.of(x_l))
-        p_e.merge(RunningMoments.of(x_e))
-        del x_l, x_e  # free this pair before the next one is drawn
-    return p_l, p_e
-
-
 #: samples per chunk of ``verify_moments``: a chunk's arrays (128 KiB each)
 #: stay in cache between the sampler and the moments
 MOMENT_CHUNK = 1 << 14
 
-
-def _nopath_chunks(mu: float, n_r: int, n_samples: int, seed: int):
-    """Yield the (P_l, P_e) draws of ``verify_moments`` chunk by chunk:
-    MOMENT_CHUNK samples per chunk, fewer in the last, chunk c drawn by
-    ``_sample_powers_nopath`` from ``np.random.default_rng([seed, 0, c])``."""
-    for c, lo in enumerate(range(0, n_samples, MOMENT_CHUNK)):
-        yield _sample_powers_nopath(mu, n_r, min(MOMENT_CHUNK, n_samples - lo),
-                                    np.random.default_rng([seed, 0, c]))
+#: samples per window of ``_chunk_moments``, rounded down to whole chunks
+#: (at least one): as MOMENT_CHUNK, so a verify-moments window is one chunk,
+#: drawn on the calling thread; the reference plan's is 2**14 one-sample
+#: chunks
+MOMENT_WINDOW = 1 << 14
 
 
-def verify_moments(mu: float, n_r: int, n_samples: int,
-                   seed: int) -> list[MomentCheck]:
-    """Compare sampled mean/variance of the no-path-loss received powers
-    against the exact closed forms; z-scores should sit within noise.
-    The samples are drawn and reduced a chunk at a time
-    (``_nopath_chunks``), so memory does not grow with n_samples.
+def _chunk_draws(draw, rows: int, key: int, n_samples: int, seed: int,
+                 lo: int = 0, hi: int | None = None):
+    """Samples lo to hi (n_samples by default) of the n_samples a seed
+    draws, as (P_l, P_e) arrays; lo is the first sample of a chunk, and hi
+    the first of another or n_samples.
 
-    P_l and P_e scale as (2*mu)**2, so they are drawn, reduced and compared
-    in that unit, as at mu = 1/2, and only the checks are scaled back: the
-    fourth powers of the samples then stay in the float range at every mu
-    whose closed forms do."""
-    p_l, p_e = _moments_of(_nopath_chunks(0.5, n_r, n_samples, seed))
-    unit = (2.0 * mu) ** 2
-    checks = [
-        (_mean_check("mean_P_l", moments.mean_pl_nopath(n_r, 0.5), p_l), unit),
-        (_var_check("var_P_l", moments.var_pl_nopath(n_r, 0.5), p_l), unit * unit),
-        (_mean_check("mean_P_e", moments.mean_pe_nopath(0.5), p_e), unit),
-        (_var_check("var_P_e", moments.var_pe_nopath(n_r, 0.5), p_e), unit * unit),
-    ]
-    return [MomentCheck(c.name, c.closed_form * scale, c.estimate * scale,
-                        c.std_err * scale) for c, scale in checks]
-
-
-def _bound_rows(n_r: int) -> int:
-    """Samples per theorem-4 chunk: RELAY_PIECE // n_r, at least one."""
-    return max(1, RELAY_PIECE // n_r)
-
-
-def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
-                         seed: int, lo: int = 0, hi: int | None = None):
-    """Draws of P_l and P_e (normalized by p_t and p_t**2) for the bound
-    check: n_r relays uniform in the relay disc, one eavesdropper uniform on
-    the square but outside the protected disc, Rayleigh fading.  Returns
-    samples lo to hi (n_samples by default) of the n_samples a seed draws;
-    lo is the first sample of a chunk (below), and hi the first of another
-    or n_samples.
-
-    The relay field of a sample gives S = sum_i g_i and P_l = S**2 / n_r.
-    Given the field and the eavesdropper's distances d_e,i, its received
-    sum is CN(0, 2*mu * T), T = sum_i g_i * d_e,i**-gamma, so P_e is drawn
-    exactly as 2*mu * Exp(1) * T / n_r, one exponential per sample and no
-    per-relay eavesdropper fading or phase.
-
-    The samples fall into chunks of RELAY_PIECE relay elements
-    (``_bound_rows``): RELAY_PIECE // n_r samples each, or one when n_r is
-    larger.  Chunk c draws only from ``np.random.default_rng([seed, 1, c])``,
-    so the layout and every value depend on n_r, n_samples and the seed
-    alone.  The chunks run on one thread per usable CPU (the calling thread
-    among them), never more than there are chunks, each with its own kernel
-    scratch: the result is the same for any number of threads, and
-    memory is O(threads * RELAY_PIECE) for any n_r.
-
-    Precision: as in ``_relay_field``, with the relay->eavesdropper
-    distances in float32 too, far below the gaps of the bounds; the final
-    exponential is float64.
-    """
+    The samples fall into chunks of ``rows`` samples, fewer in the last, and
+    chunk c is ``draw(np.random.default_rng([seed, key, c]), m)`` for its m
+    samples, so the layout and every value depend on rows, n_samples and
+    the seed alone.  The chunks run on one thread per usable CPU (the
+    calling thread among them), never more than there are chunks: the
+    result is the same for any number of threads."""
     hi = n_samples if hi is None else hi
-    rows = _bound_rows(plan.n_r)
     first, n_chunks = lo // rows, -(-hi // rows)
+    if n_chunks - first == 1:  # no threads, and no copy to fault pages in
+        return draw(np.random.default_rng([seed, key, first]), hi - lo)
     p_l = np.empty(hi - lo)
     p_e = np.empty(hi - lo)
     lock = threading.Lock()
@@ -733,8 +676,8 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                 if c >= n_chunks:
                     return
                 a, b = c * rows, min((c + 1) * rows, n_samples)
-                p_l[a - lo:b - lo], p_e[a - lo:b - lo] = _power_bounds_chunk(
-                    plan, cfg, np.random.default_rng([seed, 1, c]), b - a)
+                p_l[a - lo:b - lo], p_e[a - lo:b - lo] = draw(
+                    np.random.default_rng([seed, key, c]), b - a)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
@@ -750,11 +693,65 @@ def _sample_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
     return p_l, p_e
 
 
+def _chunk_moments(draw, rows: int, key: int, n_samples: int, seed: int):
+    """RunningMoments of P_l and of P_e over the samples of ``_chunk_draws``,
+    drawn a window of whole chunks at a time (MOMENT_WINDOW samples, at
+    least one chunk), each window reduced on its own (``RunningMoments.of``)
+    and merged in order, so memory does not grow with n_samples.  The
+    windows depend on rows and n_samples alone."""
+    window = rows * max(1, MOMENT_WINDOW // rows)
+    p_l, p_e = RunningMoments(), RunningMoments()
+    for lo in range(0, n_samples, window):
+        x_l, x_e = _chunk_draws(draw, rows, key, n_samples, seed, lo,
+                                min(lo + window, n_samples))
+        p_l.merge(RunningMoments.of(x_l))
+        p_e.merge(RunningMoments.of(x_e))
+        del x_l, x_e  # free this window before the next one is drawn
+    return p_l, p_e
+
+
+def verify_moments(mu: float, n_r: int, n_samples: int,
+                   seed: int) -> list[MomentCheck]:
+    """Compare sampled mean/variance of the no-path-loss received powers
+    against the exact closed forms; z-scores should sit within noise.
+    The samples are drawn by ``_sample_powers_nopath`` in chunks of
+    MOMENT_CHUNK from the generators of key 0 (``_chunk_draws``) and
+    reduced a window at a time (``_chunk_moments``), so memory does not
+    grow with n_samples.
+
+    P_l and P_e scale as (2*mu)**2, so they are drawn, reduced and compared
+    in that unit, as at mu = 1/2, and only the checks are scaled back: the
+    fourth powers of the samples then stay in the float range at every mu
+    whose closed forms do."""
+    p_l, p_e = _chunk_moments(
+        lambda rng, m: _sample_powers_nopath(0.5, n_r, m, rng),
+        MOMENT_CHUNK, 0, n_samples, seed)
+    unit = (2.0 * mu) ** 2
+    checks = [
+        (_mean_check("mean_P_l", moments.mean_pl_nopath(n_r, 0.5), p_l), unit),
+        (_var_check("var_P_l", moments.var_pl_nopath(n_r, 0.5), p_l), unit * unit),
+        (_mean_check("mean_P_e", moments.mean_pe_nopath(0.5), p_e), unit),
+        (_var_check("var_P_e", moments.var_pe_nopath(n_r, 0.5), p_e), unit * unit),
+    ]
+    return [MomentCheck(c.name, c.closed_form * scale, c.estimate * scale,
+                        c.std_err * scale) for c, scale in checks]
+
+
 def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
                         rng: np.random.Generator, m: int):
-    """(P_l, P_e) of m samples drawn from ``rng``: first the m eavesdropper
-    positions, then the m rows of relays (``_relay_field``), then the m
-    exponentials of P_e."""
+    """(P_l, P_e), normalized by p_t and p_t**2, of m theorem-4 samples
+    drawn from ``rng``: first m eavesdropper positions, uniform on the
+    square but outside the protected disc, then m rows of n_r relays
+    uniform in the relay disc (``_relay_field``), then m exponentials.
+    A row's field gives S = sum_i g_i and P_l = S**2 / n_r; given it and the
+    eavesdropper's distances d_e,i, its received sum is CN(0, 2*mu*T),
+    T = sum_i g_i * d_e,i**-gamma, so P_e = 2*mu * Exp(1) * T / n_r exactly,
+    with no per-relay eavesdropper fading or phase.
+
+    Precision: as in ``_relay_field``, with the relay->eavesdropper
+    distances in float32 too, far below the gaps of the bounds; the final
+    exponential is float64.
+    """
     side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
     # one eavesdropper per sample, uniform outside the disc
     ex = np.empty(m)
@@ -776,27 +773,19 @@ def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
     return s * s / plan.n_r, p_e
 
 
-#: samples per batch of ``verify_power_bounds``, rounded down to whole
-#: chunks (at least one): the reference plan's 2**16 one-sample chunks, or
-#: 16 chunks of 4096 samples at n_r = 32
-BOUND_BATCH = 1 << 16
-
-
 def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
                         seed: int) -> list[BoundCheck]:
     """Check the four distance-envelope moment bounds against the sampled
-    mean/variance of P_l and P_e (``_sample_power_bounds``) and their SEs.
-    The samples are drawn a batch of whole chunks at a time and reduced
-    batch by batch, so memory does not grow with n_samples; the batches
-    depend on n_r and n_samples alone."""
+    mean/variance of P_l and P_e and their SEs.  The samples are drawn by
+    ``_power_bounds_chunk`` in chunks of RELAY_PIECE relay elements
+    (RELAY_PIECE // n_r samples, at least one) from the generators of key 1
+    (``_chunk_draws``), and reduced a window at a time
+    (``_chunk_moments``), so memory does not grow with n_samples."""
     b = moments.power_moment_bounds(cfg.gamma, cfg.d_tr, plan.eta, plan.nu,
                                     plan.n_r, plan.a_l, plan.a_e)
-    rows = _bound_rows(plan.n_r)
-    batch = rows * max(1, BOUND_BATCH // rows)
-    p_l, p_e = _moments_of(
-        _sample_power_bounds(plan, cfg, n_samples, seed, lo,
-                             min(lo + batch, n_samples))
-        for lo in range(0, n_samples, batch))
+    p_l, p_e = _chunk_moments(
+        lambda rng, m: _power_bounds_chunk(plan, cfg, rng, m),
+        max(1, RELAY_PIECE // plan.n_r), 1, n_samples, seed)
     checks = [
         _mean_check("mean_P_l_lower", b.mean_pl_lower, p_l),
         _mean_check("mean_P_e_upper", b.mean_pe_upper, p_e),

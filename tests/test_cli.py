@@ -78,7 +78,7 @@ REFUSED = [
     *(["sweep", f"--rate={text}", "--outage", "0.35", "--log"]
       for text in ("0:1:3", "-5:-1:3")),
     *(["verify", "moments", "--samples", "10", "--mu", mu]
-      for mu in ("nan", "inf", "1e300", "1e-300", "0", "-1")),
+      for mu in ("nan", "inf", "1e300", "1e-300", "1e-81", "1e-78", "0", "-1")),
     ["verify", "theorem4"],
 ]
 
@@ -724,7 +724,8 @@ def test_verify_rejects_single_sample(tmp_path, capsys, what):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("mu", ["1e40", "1e50", "1e70", "1e76", "1e-60", "1e-70"])
+@pytest.mark.parametrize("mu", ["1e40", "1e50", "1e70", "1e76", "1e-60", "1e-70",
+                                "1e-76"])
 def test_verify_moments_z_scores_do_not_depend_on_mu(capsys, mu):
     # P_l and P_e are reduced in units of (2*mu)**2, so their sample fourth
     # powers stay in the float range, and each z-score is that of mu = 1/2

@@ -42,6 +42,13 @@ def small_target():
     return SecrecyTarget(secure_rate=0.5, outage=0.35)
 
 
+def bound_draws(plan, cfg, n_samples, seed):
+    """The (P_l, P_e) samples ``verify_power_bounds`` reduces."""
+    return montecarlo._chunk_draws(
+        lambda rng, m: montecarlo._power_bounds_chunk(plan, cfg, rng, m),
+        max(1, montecarlo.RELAY_PIECE // plan.n_r), 1, n_samples, seed)
+
+
 # --- Wilson interval -------------------------------------------------------
 
 def test_wilson_interval_known_values():
@@ -550,8 +557,8 @@ def test_moment_z_score_in_standard_errors():
 
 def test_verify_power_bounds_do_not_depend_on_threads_or_batches(monkeypatch):
     # 3 samples per chunk of 64 relay elements; the estimates are the same
-    # for 1, 2 and 3 threads, and batches of 2 chunks (6 samples) merge to
-    # the moments of one batch within rounding
+    # for 1, 2 and 3 threads, and windows of 2 chunks (6 samples) merge to
+    # the moments of one window within rounding
     monkeypatch.setattr(montecarlo, "RELAY_PIECE", 64)
     plan, cfg = small_plan(), small_cfg()
     runs = []
@@ -560,20 +567,20 @@ def test_verify_power_bounds_do_not_depend_on_threads_or_batches(monkeypatch):
                             lambda pid, n=n: set(range(n)))
         runs.append(verify_power_bounds(plan, cfg, n_samples=200, seed=73))
     assert runs[1] == runs[0] and runs[2] == runs[0]
-    monkeypatch.setattr(montecarlo, "BOUND_BATCH", 7)
-    batched = verify_power_bounds(plan, cfg, n_samples=200, seed=73)
-    for a, b in zip(batched, runs[0]):
+    monkeypatch.setattr(montecarlo, "MOMENT_WINDOW", 7)
+    windowed = verify_power_bounds(plan, cfg, n_samples=200, seed=73)
+    for a, b in zip(windowed, runs[0]):
         assert a.bound == b.bound
         assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
         assert a.std_err == pytest.approx(b.std_err, rel=1e-12)
-    assert batched != runs[0]  # the batches did split the samples
+    assert windowed != runs[0]  # the windows did split the samples
 
 
 def test_power_bound_std_errors_match_moment_checks():
-    from secbeam.montecarlo import _mean_check, _sample_power_bounds, _var_check
+    from secbeam.montecarlo import _mean_check, _var_check
     plan, cfg = small_plan(), small_cfg()
     checks = verify_power_bounds(plan, cfg, n_samples=300, seed=71)
-    p_l, p_e = map(RunningMoments.of, _sample_power_bounds(plan, cfg, 300, seed=71))
+    p_l, p_e = map(RunningMoments.of, bound_draws(plan, cfg, 300, seed=71))
     want = [_mean_check("", 0.0, p_l), _mean_check("", 0.0, p_e),
             _var_check("", 0.0, p_l), _var_check("", 0.0, p_e)]
     assert [c.std_err for c in checks] == [w.std_err for w in want]

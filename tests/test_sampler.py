@@ -1,6 +1,7 @@
 """Distributional checks of the three samplers: trials (``run_trial``),
-theorem-4 samples (``_sample_power_bounds``) and the no-path-loss moments
-of ``verify moments`` (``_nopath_chunks``).
+theorem-4 samples (``_power_bounds_chunk``) and the no-path-loss moments
+of ``verify moments`` (``_sample_powers_nopath``), the last two drawn
+chunk by chunk through the verifiers' chunk engine (``_chunk_draws``).
 
 Each sampler has one reference, kept here verbatim from random stream 1,
 which drew every per-relay link in float64 as a Rayleigh magnitude with a
@@ -19,13 +20,9 @@ minimum of independent exponentials, the power of a weighted sum of
 circular Gaussians, the float32 exponential, and the E6 failure
 probability given the relay field.  Where values can be compared, float64
 evaluations of a sampler's own draws check it: the kernel's relay sums, a
-large trial, and trials without eavesdroppers.
-
-Two comparisons with older streams remain.  The stream-5 theorem-4 chunk
-(``sample_power_bounds_v5``) is kept verbatim: the current sampler draws
-the same bytes and so agrees with it in distribution.  The stream-6 draws
-of ``verify moments``, every sample in one call of
-``_sample_powers_nopath``, agree in distribution with the stream-7 chunks.
+large trial, and trials without eavesdroppers.  The chunk engine is
+checked for both verifiers: each chunk's generator, and the same samples
+for any thread count.
 """
 
 import math
@@ -33,21 +30,20 @@ import os
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from secbeam import montecarlo
-from secbeam.montecarlo import (CSV_COLUMNS, _exponential_f32, _neg_power,
-                                _relay_draws, _relay_field, _sample_power_bounds,
+from secbeam.montecarlo import (CSV_COLUMNS, RunningMoments, _chunk_draws,
+                                _exponential_f32, _relay_draws, _relay_field,
                                 _sample_powers_nopath, _trial_rng, draw_min_gain,
                                 estimate_outage, run_trial, sample_realization)
 from secbeam.beamform import received_powers
-from secbeam.geometry import NetworkConfig
-from secbeam.planner import Plan
 
-from test_montecarlo import small_cfg, small_plan, small_target
+from test_montecarlo import bound_draws, small_cfg, small_plan, small_target
 
 N_TRIALS = 4000
 KS_FLOOR = 1e-3
@@ -459,8 +455,7 @@ def both_bound_samplers(request):
     with pytest.MonkeyPatch.context() as mp:
         if piece is not None:
             mp.setattr(montecarlo, "RELAY_PIECE", piece)
-        new = _sample_power_bounds(plan, cfg, N_TRIALS,
-                                   seed=7300 + 10 * n_r + int(gamma))
+        new = bound_draws(plan, cfg, N_TRIALS, seed=7300 + 10 * n_r + int(gamma))
     return old, new
 
 
@@ -472,136 +467,38 @@ def test_bound_sampler_matches_per_relay_fading(both_bound_samplers, power):
     assert p_value > KS_FLOOR, (power, p_value)
 
 
+# --- the chunk engine of both verifiers ---------------------------------------
+
+def nopath_draws(mu, n_r, n_samples, seed):
+    """The (P_l, P_e) samples ``verify_moments`` reduces, at ``mu``."""
+    return _chunk_draws(lambda rng, m: _sample_powers_nopath(mu, n_r, m, rng),
+                        montecarlo.MOMENT_CHUNK, 0, n_samples, seed)
 
 
-# --- stream-5 theorem-4 oracle ------------------------------------------------
-# The stream-5 chunk verbatim but for its name, with its chunk constant, and
-# its chunks taken in order on the calling thread: the threaded sampler's
-# output does not depend on the thread count (tested below).
-
-#: relay elements (samples x relays) per chunk of the theorem-4 sampler: one
-#: sample at the reference plan (n_r = 110446); a thread's five float32 rows
-#: of it take 2.5 MiB, small enough to stay in cache between passes
-POWER_BOUNDS_CHUNK_V5 = 1 << 17
-
-
-def power_bounds_chunk_v5(plan: Plan, cfg: NetworkConfig,
-                        rng: np.random.Generator, m: int, width: int,
-                        buf: np.ndarray):
-    """(P_l, P_e) of m samples drawn from ``rng``: first the m eavesdropper
-    positions, then the relays in pieces of ``width``, accumulating
-    sum_i g_i and sum_i g_i * d_e,i**-gamma in float64, then the m
-    exponentials of P_e.  ``buf`` is float32 scratch of at least
-    5 * m * width values."""
-    f32 = np.float32
-    e = -cfg.gamma / 2.0
-    n_r = plan.n_r
-    side = max(cfg.side, 2.0 * plan.a_e * 1.05)  # square must contain the disc
-    # one eavesdropper per sample, uniform outside the disc
-    ex = np.empty(m)
-    ey = np.empty(m)
-    need = np.arange(m)
-    while len(need):
-        cx = (rng.random(len(need)) - 0.5) * side
-        cy = (rng.random(len(need)) - 0.5) * side
-        ok = np.hypot(cx, cy) > plan.a_e
-        ex[need[ok]] = cx[ok]
-        ey[need[ok]] = cy[ok]
-        need = need[~ok]
-    ex = ex[:, None].astype(f32)
-    ey = ey[:, None].astype(f32)
-    s = np.zeros(m)
-    t = np.zeros(m)
-    for start in range(0, n_r, width):
-        k = min(width, n_r - start)
-        block = buf[:5 * m * k].reshape(5, m, k)
-        r, ang, h2, x, gain = block
-        _relay_draws(rng, (m, k), cfg.mu, out=block[:3])
-        np.sqrt(r, out=r)
-        r *= f32(plan.a_l)
-        ang *= f32(2.0 * math.pi)
-        np.cos(ang, out=x)
-        x *= r
-        y = np.sin(ang, out=ang)
-        y *= r
-        # d_rx**2, then d_rx**-gamma, then g_i
-        np.subtract(x, f32(cfg.d_tr), out=gain)
-        gain *= gain
-        np.multiply(y, y, out=r)  # r is free: reuse it as scratch
-        gain += r
-        _neg_power(gain, e, out=gain)
-        gain *= h2
-        s += gain.sum(axis=1, dtype=np.float64)
-        x -= ex  # d_e**2, then g_i * d_e**-gamma
-        x *= x
-        y -= ey
-        y *= y
-        x += y
-        _neg_power(x, e, out=x)
-        x *= gain
-        t += x.sum(axis=1, dtype=np.float64)
-    p_e = rng.standard_exponential(m)
-    p_e *= (2.0 * cfg.mu / n_r) * t
-    return s * s / n_r, p_e
-
-
-def sample_power_bounds_v5(plan, cfg, n_samples, seed):
-    """The stream-5 theorem-4 samples: chunk c from ``[seed, 1, c]``."""
-    n_r = plan.n_r
-    rows = max(1, POWER_BOUNDS_CHUNK_V5 // n_r)
-    width = min(n_r, POWER_BOUNDS_CHUNK_V5)
-    buf = np.empty(5 * rows * width, dtype=np.float32)
-    parts = [power_bounds_chunk_v5(plan, cfg, np.random.default_rng([seed, 1, c]),
-                                   min(rows, n_samples - lo), width, buf)
-             for c, lo in enumerate(range(0, n_samples, rows))]
-    return tuple(np.concatenate(v) for v in zip(*parts))
-
-
-BOUND_CASES = [(1, 2.0, None), (16, 2.0, None), (1, 3.0, None),
-               (16, 3.0, None), (300, 2.0, 64), (300, 3.0, 64)]
-BOUND_IDS = ["nr1-gamma2", "nr16-gamma2", "nr1-gamma3", "nr16-gamma3",
-             "nr300-gamma2-pieces", "nr300-gamma3-pieces"]
-
-
-@pytest.fixture(scope="module", params=BOUND_CASES, ids=BOUND_IDS)
-def bound_streams_5_and_6(request):
-    # with a piece of 64 relay elements, n_r = 300 takes the path that
-    # walks one sample's relays in pieces (four of 64 and one of 44)
-    n_r, gamma, chunk = request.param
-    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:
-            mp.setattr(sys.modules[__name__], "POWER_BOUNDS_CHUNK_V5", chunk)
-            mp.setattr(montecarlo, "RELAY_PIECE", chunk)
-        old = sample_power_bounds_v5(plan, cfg, N_TRIALS,
-                                     seed=11_900 + 10 * n_r + int(gamma))
-        new = _sample_power_bounds(plan, cfg, N_TRIALS,
-                                   seed=12_900 + 10 * n_r + int(gamma))
-    return old, new
-
-
-@pytest.mark.parametrize("power", ["P_l", "P_e"])
-def test_bound_stream_6_matches_stream_5(bound_streams_5_and_6, power):
-    old, new = bound_streams_5_and_6
-    k = ["P_l", "P_e"].index(power)
-    _, p_value = stats.ks_2samp(old[k], new[k])
-    assert p_value > KS_FLOOR, (power, p_value)
-
-
-@pytest.mark.parametrize("case", BOUND_CASES, ids=BOUND_IDS)
-def test_bound_stream_6_draws_stream_5(monkeypatch, case):
-    # the kernel draws and reduces each theorem-4 chunk as stream 5 did,
-    # with the same float32 operations: the samples are the same bytes
-    n_r, gamma, chunk = case
-    if chunk is not None:
-        monkeypatch.setattr(sys.modules[__name__], "POWER_BOUNDS_CHUNK_V5", chunk)
-        monkeypatch.setattr(montecarlo, "RELAY_PIECE", chunk)
-    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=gamma, mu=0.8)
-    old = sample_power_bounds_v5(plan, cfg, 50, seed=61)
-    new = _sample_power_bounds(plan, cfg, 50, seed=61)
-    for a, b in zip(old, new):
-        assert a.tobytes() == b.tobytes()
-
+@pytest.fixture(params=["bounds-rows", "bounds-pieces", "nopath"])
+def engine(request, monkeypatch):
+    """One verifier on the chunk engine, with small chunks: theorem-4
+    chunks of 64 relay elements, 3 samples of 20 relays or one sample of
+    300 relays walked in 5 pieces; verify-moments chunks of 3 samples, so
+    that a window holds several.  ``draws(n, seed)`` are the samples
+    ``verify(n, seed)`` reduces; chunk c holds ``rows`` of them, drawn by
+    ``chunk(np.random.default_rng([seed, key, c]), m)``; ``name`` is the
+    module global that ``chunk`` calls."""
+    if request.param == "nopath":
+        monkeypatch.setattr(montecarlo, "MOMENT_CHUNK", 3)
+        return SimpleNamespace(
+            draws=lambda n, seed: nopath_draws(0.7, 5, n, seed),
+            verify=lambda n, seed: montecarlo.verify_moments(0.7, 5, n, seed),
+            chunk=lambda rng, m: _sample_powers_nopath(0.7, 5, m, rng),
+            rows=3, key=0, name="_sample_powers_nopath")
+    monkeypatch.setattr(montecarlo, "RELAY_PIECE", 64)
+    n_r = 20 if request.param == "bounds-rows" else 300
+    plan, cfg = small_plan(n_r=n_r, a_l=2.5), small_cfg(gamma=3.0, mu=0.8)
+    return SimpleNamespace(
+        draws=lambda n, seed: bound_draws(plan, cfg, n, seed),
+        verify=lambda n, seed: montecarlo.verify_power_bounds(plan, cfg, n, seed),
+        chunk=lambda rng, m: montecarlo._power_bounds_chunk(plan, cfg, rng, m),
+        rows=max(1, 64 // n_r), key=1, name="_power_bounds_chunk")
 
 
 class CountingThread(threading.Thread):
@@ -612,13 +509,10 @@ class CountingThread(threading.Thread):
         super().start()
 
 
-@pytest.mark.parametrize("chunk", [1024, 64], ids=["rows", "pieces"])
-def test_bound_samples_do_not_depend_on_thread_count(monkeypatch, chunk):
-    # 3 samples per chunk of 1024, or each sample's 300 relays in 5 pieces;
-    # more threads than cores and a short switch interval: a chunk taken
-    # twice or skipped would leave a slot of np.empty unwritten or wrong
-    plan, cfg = small_plan(n_r=300, a_l=2.5), small_cfg(gamma=3.0, mu=0.8)
-    monkeypatch.setattr(montecarlo, "RELAY_PIECE", chunk)
+def test_chunk_samples_do_not_depend_on_thread_count(monkeypatch, engine):
+    # 200 samples in 67 or 200 chunks; more threads than cores and a short
+    # switch interval: a chunk taken twice or skipped would leave a slot of
+    # np.empty unwritten or wrong
     monkeypatch.setattr(threading, "Thread", CountingThread)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -628,7 +522,7 @@ def test_bound_samples_do_not_depend_on_thread_count(monkeypatch, chunk):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, n=n: set(range(n)))
             CountingThread.started = 0
-            runs.append(_sample_power_bounds(plan, cfg, 200, seed=41))
+            runs.append(engine.draws(200, 41))
             assert CountingThread.started == n - 1
     finally:
         sys.setswitchinterval(interval)
@@ -637,38 +531,40 @@ def test_bound_samples_do_not_depend_on_thread_count(monkeypatch, chunk):
         assert p_e.tobytes() == runs[0][1].tobytes()
 
 
-def test_bound_chunk_c_draws_from_its_own_generator(monkeypatch):
-    # n_r = 20 and chunks of 64 relay elements: 3 samples per chunk, so 10
-    # samples fall into chunks of 3, 3, 3 and 1
-    monkeypatch.setattr(montecarlo, "RELAY_PIECE", 64)
-    plan, cfg = small_plan(n_r=20, a_l=2.5), small_cfg(mu=0.8)
-    p_l, p_e = _sample_power_bounds(plan, cfg, 10, seed=53)
+def test_chunk_c_draws_from_its_own_generator(engine):
+    # 10 samples in chunks of 3, 3, 3 and 1, or of one each; the verifier
+    # reduces exactly these draws
+    p_l, p_e = engine.draws(10, 53)
     assert len(np.unique(p_l)) == 10 and len(np.unique(p_e)) == 10
-    for c, lo in enumerate(range(0, 10, 3)):
-        hi = min(lo + 3, 10)
-        want = montecarlo._power_bounds_chunk(
-            plan, cfg, np.random.default_rng([53, 1, c]), hi - lo)
+    for c, lo in enumerate(range(0, 10, engine.rows)):
+        hi = min(lo + engine.rows, 10)
+        want = engine.chunk(np.random.default_rng([53, engine.key, c]), hi - lo)
         assert p_l[lo:hi].tobytes() == want[0].tobytes()
         assert p_e[lo:hi].tobytes() == want[1].tobytes()
+    accs = {"P_l": RunningMoments.of(p_l), "P_e": RunningMoments.of(p_e)}
+    for check in engine.verify(10, 53):
+        acc = accs["P_l" if "P_l" in check.name else "P_e"]
+        want = acc.mean if check.name.startswith("mean") else acc.variance()
+        assert check.estimate == pytest.approx(want, rel=1e-12)
 
 
-def test_bound_samples_use_no_more_threads_than_chunks(monkeypatch):
+def test_chunk_engine_uses_no_more_threads_than_chunks(monkeypatch, engine):
     monkeypatch.setattr(threading, "Thread", CountingThread)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     CountingThread.started = 0
-    _sample_power_bounds(small_plan(n_r=1 << 17), small_cfg(), 3, seed=43)
+    engine.verify(3 * engine.rows, 43)  # three chunks in one window
     assert CountingThread.started == 2
 
 
-def test_bound_sampler_raises_what_a_thread_raised(monkeypatch):
-    def chunk(plan, cfg, rng, m):
+def test_chunk_engine_raises_what_a_thread_raised(monkeypatch, engine):
+    def chunk(*args):
         raise MemoryError("chunk")
 
-    monkeypatch.setattr(montecarlo, "_power_bounds_chunk", chunk)
+    monkeypatch.setattr(montecarlo, engine.name, chunk)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     before = threading.active_count()
     with pytest.raises(MemoryError, match="chunk"):
-        _sample_power_bounds(small_plan(), small_cfg(), 100, seed=47)
+        engine.verify(100, 47)
     assert threading.active_count() == before
 
 
@@ -726,53 +622,11 @@ def test_nopath_sampler_matches_per_relay_draws(monkeypatch, n_r, mu):
     monkeypatch.setattr(montecarlo, "MOMENT_CHUNK", 300)
     old = sample_powers_nopath_v1(mu, n_r, N_TRIALS,
                                   np.random.default_rng([n_r, int(10 * mu), 89]))
-    chunks = list(montecarlo._nopath_chunks(mu, n_r, N_TRIALS,
-                                            7050 + 100 * n_r + int(10 * mu)))
-    assert len(chunks) == 14
-    new = [np.concatenate(x) for x in zip(*chunks)]
+    new = nopath_draws(mu, n_r, N_TRIALS, 7050 + 100 * n_r + int(10 * mu))
     for power, a, b in zip(["P_l", "P_e"], old, new):
         assert len(b) == N_TRIALS
         _, p_value = stats.ks_2samp(a, b)
         assert p_value > KS_FLOOR, (power, p_value)
-
-
-# --- stream 7 against stream 6: verify moments in chunks -----------------------
-
-@pytest.mark.parametrize("n_r", [1, 3, 16])
-@pytest.mark.parametrize("mu", [0.5, 1.3])
-def test_nopath_stream_7_matches_stream_6(monkeypatch, n_r, mu):
-    # stream 6 drew every sample of verify moments from one generator, in
-    # one call of the sampler; stream 7 draws chunks of 300 samples here,
-    # so the 4000 draws cross 13 chunk boundaries
-    monkeypatch.setattr(montecarlo, "MOMENT_CHUNK", 300)
-    seed = 7000 + 100 * n_r + int(10 * mu)
-    old = _sample_powers_nopath(mu, n_r, N_TRIALS, np.random.default_rng([seed, 0]))
-    chunks = list(montecarlo._nopath_chunks(mu, n_r, N_TRIALS, seed + 50))
-    assert len(chunks) == 14
-    new = [np.concatenate(x) for x in zip(*chunks)]
-    for power, a, b in zip(["P_l", "P_e"], old, new):
-        assert len(b) == N_TRIALS
-        _, p_value = stats.ks_2samp(a, b)
-        assert p_value > KS_FLOOR, (power, p_value)
-
-
-def test_nopath_chunk_c_draws_from_its_own_generator(monkeypatch):
-    # 10 samples in chunks of 3, 3, 3 and 1; verify_moments reduces exactly
-    # these draws
-    monkeypatch.setattr(montecarlo, "MOMENT_CHUNK", 3)
-    chunks = list(montecarlo._nopath_chunks(0.7, 5, 10, seed=59))
-    assert [len(p_l) for p_l, _ in chunks] == [3, 3, 3, 1]
-    for c, (p_l, p_e) in enumerate(chunks):
-        want = _sample_powers_nopath(0.7, 5, len(p_l),
-                                     np.random.default_rng([59, 0, c]))
-        assert p_l.tobytes() == want[0].tobytes()
-        assert p_e.tobytes() == want[1].tobytes()
-    p_l, p_e = map(montecarlo.RunningMoments.of,
-                   (np.concatenate(x) for x in zip(*chunks)))
-    checks = montecarlo.verify_moments(0.7, 5, 10, seed=59)
-    for c, acc in zip(checks, [p_l, p_l, p_e, p_e]):
-        want = acc.mean if c.name.startswith("mean") else acc.variance()
-        assert c.estimate == pytest.approx(want, rel=1e-12)
 
 
 # --- verifier memory ----------------------------------------------------------
