@@ -161,9 +161,9 @@ def cmd_simulate(args) -> int:
             report = montecarlo.estimate_outage(p, cfg, target, args.trials,
                                                 args.seed, collect=collect)
         except MemoryError as exc:
-            # a trial holds one kernel buffer whatever n_r, but its
-            # eavesdropper arrays grow with the count; the CSV keeps the
-            # trials that finished
+            # each thread holds one kernel buffer whatever n_r, but a
+            # trial's eavesdropper arrays grow with the count; the CSV keeps
+            # the trials before the one that failed
             raise Refusal(f"cannot simulate n_r={p.n_r} relays: {exc}") from None
         doc = report.to_dict()
         doc["manifest"] = _manifest("simulate", args,
@@ -172,6 +172,10 @@ def cmd_simulate(args) -> int:
                                        "numpy": np.__version__,
                                        "secbeam": __version__}
         doc["manifest"]["stream_version"] = montecarlo.STREAM_VERSION
+        cpus = montecarlo.usable_cpus()
+        doc["manifest"]["usable_cpus"] = cpus
+        doc["manifest"]["workers"] = min(cpus, args.trials,
+                                         montecarlo.TRIAL_WINDOW)
         if json_fh:
             json.dump(doc, json_fh, indent=2)
             json_fh.write("\n")

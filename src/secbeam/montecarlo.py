@@ -11,6 +11,7 @@ what a seed draws; it changes whenever the sampler draws differently.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import threading
@@ -205,8 +206,9 @@ def _relay_buffer() -> np.ndarray:
     elements, made on first use and again when KERNEL_SLOTS * RELAY_PIECE
     changes, and reused across calls: a fresh buffer per trial makes the C
     heap grow and shrink by megabytes, and each trial then takes a page
-    fault per 4 KiB it touches.  Each thread has its own, so theorem-4
-    chunks fill theirs side by side."""
+    fault per 4 KiB it touches.  Each thread has its own, so simulate trials
+    and theorem-4 chunks on ``_ordered_map`` threads fill theirs side by
+    side: one buffer (3.5 MiB at the default sizes) per thread."""
     buf = getattr(_scratch, "buf", None)
     if buf is None or len(buf) != KERNEL_SLOTS * RELAY_PIECE:
         buf = _scratch.buf = np.empty(KERNEL_SLOTS * RELAY_PIECE, dtype=np.float32)
@@ -434,6 +436,53 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
         e6_outage_given_field=e6_given_field)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ordered_map(fn, lo: int, hi: int):
+    """Yield fn(i) for i = lo, ..., hi - 1, in that order.
+
+    The calls run on the calling thread plus one ``threading.Thread`` per
+    further usable CPU, never more threads than calls, so a single call
+    starts none.  Each thread takes the next index as it gets free.  Every
+    thread has ended before the first value is yielded.  Once a call has
+    raised, no further index is handed out; the values below the lowest
+    failing index are yielded, then its exception is raised here."""
+    if hi - lo == 1:
+        yield fn(lo)
+        return
+    results = [None] * (hi - lo)
+    indices = itertools.count(lo)  # next() is atomic under the GIL
+    errors = {}  # failing index -> its exception
+
+    def work():
+        while not errors:
+            i = next(indices)
+            if i >= hi:
+                return
+            try:
+                results[i - lo] = fn(i)
+            except BaseException as exc:  # re-raised on the calling thread
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(usable_cpus(), hi - lo) - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    failed = min(errors, default=hi)
+    yield from results[:failed - lo]
+    if errors:
+        raise errors[failed]
+
+
 class RunningMoments:
     """Count, mean and sums of squared, cubed and fourth-power deviations
     (m2, m3, m4) of a stream of floats, in O(1) memory.
@@ -504,14 +553,27 @@ class RunningMoments:
         return self.m2 / (self.n - 1) if self.n > 1 else 0.0
 
 
+#: trials per window of ``estimate_outage``: a window's outcomes are held
+#: until they are consumed in trial order, so memory does not grow with
+#: n_trials
+TRIAL_WINDOW = 64
+
+
 def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
                     n_trials: int, seed: int,
                     collect=None) -> OutageReport:
     """Run n_trials independent trials and aggregate.
 
-    ``collect``, if given, receives every TrialOutcome as it finishes (e.g.
-    ``csv_row_writer``); aggregation keeps running counts and moments only,
-    so memory does not grow with n_trials.
+    The trials run TRIAL_WINDOW at a time on the calling thread plus one
+    thread per further usable CPU (``_ordered_map``), and each window's
+    outcomes are consumed in trial order on the calling thread.  ``collect``,
+    if given, receives every TrialOutcome in that order (e.g.
+    ``csv_row_writer``); aggregation keeps running counts and moments only.
+    So the report and the rows are those of a serial run whatever the thread
+    count, and memory does not grow with n_trials: one window of outcomes,
+    and one kernel buffer per thread (``_relay_buffer``).  When a trial
+    raises, ``collect`` has received every trial before it, and the
+    exception propagates.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -521,17 +583,21 @@ def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     max_p_e = RunningMoments()
     total_power = RunningMoments()
     e6_given_field = RunningMoments()
-    for i in range(n_trials):
-        out = run_trial(plan, cfg, target, i, seed)
-        for j, ok in enumerate(out.flags()):
-            ok_counts[j] += ok
-        composite_ok += out.composite
-        p_l.push(out.p_l)
-        max_p_e.push(out.max_p_e)
-        total_power.push(out.total_relay_power)
-        e6_given_field.push(out.e6_outage_given_field)
-        if collect is not None:
-            collect(out)
+
+    def trial(i):
+        return run_trial(plan, cfg, target, i, seed)
+
+    for lo in range(0, n_trials, TRIAL_WINDOW):
+        for out in _ordered_map(trial, lo, min(lo + TRIAL_WINDOW, n_trials)):
+            for j, ok in enumerate(out.flags()):
+                ok_counts[j] += ok
+            composite_ok += out.composite
+            p_l.push(out.p_l)
+            max_p_e.push(out.max_p_e)
+            total_power.push(out.total_relay_power)
+            e6_given_field.push(out.e6_outage_given_field)
+            if collect is not None:
+                collect(out)
 
     def stats(ok: int) -> EventStats:
         fails = n_trials - ok
@@ -654,8 +720,7 @@ def _chunk_draws(draw, rows: int, key: int, n_samples: int, seed: int,
     The samples fall into chunks of ``rows`` samples, fewer in the last, and
     chunk c is ``draw(np.random.default_rng([seed, key, c]), m)`` for its m
     samples, so the layout and every value depend on rows, n_samples and
-    the seed alone.  The chunks run on one thread per usable CPU (the
-    calling thread among them), never more than there are chunks: the
+    the seed alone.  The chunks run on ``_ordered_map``'s threads: the
     result is the same for any number of threads."""
     hi = n_samples if hi is None else hi
     first, n_chunks = lo // rows, -(-hi // rows)
@@ -663,33 +728,14 @@ def _chunk_draws(draw, rows: int, key: int, n_samples: int, seed: int,
         return draw(np.random.default_rng([seed, key, first]), hi - lo)
     p_l = np.empty(hi - lo)
     p_e = np.empty(hi - lo)
-    lock = threading.Lock()
-    taken = [first]  # next chunk to hand out
-    errors = []      # exceptions raised in any thread; they stop the others
 
-    def work():
-        try:
-            while not errors:
-                with lock:
-                    c = taken[0]
-                    taken[0] += 1
-                if c >= n_chunks:
-                    return
-                a, b = c * rows, min((c + 1) * rows, n_samples)
-                p_l[a - lo:b - lo], p_e[a - lo:b - lo] = draw(
-                    np.random.default_rng([seed, key, c]), b - a)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
+    def chunk(c):
+        a, b = c * rows, min((c + 1) * rows, n_samples)
+        p_l[a - lo:b - lo], p_e[a - lo:b - lo] = draw(
+            np.random.default_rng([seed, key, c]), b - a)
 
-    n_threads = min(len(os.sched_getaffinity(0)), n_chunks - first)
-    threads = [threading.Thread(target=work) for _ in range(n_threads - 1)]
-    for t in threads:
-        t.start()
-    work()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    for _ in _ordered_map(chunk, first, n_chunks):
+        pass  # each chunk fills its own slots
     return p_l, p_e
 
 

@@ -303,8 +303,9 @@ def test_edited_plan_fails_validation(tmp_path, capsys):
         assert captured.out == ""
 
 
-def test_simulate_outputs(tmp_path, capsys):
+def test_simulate_outputs(tmp_path, capsys, monkeypatch):
     _, plan_path = run_plan(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     csv_path = tmp_path / "trials.csv"
     json_path = tmp_path / "report.json"
     code = main(["simulate", "--plan", str(plan_path), "--trials", "20",
@@ -326,11 +327,47 @@ def test_simulate_outputs(tmp_path, capsys):
     assert doc["manifest"]["command"] == "simulate"
     assert doc["manifest"]["stream_version"] == montecarlo.STREAM_VERSION
     assert set(doc["manifest"]["versions"]) == {"python", "numpy", "secbeam"}
+    assert doc["manifest"]["usable_cpus"] == 3
+    assert doc["manifest"]["workers"] == 3
     assert set(doc["event_outage"]) == {f"E{k}" for k in range(1, 8)}
     # the E6 estimate given each trial's relay field sits outside the events
     assert 0.0 <= doc["e6_outage_given_field"] <= 1.0
     assert doc["e6_outage_given_field_se"] >= 0.0
     assert "E6 given the relay field" in text
+
+
+@pytest.mark.parametrize("plan_edit", ["eaves", "short"])
+def test_simulate_outputs_do_not_depend_on_thread_count(
+        tmp_path, monkeypatch, plan_edit):
+    # 11 trials in windows of 4, 4 and 3 on 1, 2 and 3 threads: at 20x
+    # lambda_e_max most trials have eavesdroppers; with about n_r nodes
+    # expected in the relay disc, E1 fails in some trials
+    _, plan_path = run_plan(tmp_path)
+    cfg, _, p = planner.load_plan(plan_path)
+    if plan_edit == "eaves":
+        edit_plan(plan_path, cfg_lambda_e=20 * p.lambda_e_max)
+    else:
+        edit_plan(plan_path, cfg_lambda_l=p.n_r / (np.pi * p.a_l ** 2))
+    monkeypatch.setattr(montecarlo, "TRIAL_WINDOW", 4)
+    csvs, docs = [], []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=n: set(range(n)))
+        csv_path, json_path = tmp_path / f"t{n}.csv", tmp_path / f"r{n}.json"
+        assert main(["simulate", "--plan", str(plan_path), "--trials", "11",
+                     "--seed", "6", "--csv", str(csv_path),
+                     "--json", str(json_path)]) == 0
+        csvs.append(csv_path.read_bytes())
+        doc = json.loads(json_path.read_text())
+        assert doc.pop("manifest")["workers"] == n
+        docs.append(doc)
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+    rows = list(csv.DictReader(csvs[0].decode().splitlines()))
+    if plan_edit == "eaves":
+        assert sum(float(r["max_P_e"]) > 0 for r in rows) > len(rows) / 2
+    else:
+        assert {r["E1"] for r in rows} == {"0", "1"}
 
 
 def test_simulate_streamed_csv_matches_batch_writer(tmp_path):
@@ -660,26 +697,29 @@ def test_huge_relay_count_in_bounded_memory(tmp_path, capsys):
 
 
 def test_simulate_memory_error_exits_2(tmp_path, capsys, monkeypatch):
-    # a run that runs out of memory after two trials: one line, exit 2, and
-    # the CSV keeps the finished trials without the old tail
+    # trial 5 runs out of memory, in a window of 4 trials on 3 threads: one
+    # line, exit 2, and the CSV keeps trials 0-4 without the old tail
     _, plan_path = run_plan(tmp_path)
     n_r = json.loads(plan_path.read_text())["n_r"]
     csv_path = tmp_path / "trials.csv"
     csv_path.write_text("x" * 10_000)
-    estimate = montecarlo.estimate_outage
+    monkeypatch.setattr(montecarlo, "TRIAL_WINDOW", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    run_trial = montecarlo.run_trial
 
-    def short(p, cfg, target, n_trials, seed, collect=None):
-        estimate(p, cfg, target, 2, seed, collect=collect)
-        raise MemoryError("no room")
+    def failing(p, cfg, target, trial_index, seed):
+        if trial_index == 5:
+            raise MemoryError("no room")
+        return run_trial(p, cfg, target, trial_index, seed)
 
-    monkeypatch.setattr(montecarlo, "estimate_outage", short)
+    monkeypatch.setattr(montecarlo, "run_trial", failing)
     capsys.readouterr()
-    assert main(["simulate", "--plan", str(plan_path), "--trials", "5",
+    assert main(["simulate", "--plan", str(plan_path), "--trials", "12",
                  "--csv", str(csv_path)]) == 2
     assert capsys.readouterr().err == f"cannot simulate n_r={n_r} relays: no room\n"
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ",".join(montecarlo.CSV_COLUMNS)
-    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
 
 
 def test_verify_moments_streams_samples_in_bounded_memory():

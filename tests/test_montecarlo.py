@@ -462,10 +462,10 @@ GOLDEN = Path(__file__).parent / "data" / "golden_small_trials.csv"
 INTEGER_COLUMNS = ["trial_index", *EVENT_NAMES, "composite", "n_in_Bl", "n_in_Be"]
 
 
-def test_golden_trial_table(tmp_path):
-    # random stream 6: the rows of 20 trials at seed 0 on the small plan.
-    # Integer columns must match exactly; float columns to rtol 1e-5, since
-    # float32 SIMD cos/pow may differ in the last ulp across CPUs.
+def assert_golden_trials(tmp_path):
+    """The rows of 20 trials at seed 0 on the small plan against the golden
+    table.  Integer columns must match exactly; float columns to rtol 1e-5,
+    since float32 SIMD cos/pow may differ in the last ulp across CPUs."""
     outcomes = []
     estimate_outage(small_plan(), small_cfg(), small_target(), 20, seed=0,
                     collect=outcomes.append)
@@ -482,6 +482,20 @@ def test_golden_trial_table(tmp_path):
         assert [g[c] for c in INTEGER_COLUMNS] == [w[c] for c in INTEGER_COLUMNS]
         np.testing.assert_allclose([float(g[c]) for c in floats],
                                    [float(w[c]) for c in floats], rtol=1e-5)
+
+
+def test_golden_trial_table(tmp_path):
+    # random stream 6
+    assert_golden_trials(tmp_path)
+
+
+def test_golden_trial_table_on_threads(tmp_path, monkeypatch):
+    # windows of 7, 7 and 6 trials on 1, 2 and 3 threads
+    monkeypatch.setattr(montecarlo, "TRIAL_WINDOW", 7)
+    for n in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=n: set(range(n)))
+        assert_golden_trials(tmp_path)
 
 
 # --- moment and bound verifiers --------------------------------------------

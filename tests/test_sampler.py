@@ -22,14 +22,18 @@ probability given the relay field.  Where values can be compared, float64
 evaluations of a sampler's own draws check it: the kernel's relay sums, a
 large trial, and trials without eavesdroppers.  The chunk engine is
 checked for both verifiers: each chunk's generator, and the same samples
-for any thread count.
+for any thread count; the ordered map under it, which simulate's trials
+run on too, for each index run once, the threads it starts and the
+failures it passes on.
 """
 
 import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -467,7 +471,7 @@ def test_bound_sampler_matches_per_relay_fading(both_bound_samplers, power):
     assert p_value > KS_FLOOR, (power, p_value)
 
 
-# --- the chunk engine of both verifiers ---------------------------------------
+# --- the chunk engine of both verifiers, and its ordered map ---------------
 
 def nopath_draws(mu, n_r, n_samples, seed):
     """The (P_l, P_e) samples ``verify_moments`` reduces, at ``mu``."""
@@ -566,6 +570,69 @@ def test_chunk_engine_raises_what_a_thread_raised(monkeypatch, engine):
     with pytest.raises(MemoryError, match="chunk"):
         engine.verify(100, 47)
     assert threading.active_count() == before
+
+
+def test_ordered_map_runs_each_index_once(monkeypatch):
+    # 500 tiny calls, so the threads mostly take indices, on up to more
+    # threads than cores and at a short switch interval: an index handed out
+    # twice or skipped shows in the count of calls per index
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=n: set(range(n)))
+            calls = []
+
+            def fn(i):
+                calls.append(i)
+                return -i
+
+            got = list(montecarlo._ordered_map(fn, 7, 507))
+            assert Counter(calls) == Counter(range(7, 507))
+            assert got == [-i for i in range(7, 507)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9})
+    assert montecarlo.usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert montecarlo.usable_cpus() == (os.cpu_count() or 1)
+
+
+def test_trials_start_no_more_threads_than_trials(monkeypatch):
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    for n_trials, started in ((1, 0), (3, 2)):
+        CountingThread.started = 0
+        estimate_outage(small_plan(), small_cfg(), small_target(), n_trials, 3)
+        assert CountingThread.started == started
+
+
+def test_failed_trial_keeps_the_serial_prefix(monkeypatch):
+    # windows of 4 trials on 3 threads; trials 5 and up raise, trial 5
+    # last of its window: collect has trials 0-4, trial 5's exception
+    # propagates, and no thread is left running
+    monkeypatch.setattr(montecarlo, "TRIAL_WINDOW", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    plan, cfg, target = small_plan(), small_cfg(), small_target()
+
+    def failing(plan, cfg, target, i, seed):
+        if i == 5:
+            time.sleep(0.05)
+        if i >= 5:
+            raise MemoryError(f"trial {i}")
+        return run_trial(plan, cfg, target, i, seed)
+
+    monkeypatch.setattr(montecarlo, "run_trial", failing)
+    before = threading.active_count()
+    outcomes = []
+    with pytest.raises(MemoryError, match="^trial 5$"):
+        estimate_outage(plan, cfg, target, 12, 37, collect=outcomes.append)
+    assert threading.active_count() == before
+    assert outcomes == [run_trial(plan, cfg, target, i, 37) for i in range(5)]
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.3])
