@@ -343,7 +343,7 @@ def test_simulate_outputs_do_not_depend_on_thread_count(
     # lambda_e_max most trials have eavesdroppers; with about n_r nodes
     # expected in the relay disc, E1 fails in some trials
     _, plan_path = run_plan(tmp_path)
-    cfg, _, p = planner.load_plan(plan_path)
+    _, _, p = planner.load_plan(plan_path)
     if plan_edit == "eaves":
         edit_plan(plan_path, cfg_lambda_e=20 * p.lambda_e_max)
     else:
@@ -371,7 +371,7 @@ def test_simulate_outputs_do_not_depend_on_thread_count(
 
 
 def test_simulate_streamed_csv_matches_batch_writer(tmp_path):
-    # rows written as trials finish equal the batch writer's file
+    # rows streamed during the run equal the batch writer's file
     _, plan_path = run_plan(tmp_path)
     streamed = tmp_path / "streamed.csv"
     assert main(["simulate", "--plan", str(plan_path), "--trials", "6",
