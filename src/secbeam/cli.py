@@ -48,8 +48,9 @@ def _manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> dic
 
 
 def _build_config(args, p: planner.Plan) -> NetworkConfig:
-    """The plan's network; InfeasiblePlanError when its default extent
-    holds more legitimate nodes than the float range."""
+    """The plan's network; InfeasiblePlanError when its extent leaves the
+    float range: the default one holds more legitimate nodes than it, or
+    --nlegit nodes at lambda_l_min need a wider square."""
     n_legit = args.nlegit
     if n_legit is None:
         # default extent: square comfortably containing the protected disc
@@ -61,9 +62,12 @@ def _build_config(args, p: planner.Plan) -> NetworkConfig:
             raise planner.InfeasiblePlanError(
                 "network_extent", f"lambda_l_min={p.lambda_l_min} over a "
                 f"square of side {side} leaves the float range") from None
-    return NetworkConfig(p_t=args.power, mu=args.mu, gamma=args.gamma,
-                         d_tr=args.dtr, lambda_l=p.lambda_l_min,
-                         lambda_e=p.lambda_e_max, n_legit=n_legit)
+    try:
+        return NetworkConfig(p_t=args.power, mu=args.mu, gamma=args.gamma,
+                             d_tr=args.dtr, lambda_l=p.lambda_l_min,
+                             lambda_e=p.lambda_e_max, n_legit=n_legit)
+    except ValueError as exc:  # every other field passed the probe
+        raise planner.InfeasiblePlanError("network_extent", str(exc)) from None
 
 
 def _planning_inputs(args):
@@ -172,10 +176,9 @@ def cmd_simulate(args) -> int:
                                        "numpy": np.__version__,
                                        "secbeam": __version__}
         doc["manifest"]["stream_version"] = montecarlo.STREAM_VERSION
-        cpus = montecarlo.usable_cpus()
-        doc["manifest"]["usable_cpus"] = cpus
-        doc["manifest"]["workers"] = min(cpus, args.trials,
-                                         montecarlo.TRIAL_WINDOW)
+        doc["manifest"]["usable_cpus"] = montecarlo.usable_cpus()
+        doc["manifest"]["workers"] = montecarlo.workers(
+            args.trials, montecarlo.TRIAL_WINDOW)
         if json_fh:
             json.dump(doc, json_fh, indent=2)
             json_fh.write("\n")
@@ -271,8 +274,12 @@ GRID_BLOCK = 4096
 def _parse_range(text: str, log: bool):
     """The grid of a ``lo:hi:steps`` range (see ``_grid``); raises
     ValueError for a malformed one."""
-    lo, hi, steps = text.split(":")
-    lo, hi, steps = float(lo), float(hi), int(steps)
+    try:
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise ValueError("expected lo:hi:steps, two numbers and a whole "
+                         f"number of steps, got {text!r}") from None
     if steps < 1:
         raise ValueError("steps must be >= 1")
     return _grid(lo, hi, steps, log)
@@ -356,7 +363,7 @@ def _sweep_row(args, name: str, value: float) -> list:
     except planner.InfeasiblePlanError as exc:
         return [_cell(value), "no", exc.constraint] + [""] * 8
     feasible = "yes"
-    if name == "lambda_l" and ns.lambda_l < p.lambda_l_min:
+    if ns.lambda_l is not None and ns.lambda_l < p.lambda_l_min:
         feasible = "no"
     return [_cell(value), feasible, p.mode, p.n_r, _cell(p.a_l), _cell(p.a_e),
             _cell(p.lambda_l_min), _cell(p.lambda_e_max), p.n_e_max,
@@ -438,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = subs.add_parser("sweep", help="plan over a one-parameter grid")
     _add_target_flags(sw, _number_or_range)
-    sw.add_argument("--lambda-l", dest="lambda_l", default=None,
-                    help="legitimate density (sweepable)")
+    sw.add_argument("--lambda-l", dest="lambda_l", type=_number_or_range,
+                    default=None, help="legitimate density (sweepable)")
     sw.add_argument("--log", action="store_true", help="geometric grid spacing")
     sw.add_argument("--out", default=None, help="CSV output path")
     return parser

@@ -4,6 +4,7 @@ region."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -38,8 +39,13 @@ class NetworkConfig:
             raise ValueError(f"lambda_l must be positive, got {self.lambda_l}")
         if not (self.lambda_e >= 0 and math.isfinite(self.lambda_e)):
             raise ValueError(f"lambda_e must be >= 0, got {self.lambda_e}")
-        if self.n_legit < 1:
-            raise ValueError(f"n_legit must be >= 1, got {self.n_legit}")
+        # an integer, as a plan's relay and eavesdropper counts, whose side
+        # is a float: a NaN side stalls sampling, 10**400 overflows it
+        if not (type(self.n_legit) is int
+                and 1 <= self.n_legit <= sys.float_info.max
+                and math.isfinite(self.n_legit / self.lambda_l)):
+            raise ValueError("n_legit must be an integer >= 1 whose square "
+                             f"side is finite, got {self.n_legit!r}")
 
     @property
     def side(self) -> float:

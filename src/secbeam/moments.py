@@ -44,42 +44,40 @@ def mean_pe_nopath(mu: float) -> float:
     return m2 * m2
 
 
-def var_pl_nopath(n_r, mu: float):
+def var_pl_nopath(n_r: int, mu: float) -> float:
     """Var{P_l}/P_T**2 with unit distances, full expansion.
 
-    Accepts a scalar or array n_r.  The four terms are the diagonal
-    fourth-moment part, the off-diagonal square part (each unordered pair
-    {k,q} appears twice in the ordered double sum, and the reversed pair
-    carries the same product, hence the factor 2n(n-1)), the three-index
-    cross part and the diagonal/off-diagonal covariance part of the squared
-    sum of n_r i.i.d. squared magnitudes.
+    The four terms are the diagonal fourth-moment part, the off-diagonal
+    square part (each unordered pair {k,q} appears twice in the ordered
+    double sum, and the reversed pair carries the same product, hence the
+    factor 2n(n-1)), the three-index cross part and the
+    diagonal/off-diagonal covariance part of the squared sum of n_r i.i.d.
+    squared magnitudes.
     """
-    n = np.asarray(n_r, dtype=float)
-    if np.any(n < 1):
-        raise ValueError("n_r must be >= 1")
+    if n_r < 1:
+        raise ValueError(f"n_r must be >= 1, got {n_r}")
+    n = float(n_r)
     m2 = rayleigh_moment(mu, 2)
     m4 = rayleigh_moment(mu, 4)
     m6 = rayleigh_moment(mu, 6)
     m8 = rayleigh_moment(mu, 8)
-    out = (
+    return (
         n * (m8 - m4 * m4)
         + 2 * n * (n - 1) * (m4 * m4 - m2 ** 4)
         + 4 * n * (n - 1) * (n - 2) * (m4 * m2 * m2 - m2 ** 4)
         + 4 * n * (n - 1) * (m6 * m2 - m4 * m2 * m2)
     ) / (n * n)
-    return float(out) if out.ndim == 0 else out
 
 
-def var_pe_nopath(n_r, mu: float):
+def var_pe_nopath(n_r: int, mu: float) -> float:
     """Var{P_e}/P_T**2 with unit distances:
     ((n_r - 1)/n_r)*E{H^2}**4 + (1/n_r)*(E{H^4}**2 - E{H^2}**4)."""
-    n = np.asarray(n_r, dtype=float)
-    if np.any(n < 1):
-        raise ValueError("n_r must be >= 1")
+    if n_r < 1:
+        raise ValueError(f"n_r must be >= 1, got {n_r}")
+    n = float(n_r)
     m2 = rayleigh_moment(mu, 2)
     m4 = rayleigh_moment(mu, 4)
-    out = (n - 1) / n * m2 ** 4 + (m4 * m4 - m2 ** 4) / n
-    return float(out) if out.ndim == 0 else out
+    return (n - 1) / n * m2 ** 4 + (m4 * m4 - m2 ** 4) / n
 
 
 @dataclass(frozen=True)

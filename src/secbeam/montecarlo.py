@@ -11,7 +11,6 @@ what a seed draws; it changes whenever the sampler draws differently.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
 import threading
@@ -444,43 +443,49 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _ordered_map(fn, lo: int, hi: int):
-    """Yield fn(i) for i = lo, ..., hi - 1, in that order.
+def workers(n: int, window: int) -> int:
+    """The threads ``_ordered_map(fn, n, window)`` runs a window on: the
+    calling thread and one per further usable CPU, never more than the
+    window's calls, so a window of one call starts no thread."""
+    return min(usable_cpus(), n, window)
 
-    The calls run on the calling thread plus one ``threading.Thread`` per
-    further usable CPU, never more threads than calls, so a single call
-    starts none.  Each thread takes the next index as it gets free.  Every
-    thread has ended before the first value is yielded.  Once a call has
-    raised, no further index is handed out; the values below the lowest
-    failing index are yielded, then its exception is raised here."""
-    if hi - lo == 1:
-        yield fn(lo)
-        return
-    results = [None] * (hi - lo)
-    indices = itertools.count(lo)  # next() is atomic under the GIL
-    errors = {}  # failing index -> its exception
 
-    def work():
-        while not errors:
-            i = next(indices)
-            if i >= hi:
-                return
-            try:
-                results[i - lo] = fn(i)
-            except BaseException as exc:  # re-raised on the calling thread
-                errors[i] = exc
+def _ordered_map(fn, n: int, window: int):
+    """Yield fn(0), ..., fn(n - 1), in that order.
 
-    threads = [threading.Thread(target=work)
-               for _ in range(min(usable_cpus(), hi - lo) - 1)]
-    for t in threads:
-        t.start()
-    work()
-    for t in threads:
-        t.join()
-    failed = min(errors, default=hi)
-    yield from results[:failed - lo]
-    if errors:
-        raise errors[failed]
+    The calls run ``window`` at a time, each window on ``workers`` threads:
+    the calling thread plus ``threading.Thread``s, each taking the next
+    index as it gets free.  Every thread of a window has ended before the
+    window's first value is yielded, so memory holds one window of values.
+    Once a call has raised, no further index is handed out; the values below
+    the lowest failing index are yielded, then its exception is raised
+    here."""
+    for lo in range(0, n, window):
+        hi = min(lo + window, n)
+        results = [None] * (hi - lo)
+        indices = iter(range(lo, hi))  # next() is atomic under the GIL
+        errors = {}  # failing index -> its exception
+
+        def work():
+            for i in indices:
+                try:
+                    results[i - lo] = fn(i)
+                except BaseException as exc:  # re-raised on the calling thread
+                    errors[i] = exc
+                if errors:
+                    return
+
+        threads = [threading.Thread(target=work)
+                   for _ in range(workers(hi - lo, window) - 1)]
+        for t in threads:
+            t.start()
+        work()
+        for t in threads:
+            t.join()
+        failed = min(errors, default=hi)
+        yield from results[:failed - lo]
+        if errors:
+            raise errors[failed]
 
 
 class RunningMoments:
@@ -587,17 +592,16 @@ def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     def trial(i):
         return run_trial(plan, cfg, target, i, seed)
 
-    for lo in range(0, n_trials, TRIAL_WINDOW):
-        for out in _ordered_map(trial, lo, min(lo + TRIAL_WINDOW, n_trials)):
-            for j, ok in enumerate(out.flags()):
-                ok_counts[j] += ok
-            composite_ok += out.composite
-            p_l.push(out.p_l)
-            max_p_e.push(out.max_p_e)
-            total_power.push(out.total_relay_power)
-            e6_given_field.push(out.e6_outage_given_field)
-            if collect is not None:
-                collect(out)
+    for out in _ordered_map(trial, n_trials, TRIAL_WINDOW):
+        for j, ok in enumerate(out.flags()):
+            ok_counts[j] += ok
+        composite_ok += out.composite
+        p_l.push(out.p_l)
+        max_p_e.push(out.max_p_e)
+        total_power.push(out.total_relay_power)
+        e6_given_field.push(out.e6_outage_given_field)
+        if collect is not None:
+            collect(out)
 
     def stats(ok: int) -> EventStats:
         fails = n_trials - ok
@@ -705,54 +709,33 @@ def _var_check(name: str, closed: float, acc: RunningMoments) -> MomentCheck:
 MOMENT_CHUNK = 1 << 14
 
 #: samples per window of ``_chunk_moments``, rounded down to whole chunks
-#: (at least one): as MOMENT_CHUNK, so a verify-moments window is one chunk,
-#: drawn on the calling thread; the reference plan's is 2**14 one-sample
-#: chunks
+#: (at least one); it changes no result.  As MOMENT_CHUNK, so a
+#: verify-moments window is one chunk, drawn on the calling thread, where a
+#: tracer with one span stack per process nests its spans right; the
+#: reference plan's is 2**14 one-sample chunks
 MOMENT_WINDOW = 1 << 14
 
 
-def _chunk_draws(draw, rows: int, key: int, n_samples: int, seed: int,
-                 lo: int = 0, hi: int | None = None):
-    """Samples lo to hi (n_samples by default) of the n_samples a seed
-    draws, as (P_l, P_e) arrays; lo is the first sample of a chunk, and hi
-    the first of another or n_samples.
+def _chunk_moments(draw, rows: int, key: int, n_samples: int, seed: int):
+    """RunningMoments of P_l and of P_e over the n_samples a seed draws.
 
     The samples fall into chunks of ``rows`` samples, fewer in the last, and
     chunk c is ``draw(np.random.default_rng([seed, key, c]), m)`` for its m
-    samples, so the layout and every value depend on rows, n_samples and
-    the seed alone.  The chunks run on ``_ordered_map``'s threads: the
-    result is the same for any number of threads."""
-    hi = n_samples if hi is None else hi
-    first, n_chunks = lo // rows, -(-hi // rows)
-    if n_chunks - first == 1:  # no threads, and no copy to fault pages in
-        return draw(np.random.default_rng([seed, key, first]), hi - lo)
-    p_l = np.empty(hi - lo)
-    p_e = np.empty(hi - lo)
-
+    samples, reduced where it is drawn (``RunningMoments.of``).  The chunks
+    run on ``_ordered_map``'s threads, MOMENT_WINDOW samples' worth (at
+    least one chunk) at a time, and their moments are merged in chunk order,
+    so the result depends on rows, n_samples and the seed alone, and memory
+    holds one window of accumulators whatever n_samples."""
     def chunk(c):
-        a, b = c * rows, min((c + 1) * rows, n_samples)
-        p_l[a - lo:b - lo], p_e[a - lo:b - lo] = draw(
-            np.random.default_rng([seed, key, c]), b - a)
+        x_l, x_e = draw(np.random.default_rng([seed, key, c]),
+                        min(rows, n_samples - c * rows))
+        return RunningMoments.of(x_l), RunningMoments.of(x_e)
 
-    for _ in _ordered_map(chunk, first, n_chunks):
-        pass  # each chunk fills its own slots
-    return p_l, p_e
-
-
-def _chunk_moments(draw, rows: int, key: int, n_samples: int, seed: int):
-    """RunningMoments of P_l and of P_e over the samples of ``_chunk_draws``,
-    drawn a window of whole chunks at a time (MOMENT_WINDOW samples, at
-    least one chunk), each window reduced on its own (``RunningMoments.of``)
-    and merged in order, so memory does not grow with n_samples.  The
-    windows depend on rows and n_samples alone."""
-    window = rows * max(1, MOMENT_WINDOW // rows)
     p_l, p_e = RunningMoments(), RunningMoments()
-    for lo in range(0, n_samples, window):
-        x_l, x_e = _chunk_draws(draw, rows, key, n_samples, seed, lo,
-                                min(lo + window, n_samples))
-        p_l.merge(RunningMoments.of(x_l))
-        p_e.merge(RunningMoments.of(x_e))
-        del x_l, x_e  # free this window before the next one is drawn
+    for c_l, c_e in _ordered_map(chunk, -(-n_samples // rows),
+                                 max(1, MOMENT_WINDOW // rows)):
+        p_l.merge(c_l)
+        p_e.merge(c_e)
     return p_l, p_e
 
 
@@ -761,9 +744,8 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
     """Compare sampled mean/variance of the no-path-loss received powers
     against the exact closed forms; z-scores should sit within noise.
     The samples are drawn by ``_sample_powers_nopath`` in chunks of
-    MOMENT_CHUNK from the generators of key 0 (``_chunk_draws``) and
-    reduced a window at a time (``_chunk_moments``), so memory does not
-    grow with n_samples.
+    MOMENT_CHUNK from the generators of key 0 and reduced chunk by chunk
+    (``_chunk_moments``), so memory does not grow with n_samples.
 
     P_l and P_e scale as (2*mu)**2, so they are drawn, reduced and compared
     in that unit, as at mu = 1/2, and only the checks are scaled back: the
@@ -824,9 +806,9 @@ def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
     """Check the four distance-envelope moment bounds against the sampled
     mean/variance of P_l and P_e and their SEs.  The samples are drawn by
     ``_power_bounds_chunk`` in chunks of RELAY_PIECE relay elements
-    (RELAY_PIECE // n_r samples, at least one) from the generators of key 1
-    (``_chunk_draws``), and reduced a window at a time
-    (``_chunk_moments``), so memory does not grow with n_samples."""
+    (RELAY_PIECE // n_r samples, at least one) from the generators of key 1,
+    and reduced chunk by chunk (``_chunk_moments``), so memory does not grow
+    with n_samples."""
     b = moments.power_moment_bounds(cfg.gamma, cfg.d_tr, plan.eta, plan.nu,
                                     plan.n_r, plan.a_l, plan.a_e)
     p_l, p_e = _chunk_moments(

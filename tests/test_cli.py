@@ -80,6 +80,8 @@ REFUSED = [
     *(["verify", "moments", "--samples", "10", "--mu", mu]
       for mu in ("nan", "inf", "1e300", "1e-300", "1e-81", "1e-78", "0", "-1")),
     ["verify", "theorem4"],
+    # a square side outside the float range
+    ["plan", *PLAN_FLAGS, "--nlegit", "1" + "0" * 400],
 ]
 
 
@@ -135,12 +137,12 @@ def test_plan_infeasible_keeps_out_as_it_was(tmp_path, capsys):
     assert old.read_text() == "earlier plan\n"
 
 
-def run_cli(argv, cwd=None):
+def run_cli(argv, cwd=None, timeout=300):
     """``secbeam <argv>`` in a fresh process; returns the finished process
     with its output decoded, line ends as written."""
     src = str(Path(secbeam.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "secbeam.cli", *argv],
-                          capture_output=True, timeout=300, cwd=cwd,
+                          capture_output=True, timeout=timeout, cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=src))
     proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
     return proc
@@ -443,17 +445,20 @@ def test_simulate_unwritable_json_exits_before_trials(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field,value", [("n_r", 110446.0), ("n_e_max", 964.0),
-                                         ("n_r", True)])
-def test_plan_counts_must_be_integers(tmp_path, capsys, field, value):
+                                         ("n_r", True), ("cfg_n_legit", float("nan")),
+                                         pytest.param("cfg_n_legit", 10 ** 400,
+                                                      id="cfg_n_legit-10**400")])
+def test_plan_counts_must_be_integers(tmp_path, field, value):
+    # in fresh processes with a deadline: with a NaN node count the
+    # eavesdropper rejection loop of theorem 4 would never end
     _, out = run_plan(tmp_path)
     edit_plan(out, **{field: value})
-    capsys.readouterr()
     for argv in (["simulate", "--plan", str(out), "--trials", "2"],
                  ["verify", "theorem4", "--plan", str(out), "--samples", "2"]):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert f"{field} must be an integer" in captured.err
-        assert captured.out == ""
+        proc = run_cli(argv, timeout=60)
+        assert proc.returncode == 2
+        assert f"{field.removeprefix('cfg_')} must be an integer" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
 def test_simulate_rejects_relay_disc_outside_square(tmp_path, capsys):
@@ -961,6 +966,27 @@ def test_sweep_bad_range(capsys):
     code = main(["sweep", "--rate", "0.1:1:0", "--outage", "0.35"])
     assert code == 2
     assert "bad range" in capsys.readouterr().err
+    for text in ("0.1:1", "a:b:c", "0.1:1:2.5"):
+        assert main(["sweep", "--rate", text, "--outage", "0.35"]) == 2
+        assert capsys.readouterr().err == (
+            "bad range: expected lo:hi:steps, two numbers and a whole number "
+            f"of steps, got {text!r}\n")
+
+
+@pytest.mark.parametrize("factor,feasible", [(2.0, "yes"), (0.5, "no")])
+def test_sweep_at_a_fixed_lambda_l(tmp_path, factor, feasible):
+    # a number for --lambda-l, beside a range of rates: each row is
+    # feasible when the density reaches its lambda_l_min
+    probe = NetworkConfig(p_t=1.0, mu=0.5, gamma=2.0, d_tr=5.0,
+                          lambda_l=1.0, lambda_e=0.0, n_legit=1)
+    p = plan(probe, SecrecyTarget(secure_rate=0.5, outage=0.35))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--rate", "0.5:0.5:2", "--outage", "0.35",
+                 "--lambda-l", repr(p.lambda_l_min * factor),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["0.5", feasible]] * 2
+    assert [float(r[6]) for r in rows] == [p.lambda_l_min] * 2
 
 
 # --- one process, many commands ----------------------------------------------
@@ -1016,3 +1042,16 @@ def test_main_dispatches_on_the_current_command_function(monkeypatch, capsys):
     assert main(["plan", *PLAN_FLAGS]) == 0
     assert calls == ["plan"]
     assert cli._parser() is cli._parser()
+
+
+def test_cli_import_loads_no_scipy():
+    # every command pays for the import of secbeam.cli; importing scipy's
+    # special functions and stats takes several times as long as all of it
+    src = str(Path(secbeam.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, secbeam.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

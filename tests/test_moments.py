@@ -80,16 +80,7 @@ def test_moments_reject_bad_n_r():
     with pytest.raises(ValueError):
         var_pl_nopath(0, 0.5)
     with pytest.raises(ValueError):
-        var_pe_nopath(np.array([1, 0]), 0.5)
-
-
-def test_var_functions_accept_arrays():
-    n = np.array([1, 2, 3, 10])
-    vl = var_pl_nopath(n, 0.5)
-    ve = var_pe_nopath(n, 0.5)
-    assert vl.shape == ve.shape == (4,)
-    assert vl[0] == pytest.approx(20.0)
-    assert ve[2] == pytest.approx(5.0 / 3.0)
+        var_pe_nopath(0, 0.5)
 
 
 def test_var_pe_limit():

@@ -1,7 +1,8 @@
 """Distributional checks of the three samplers: trials (``run_trial``),
 theorem-4 samples (``_power_bounds_chunk``) and the no-path-loss moments
 of ``verify moments`` (``_sample_powers_nopath``), the last two drawn
-chunk by chunk through the verifiers' chunk engine (``_chunk_draws``).
+chunk by chunk, as the verifiers' chunk engine (``_chunk_moments``) draws
+them.
 
 Each sampler has one reference, kept here verbatim from random stream 1,
 which drew every per-relay link in float64 as a Rayleigh magnitude with a
@@ -21,9 +22,9 @@ circular Gaussians, the float32 exponential, and the E6 failure
 probability given the relay field.  Where values can be compared, float64
 evaluations of a sampler's own draws check it: the kernel's relay sums, a
 large trial, and trials without eavesdroppers.  The chunk engine is
-checked for both verifiers: each chunk's generator, and the same samples
-for any thread count; the ordered map under it, which simulate's trials
-run on too, for each index run once, the threads it starts and the
+checked for both verifiers: each chunk's generator, and the same merged
+moments for any thread count; the ordered map under it, which simulate's
+trials run on too, for each index run once, the threads it starts and the
 failures it passes on.
 """
 
@@ -41,13 +42,14 @@ import pytest
 from scipy import stats
 
 from secbeam import montecarlo
-from secbeam.montecarlo import (CSV_COLUMNS, RunningMoments, _chunk_draws,
+from secbeam.montecarlo import (CSV_COLUMNS, RunningMoments,
                                 _exponential_f32, _relay_draws, _relay_field,
                                 _sample_powers_nopath, _trial_rng, draw_min_gain,
                                 estimate_outage, run_trial, sample_realization)
 from secbeam.beamform import received_powers
 
-from test_montecarlo import bound_draws, small_cfg, small_plan, small_target
+from test_montecarlo import (bound_draws, chunk_draws, small_cfg, small_plan,
+                             small_target)
 
 N_TRIALS = 4000
 KS_FLOOR = 1e-3
@@ -475,8 +477,8 @@ def test_bound_sampler_matches_per_relay_fading(both_bound_samplers, power):
 
 def nopath_draws(mu, n_r, n_samples, seed):
     """The (P_l, P_e) samples ``verify_moments`` reduces, at ``mu``."""
-    return _chunk_draws(lambda rng, m: _sample_powers_nopath(mu, n_r, m, rng),
-                        montecarlo.MOMENT_CHUNK, 0, n_samples, seed)
+    return chunk_draws(lambda rng, m: _sample_powers_nopath(mu, n_r, m, rng),
+                       montecarlo.MOMENT_CHUNK, 0, n_samples, seed)
 
 
 @pytest.fixture(params=["bounds-rows", "bounds-pieces", "nopath"])
@@ -513,10 +515,15 @@ class CountingThread(threading.Thread):
         super().start()
 
 
+def moments_state(acc):
+    """The count and sums of a RunningMoments, to compare bit for bit."""
+    return tuple(getattr(acc, name) for name in acc.__slots__)
+
+
 def test_chunk_samples_do_not_depend_on_thread_count(monkeypatch, engine):
     # 200 samples in 67 or 200 chunks; more threads than cores and a short
-    # switch interval: a chunk taken twice or skipped would leave a slot of
-    # np.empty unwritten or wrong
+    # switch interval: a chunk taken twice or skipped, or merged out of
+    # order, would change the count or the sums
     monkeypatch.setattr(threading, "Thread", CountingThread)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -526,25 +533,29 @@ def test_chunk_samples_do_not_depend_on_thread_count(monkeypatch, engine):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, n=n: set(range(n)))
             CountingThread.started = 0
-            runs.append(engine.draws(200, 41))
+            runs.append([moments_state(acc) for acc in montecarlo._chunk_moments(
+                engine.chunk, engine.rows, engine.key, 200, 41)])
             assert CountingThread.started == n - 1
     finally:
         sys.setswitchinterval(interval)
-    for p_l, p_e in runs[1:]:
-        assert p_l.tobytes() == runs[0][0].tobytes()
-        assert p_e.tobytes() == runs[0][1].tobytes()
+    assert runs[0][0][0] == runs[0][1][0] == 200
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_chunk_c_draws_from_its_own_generator(engine):
-    # 10 samples in chunks of 3, 3, 3 and 1, or of one each; the verifier
-    # reduces exactly these draws
+    # 10 samples in chunks of 3, 3, 3 and 1, or of one each: the engine
+    # merges, in chunk order, the moments of chunk c as drawn from its own
+    # generator, and the verifier reduces exactly these draws
+    want = RunningMoments(), RunningMoments()
+    for c, lo in enumerate(range(0, 10, engine.rows)):
+        draws = engine.chunk(np.random.default_rng([53, engine.key, c]),
+                             min(engine.rows, 10 - lo))
+        for acc, x in zip(want, draws):
+            acc.merge(RunningMoments.of(x))
+    got = montecarlo._chunk_moments(engine.chunk, engine.rows, engine.key, 10, 53)
+    assert list(map(moments_state, got)) == list(map(moments_state, want))
     p_l, p_e = engine.draws(10, 53)
     assert len(np.unique(p_l)) == 10 and len(np.unique(p_e)) == 10
-    for c, lo in enumerate(range(0, 10, engine.rows)):
-        hi = min(lo + engine.rows, 10)
-        want = engine.chunk(np.random.default_rng([53, engine.key, c]), hi - lo)
-        assert p_l[lo:hi].tobytes() == want[0].tobytes()
-        assert p_e[lo:hi].tobytes() == want[1].tobytes()
     accs = {"P_l": RunningMoments.of(p_l), "P_e": RunningMoments.of(p_e)}
     for check in engine.verify(10, 53):
         acc = accs["P_l" if "P_l" in check.name else "P_e"]
@@ -573,9 +584,11 @@ def test_chunk_engine_raises_what_a_thread_raised(monkeypatch, engine):
 
 
 def test_ordered_map_runs_each_index_once(monkeypatch):
-    # 500 tiny calls, so the threads mostly take indices, on up to more
-    # threads than cores and at a short switch interval: an index handed out
-    # twice or skipped shows in the count of calls per index
+    # 500 tiny calls in windows of 64 (the last of 52), so the threads
+    # mostly take indices, on up to more threads than cores and at a short
+    # switch interval: an index handed out twice or skipped shows in the
+    # count of calls per index; every 50th call sleeps, so on threads later
+    # calls end first, and values yielded as they end would be out of order
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -586,11 +599,13 @@ def test_ordered_map_runs_each_index_once(monkeypatch):
 
             def fn(i):
                 calls.append(i)
+                if i % 50 == 0:
+                    time.sleep(0.001)
                 return -i
 
-            got = list(montecarlo._ordered_map(fn, 7, 507))
-            assert Counter(calls) == Counter(range(7, 507))
-            assert got == [-i for i in range(7, 507)]
+            got = list(montecarlo._ordered_map(fn, 500, 64))
+            assert Counter(calls) == Counter(range(500))
+            assert got == [-i for i in range(500)]
     finally:
         sys.setswitchinterval(interval)
 
