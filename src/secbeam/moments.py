@@ -210,10 +210,6 @@ class WeightedVarianceCheck:
     var_rhs: float
     se_diff: float
 
-    @property
-    def holds(self) -> bool:
-        return self.var_lhs < self.var_rhs
-
 
 def weighted_variance_check(a: float, b: float, dist, n_samples: int,
                             rng: np.random.Generator) -> WeightedVarianceCheck:

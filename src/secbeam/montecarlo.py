@@ -640,44 +640,40 @@ def write_trials_csv(path, outcomes) -> None:
 # Moment and bound verifiers
 # ---------------------------------------------------------------------------
 
+#: standard errors beyond which a ``Check`` fails
+Z_GATE = 5.0
+
+
 @dataclass(frozen=True)
-class MomentCheck:
+class Check:
+    """A sampled moment against a reference: an exact value (``side``
+    "both"), a lower bound ("lower") or an upper bound ("upper").
+
+    ``z`` is the signed distance in standard errors, positive on the
+    respected side (above an exact value); with no positive standard error
+    it is 0 at no gap and otherwise infinitely many, and it is NaN for a NaN
+    gap.  ``failed`` is the one gate: ``|z| >= Z_GATE`` two-sided,
+    ``z <= -Z_GATE`` one-sided, and a NaN z fails."""
+
     name: str
-    closed_form: float
+    reference: float
     estimate: float
     std_err: float
+    side: str
 
     @property
-    def z_score(self) -> float:
-        gap = self.estimate - self.closed_form
-        if not self.std_err > 0:  # as BoundCheck.margin_se
-            return 0.0 if gap == 0 else math.copysign(math.inf, gap)
+    def z(self) -> float:
+        gap = (self.reference - self.estimate if self.side == "upper"
+               else self.estimate - self.reference)
+        if math.isnan(gap):
+            return math.nan
+        if not self.std_err > 0:
+            return math.copysign(math.inf, gap) if gap else 0.0
         return gap / self.std_err
 
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """A sampled moment against a one-sided bound.  ``margin_se`` is the
-    signed distance in standard errors, positive on the respected side."""
-
-    name: str
-    bound: float
-    estimate: float
-    direction: str  # "lower" or "upper"
-    std_err: float = 0.0
-
     @property
-    def respected(self) -> bool:
-        if self.direction == "lower":
-            return self.estimate >= self.bound
-        return self.estimate <= self.bound
-
-    @property
-    def margin_se(self) -> float:
-        if not self.std_err > 0:
-            return math.inf if self.respected else -math.inf
-        gap = self.estimate - self.bound
-        return (gap if self.direction == "lower" else -gap) / self.std_err
+    def failed(self) -> bool:
+        return not (abs(self.z) if self.side == "both" else -self.z) < Z_GATE
 
 
 def _sample_powers_nopath(mu: float, n_r: int, n_samples: int,
@@ -693,16 +689,19 @@ def _sample_powers_nopath(mu: float, n_r: int, n_samples: int,
     return s * s / n_r, p_e
 
 
-def _mean_check(name: str, closed: float, acc: RunningMoments) -> MomentCheck:
-    return MomentCheck(name, closed, acc.mean,
-                       math.sqrt(acc.m2 / (acc.n - 1) / acc.n))
+# the sample mean or variance of ``acc`` and its standard error, both times
+# ``scale``, against ``reference``
+def _mean_check(name: str, reference: float, acc: RunningMoments, side: str,
+                scale: float = 1.0) -> Check:
+    return Check(name, reference, acc.mean * scale,
+                 math.sqrt(acc.m2 / (acc.n - 1) / acc.n) * scale, side)
 
 
-def _var_check(name: str, closed: float, acc: RunningMoments) -> MomentCheck:
+def _var_check(name: str, reference: float, acc: RunningMoments, side: str,
+               scale: float = 1.0) -> Check:
     s2 = acc.m2 / (acc.n - 1)
     se = math.sqrt(max(acc.m4 / acc.n - s2 * s2, 0.0) / acc.n)
-    return MomentCheck(name, closed, s2, se)
-
+    return Check(name, reference, s2 * scale, se * scale, side)
 
 #: samples per chunk of ``verify_moments``: a chunk's arrays (128 KiB each)
 #: stay in cache between the sampler and the moments
@@ -740,29 +739,42 @@ def _chunk_moments(draw, rows: int, key: int, n_samples: int, seed: int):
 
 
 def verify_moments(mu: float, n_r: int, n_samples: int,
-                   seed: int) -> list[MomentCheck]:
+                   seed: int) -> list[Check]:
     """Compare sampled mean/variance of the no-path-loss received powers
     against the exact closed forms; z-scores should sit within noise.
     The samples are drawn by ``_sample_powers_nopath`` in chunks of
     MOMENT_CHUNK from the generators of key 0 and reduced chunk by chunk
     (``_chunk_moments``), so memory does not grow with n_samples.
 
-    P_l and P_e scale as (2*mu)**2, so they are drawn, reduced and compared
-    in that unit, as at mu = 1/2, and only the checks are scaled back: the
-    fourth powers of the samples then stay in the float range at every mu
-    whose closed forms do."""
+    P_l and P_e scale as (2*mu)**2, so they are drawn and reduced in that
+    unit, as at mu = 1/2, and the closed forms at mu = 1/2, the estimates
+    and their standard errors are scaled to mu: the fourth powers of the
+    samples, and every term of the closed forms, then stay in the float
+    range at every mu whose closed forms do.  Raises ValueError, before any
+    draw, when mu is not positive and finite or a scaled closed form is not
+    a finite positive normal float: a subnormal one has lost digits, and so
+    would the z-scores against it."""
+    if not (mu > 0 and math.isfinite(mu)):
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+    try:
+        unit = (2.0 * mu) ** 2
+    except OverflowError:
+        unit = math.inf
+    forms = [(_mean_check, "mean_P_l", moments.mean_pl_nopath(n_r, 0.5), unit),
+             (_var_check, "var_P_l", moments.var_pl_nopath(n_r, 0.5), unit * unit),
+             (_mean_check, "mean_P_e", moments.mean_pe_nopath(0.5), unit),
+             (_var_check, "var_P_e", moments.var_pe_nopath(n_r, 0.5), unit * unit)]
+    for _, name, closed, scale in forms:
+        # the smallest positive normal float; NaN fails too
+        if not np.finfo(float).tiny <= closed * scale < math.inf:
+            raise ValueError(f"the closed form of {name} at mu={mu}, n_r={n_r} "
+                             f"is {closed * scale:.6g}, not a finite positive "
+                             "normal float")
     p_l, p_e = _chunk_moments(
         lambda rng, m: _sample_powers_nopath(0.5, n_r, m, rng),
         MOMENT_CHUNK, 0, n_samples, seed)
-    unit = (2.0 * mu) ** 2
-    checks = [
-        (_mean_check("mean_P_l", moments.mean_pl_nopath(n_r, 0.5), p_l), unit),
-        (_var_check("var_P_l", moments.var_pl_nopath(n_r, 0.5), p_l), unit * unit),
-        (_mean_check("mean_P_e", moments.mean_pe_nopath(0.5), p_e), unit),
-        (_var_check("var_P_e", moments.var_pe_nopath(n_r, 0.5), p_e), unit * unit),
-    ]
-    return [MomentCheck(c.name, c.closed_form * scale, c.estimate * scale,
-                        c.std_err * scale) for c, scale in checks]
+    return [check(name, closed * scale, acc, "both", scale)
+            for (check, name, closed, scale), acc in zip(forms, (p_l, p_l, p_e, p_e))]
 
 
 def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
@@ -802,7 +814,7 @@ def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
 
 
 def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
-                        seed: int) -> list[BoundCheck]:
+                        seed: int) -> list[Check]:
     """Check the four distance-envelope moment bounds against the sampled
     mean/variance of P_l and P_e and their SEs.  The samples are drawn by
     ``_power_bounds_chunk`` in chunks of RELAY_PIECE relay elements
@@ -814,12 +826,9 @@ def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
     p_l, p_e = _chunk_moments(
         lambda rng, m: _power_bounds_chunk(plan, cfg, rng, m),
         max(1, RELAY_PIECE // plan.n_r), 1, n_samples, seed)
-    checks = [
-        _mean_check("mean_P_l_lower", b.mean_pl_lower, p_l),
-        _mean_check("mean_P_e_upper", b.mean_pe_upper, p_e),
-        _var_check("var_P_l_upper", b.var_pl_upper, p_l),
-        _var_check("var_P_e_upper", b.var_pe_upper, p_e),
+    return [
+        _mean_check("mean_P_l_lower", b.mean_pl_lower, p_l, "lower"),
+        _mean_check("mean_P_e_upper", b.mean_pe_upper, p_e, "upper"),
+        _var_check("var_P_l_upper", b.var_pl_upper, p_l, "upper"),
+        _var_check("var_P_e_upper", b.var_pe_upper, p_e, "upper"),
     ]
-    # each name ends in its direction, "lower" or "upper"
-    return [BoundCheck(c.name, c.closed_form, c.estimate,
-                       c.name.rsplit("_", 1)[1], c.std_err) for c in checks]

@@ -401,8 +401,10 @@ def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
 def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:
     """Read a file written by ``save_plan``.  Raises ValueError for another
     format version, for relay/eavesdropper counts that are not integers
-    (a hand-edited ``110446.0`` or ``true``) or for a mode that is not the
-    one the plan's geometry gives (``transport_mode``)."""
+    (a hand-edited ``110446.0`` or ``true``), for fewer than one relay or
+    a negative eavesdropper cap, for a relay radius that is not positive,
+    or for a mode that is not the one the plan's geometry gives
+    (``transport_mode``)."""
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -415,10 +417,14 @@ def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:
     fields = ("a_l", "a_l_raw", "a_e", "n_r", "lambda_l_min", "lambda_e_max",
               "n_e_max", "eta", "nu", "eps_prime", "mode")
     p = Plan(**{k: doc[k] for k in fields})
-    for name in ("n_r", "n_e_max"):
+    for name, least in (("n_r", 1), ("n_e_max", 0)):
         value = getattr(p, name)
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if not p.a_l > 0:  # NaN fails too
+        raise ValueError(f"a_l must be positive, got {p.a_l!r}")
     mode = transport_mode(cfg.d_tr, p.a_l)
     if p.mode != mode:
         raise ValueError(f"mode {p.mode!r} does not match the geometry "

@@ -1,7 +1,10 @@
+import ast
 import csv
 import dataclasses
 import json
+import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -461,6 +464,26 @@ def test_plan_counts_must_be_integers(tmp_path, field, value):
         assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
+@pytest.mark.parametrize("flags,field,edit", [
+    ([], "n_e_max", lambda doc: -5),
+    # a negative radius makes the stage-1 rate sum negative, so E3 could
+    # never fail
+    (["--gamma", "3"], "a_l", lambda doc: -doc["a_l"]),
+], ids=["n_e_max-negative", "a_l-negated-gamma3"])
+def test_plan_file_outside_its_domain(tmp_path, capsys, flags, field, edit):
+    # both pass validate_plan; load_plan refuses them
+    _, out = run_plan(tmp_path, flags)
+    doc = json.loads(out.read_text())
+    edit_plan(out, **{field: edit(doc)})
+    capsys.readouterr()
+    for argv in (["simulate", "--plan", str(out), "--trials", "20"],
+                 ["verify", "theorem4", "--plan", str(out), "--samples", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot load plan: {field} must be ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_simulate_rejects_relay_disc_outside_square(tmp_path, capsys):
     # one legitimate node: the square is far smaller than the relay disc
     _, out = run_plan(tmp_path)
@@ -769,13 +792,21 @@ def test_verify_rejects_single_sample(tmp_path, capsys, what):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("mu", ["1e40", "1e50", "1e70", "1e76", "1e-60", "1e-70",
-                                "1e-76"])
-def test_verify_moments_z_scores_do_not_depend_on_mu(capsys, mu):
+Z_SCORE_CASES = [*((mu, "3") for mu in ("1e40", "1e50", "1e70", "1e76", "1e-60",
+                                          "1e-70", "1e-76")),
+                 ("1e73", "1000000"), ("1e76", "32")]
+
+
+@pytest.mark.parametrize("mu,nr", Z_SCORE_CASES,
+                         ids=[mu if nr == "3" else f"{mu}-{nr}"
+                              for mu, nr in Z_SCORE_CASES])
+def test_verify_moments_z_scores_do_not_depend_on_mu(capsys, mu, nr):
     # P_l and P_e are reduced in units of (2*mu)**2, so their sample fourth
-    # powers stay in the float range, and each z-score is that of mu = 1/2
+    # powers stay in the float range, and each z-score is that of mu = 1/2.
+    # The closed forms are taken at mu = 1/2 and scaled too: at 1e73 and
+    # 1e76 a term of var_P_l at mu itself overflows, though the sum does not
     def z_scores(mu):
-        assert main(["verify", "moments", "--mu", mu, "--nr", "3",
+        assert main(["verify", "moments", "--mu", mu, "--nr", nr,
                      "--samples", "100", "--seed", "0"]) == 0
         return [line.rsplit("z=", 1)[1]
                 for line in capsys.readouterr().out.splitlines()]
@@ -799,11 +830,69 @@ def test_verify_moments_zero_standard_error_no_traceback():
 
 
 def test_verify_moments_nan_z_fails(monkeypatch, capsys):
-    nan_check = montecarlo.MomentCheck("mean_P_l", 1.0, float("nan"), 1.0)
+    nan_check = montecarlo.Check("mean_P_l", 1.0, float("nan"), 1.0, "both")
     monkeypatch.setattr(montecarlo, "verify_moments",
                         lambda *args: [nan_check])
     assert main(["verify", "moments", "--samples", "10"]) == 1
     assert "FAIL mean_P_l z=+nan" in capsys.readouterr().err
+
+
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+
+def worker_line_patterns() -> dict:
+    """The benchmark worker's parsers of check lines, ``_MOMENT_LINE`` and
+    ``_T4_LINE``, compiled from the worker's source text; the worker itself
+    is never imported."""
+    patterns = {}
+    for node in ast.parse(WORKER.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("_MOMENT_LINE", "_T4_LINE")):
+            patterns[node.targets[0].id] = re.compile(
+                ast.literal_eval(node.value.args[0]))
+    assert set(patterns) == {"_MOMENT_LINE", "_T4_LINE"}
+    return patterns
+
+
+def test_verify_check_lines_match_the_benchmark_parsers(tmp_path, capsys,
+                                                        monkeypatch):
+    # the benchmark reads each verify check line with these patterns; a
+    # line they do not match would count as a wrong output there
+    patterns = worker_line_patterns()
+    _, plan_path = run_plan(tmp_path)
+    moment_names = ["mean_P_l", "var_P_l", "mean_P_e", "var_P_e"]
+    bound_names = ["mean_P_l_lower", "mean_P_e_upper", "var_P_l_upper",
+                   "var_P_e_upper"]
+
+    def check_lines(argv, pattern, names):
+        main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        matches = [pattern.match(line) for line in lines]
+        assert all(matches), lines
+        assert [m.group(1) for m in matches] == names
+
+    capsys.readouterr()
+    for flags in (["--nr", "32", "--samples", "2000"],
+                  ["--mu", "1e76", "--nr", "32", "--samples", "100"]):
+        check_lines(["verify", "moments", *flags], patterns["_MOMENT_LINE"],
+                    moment_names)
+    check_lines(["verify", "theorem4", "--plan", str(plan_path),
+                 "--samples", "8"], patterns["_T4_LINE"], bound_names)
+    # NaN and infinite values, and failed checks, print in the same forms
+    odd = [(math.nan, math.nan), (math.inf, 1.0), (-math.inf, 0.0), (0.0, 0.0)]
+
+    def fake(names, side):
+        return lambda *args: [montecarlo.Check(n, 1.0, est, se, side)
+                              for n, (est, se) in zip(names, odd)]
+
+    monkeypatch.setattr(montecarlo, "verify_moments", fake(moment_names, "both"))
+    monkeypatch.setattr(montecarlo, "verify_power_bounds",
+                        fake(bound_names, "upper"))
+    check_lines(["verify", "moments", "--samples", "10"],
+                patterns["_MOMENT_LINE"], moment_names)
+    check_lines(["verify", "theorem4", "--plan", str(plan_path),
+                 "--samples", "8"], patterns["_T4_LINE"], bound_names)
 
 
 def test_verify_lemmas(capsys):

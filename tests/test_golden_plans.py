@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secbeam import moments, planner
+from secbeam import cli, moments, planner
 from secbeam.montecarlo import EventStats, OutageReport
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_golden_plans.py"
@@ -64,6 +64,24 @@ def test_plan_matches_golden(entry, tmp_path):
     path = tmp_path / "plan.json"
     planner.save_plan(path, MAKE.saved_config(probe, p), target, p)
     assert path.read_bytes() == entry["saved"].encode()
+
+
+@pytest.mark.parametrize("entry", [e for e in ENTRIES if "plan" in e], ids=_label)
+def test_plan_out_writes_golden_document(entry, tmp_path, capsys):
+    # secbeam plan --out at its default extent writes the document of
+    # saved_config, and a manifest after it
+    inputs = entry["inputs"]
+    flags = {"rate": "rate", "outage": "outage", "mu": "mu", "gamma": "gamma",
+             "p_t": "power", "d_tr": "dtr", "rho": "rho", "kappa": "kappa"}
+    out = tmp_path / "plan.json"
+    argv = ["plan", "--out", str(out)]
+    for key, flag in flags.items():
+        argv += [f"--{flag}", repr(inputs[key])]
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc)[-1] == "manifest"
+    del doc["manifest"]
+    assert json.dumps(doc, indent=2) + "\n" == entry["saved"]
 
 
 def test_nu_closed_form_equals_variance_formulas():

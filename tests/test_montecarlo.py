@@ -515,7 +515,8 @@ def test_verify_moments_within_noise(n_r, mu):
     assert [c.name for c in checks] == ["mean_P_l", "var_P_l",
                                        "mean_P_e", "var_P_e"]
     for c in checks:
-        assert abs(c.z_score) < 5
+        assert c.side == "both"
+        assert abs(c.z) < 5
 
 
 def test_verify_moments_deterministic():
@@ -528,9 +529,10 @@ def test_verify_power_bounds_directions():
     plan = small_plan()
     cfg = small_cfg()
     checks = verify_power_bounds(plan, cfg, n_samples=20_000, seed=59)
-    assert [c.direction for c in checks] == ["lower", "upper", "upper", "upper"]
+    assert [c.side for c in checks] == ["lower", "upper", "upper", "upper"]
     for c in checks:
-        assert c.respected, f"{c.name}: estimate {c.estimate} vs bound {c.bound}"
+        # z >= 0: the estimate itself lies on the bound's side
+        assert c.z >= 0, f"{c.name}: estimate {c.estimate} vs bound {c.reference}"
 
 
 def test_verify_power_bounds_deterministic():
@@ -539,43 +541,61 @@ def test_verify_power_bounds_deterministic():
     assert a == verify_power_bounds(plan, cfg, n_samples=500, seed=67)
     b = verify_power_bounds(plan, cfg, n_samples=500, seed=68)
     for x, y in zip(a, b):
-        assert x.bound == y.bound
+        assert x.reference == y.reference
         assert x.estimate != y.estimate, x.name
 
 
 def test_power_bounds_are_json_floats():
     checks = verify_power_bounds(small_plan(), small_cfg(), n_samples=200, seed=61)
     for c in checks:
-        assert type(c.bound) is float, (c.name, type(c.bound))
+        assert type(c.reference) is float, (c.name, type(c.reference))
         assert type(c.estimate) is float, (c.name, type(c.estimate))
     json.dumps([dataclasses.asdict(c) for c in checks])
 
 
 def test_bound_check_semantics():
-    from secbeam.montecarlo import BoundCheck
-    assert BoundCheck("x", 1.0, 2.0, "lower").respected
-    assert not BoundCheck("x", 1.0, 2.0, "upper").respected
+    # the one 5-SE gate: two-sided for an exact value, one-sided for a
+    # bound, and z exactly at the gate fails
+    from secbeam.montecarlo import Check
+    for est, failed in ((0.0, True), (0.5, False), (1.5, False), (2.0, True)):
+        assert Check("x", 1.0, est, 0.2, "both").failed is failed, est
+    for est, failed in ((0.0, True), (0.5, False), (2.0, False)):
+        assert Check("x", 1.0, est, 0.2, "lower").failed is failed, est
+    for est, failed in ((2.0, True), (1.5, False), (0.0, False)):
+        assert Check("x", 1.0, est, 0.2, "upper").failed is failed, est
+    assert Check("x", 1.0, 0.0, 0.2, "both").z == -5.0
+    assert Check("x", 1.0, 2.0, 0.2, "both").z == 5.0
+    assert Check("x", 1.0, 0.0, 0.2, "lower").z == -5.0
+    assert Check("x", 1.0, 2.0, 0.2, "upper").z == -5.0
+    # a NaN z fails on every side
+    for side in ("both", "lower", "upper"):
+        assert Check("x", 1.0, math.nan, 1.0, side).failed, side
+        assert Check("x", 1.0, math.nan, math.nan, side).failed, side
 
 
 def test_bound_check_margin_in_standard_errors():
-    from secbeam.montecarlo import BoundCheck
-    assert BoundCheck("x", 1.0, 2.0, "lower", 0.5).margin_se == 2.0
-    assert BoundCheck("x", 1.0, 2.0, "upper", 0.5).margin_se == -2.0
-    assert BoundCheck("x", 1.0, 1.0, "upper").margin_se == math.inf
-    assert BoundCheck("x", 1.0, 0.5, "lower").margin_se == -math.inf
-    assert BoundCheck("x", 1.0, math.nan, "lower", math.nan).margin_se == -math.inf
-    assert math.isnan(BoundCheck("x", 1.0, math.nan, "lower", 1.0).margin_se)
+    from secbeam.montecarlo import Check
+    assert Check("x", 1.0, 2.0, 0.5, "lower").z == 2.0
+    assert Check("x", 1.0, 2.0, 0.5, "upper").z == -2.0
+    # an upper bound met exactly with no spread: no gap, 0 SE
+    assert Check("x", 1.0, 1.0, 0.0, "upper").z == 0.0
+    assert not Check("x", 1.0, 1.0, 0.0, "upper").failed
+    assert Check("x", 1.0, 0.5, 0.0, "lower").z == -math.inf
+    assert Check("x", 1.0, 0.5, 0.0, "upper").z == math.inf
+    assert math.isnan(Check("x", 1.0, math.nan, math.nan, "lower").z)
+    assert math.isnan(Check("x", 1.0, math.nan, 1.0, "lower").z)
 
 
 def test_moment_z_score_in_standard_errors():
-    from secbeam.montecarlo import MomentCheck
-    assert MomentCheck("x", 1.0, 2.0, 0.5).z_score == 2.0
-    # no spread, as BoundCheck.margin_se: any gap is infinitely many SE
-    assert MomentCheck("x", 1.0, 1.0, 0.0).z_score == 0.0
-    assert MomentCheck("x", 1.0, 2.0, 0.0).z_score == math.inf
-    assert MomentCheck("x", 1.0, 0.5, 0.0).z_score == -math.inf
-    assert math.isinf(MomentCheck("x", 1.0, math.nan, math.nan).z_score)
-    assert math.isnan(MomentCheck("x", 1.0, math.nan, 1.0).z_score)
+    from secbeam.montecarlo import Check
+    assert Check("x", 1.0, 2.0, 0.5, "both").z == 2.0
+    # no spread: any gap is infinitely many SE, on every side
+    assert Check("x", 1.0, 1.0, 0.0, "both").z == 0.0
+    assert Check("x", 1.0, 2.0, 0.0, "both").z == math.inf
+    assert Check("x", 1.0, 0.5, 0.0, "both").z == -math.inf
+    assert Check("x", 1.0, 2.0, math.nan, "both").z == math.inf
+    assert math.isnan(Check("x", 1.0, math.nan, math.nan, "both").z)
+    assert math.isnan(Check("x", 1.0, math.nan, 1.0, "both").z)
 
 
 def test_verify_power_bounds_do_not_depend_on_threads_or_batches(monkeypatch):
@@ -599,7 +619,7 @@ def test_power_bound_std_errors_match_moment_checks():
     plan, cfg = small_plan(), small_cfg()
     checks = verify_power_bounds(plan, cfg, n_samples=300, seed=71)
     p_l, p_e = map(RunningMoments.of, bound_draws(plan, cfg, 300, seed=71))
-    want = [_mean_check("", 0.0, p_l), _mean_check("", 0.0, p_e),
-            _var_check("", 0.0, p_l), _var_check("", 0.0, p_e)]
+    want = [_mean_check("", 0.0, p_l, "lower"), _mean_check("", 0.0, p_e, "upper"),
+            _var_check("", 0.0, p_l, "upper"), _var_check("", 0.0, p_e, "upper")]
     assert [c.std_err for c in checks] == [w.std_err for w in want]
     assert [c.estimate for c in checks] == [w.estimate for w in want]
