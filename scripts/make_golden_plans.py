@@ -4,10 +4,10 @@ infeasible verdicts of a fixed set of about 30 targets.
 
 Each entry holds the planner inputs and either the constraint that
 rejected the target or the plan's fields, its repr and the exact text
-``save_plan`` writes for it (at the extent ``secbeam plan`` gives by
-default).  tests/test_golden_plans.py replays every entry and asserts
-equality, so a change to the planner's arithmetic or to the plan document
-shows as a diff of this file.  Regenerate only when a plan is meant to
+``save_plan`` writes for it (in ``planner.network``'s default extent, as
+``secbeam plan`` saves it).  tests/test_golden_plans.py replays every entry
+and asserts equality, so a change to the planner's arithmetic or to the
+plan document shows as a diff of this file.  Regenerate only when a plan is meant to
 change:
 
     PYTHONPATH=src python scripts/make_golden_plans.py
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 import tempfile
 from pathlib import Path
@@ -73,14 +72,6 @@ def planning_inputs(inputs: dict):
     return probe, target
 
 
-def saved_config(probe: NetworkConfig, p: planner.Plan) -> NetworkConfig:
-    """The config ``secbeam plan`` saves without --nlegit."""
-    side = 2.2 * max(p.a_e, probe.d_tr)
-    return dataclasses.replace(
-        probe, lambda_l=p.lambda_l_min, lambda_e=p.lambda_e_max,
-        n_legit=max(1, math.ceil(p.lambda_l_min * side * side)))
-
-
 def entry(values) -> dict:
     inputs = dict(zip(KEYS, values))
     probe, target = planning_inputs(inputs)
@@ -90,7 +81,7 @@ def entry(values) -> dict:
         return {"inputs": inputs, "infeasible": exc.constraint}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plan.json"
-        planner.save_plan(path, saved_config(probe, p), target, p)
+        planner.save_plan(path, planner.network(probe, p), target, p)
         saved = path.read_text()
     return {"inputs": inputs, "plan": dataclasses.asdict(p), "repr": repr(p),
             "saved": saved}

@@ -18,7 +18,6 @@ import csv
 import datetime
 import functools
 import json
-import math
 import os
 import platform
 import sys
@@ -45,29 +44,6 @@ def _manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> dic
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": outputs,
     }
-
-
-def _build_config(args, p: planner.Plan) -> NetworkConfig:
-    """The plan's network; InfeasiblePlanError when its extent leaves the
-    float range: the default one holds more legitimate nodes than it, or
-    --nlegit nodes at lambda_l_min need a wider square."""
-    n_legit = args.nlegit
-    if n_legit is None:
-        # default extent: square comfortably containing the protected disc
-        # and the receiver
-        side = 2.2 * max(p.a_e, args.dtr)
-        try:
-            n_legit = max(1, math.ceil(p.lambda_l_min * side * side))
-        except OverflowError:
-            raise planner.InfeasiblePlanError(
-                "network_extent", f"lambda_l_min={p.lambda_l_min} over a "
-                f"square of side {side} leaves the float range") from None
-    try:
-        return NetworkConfig(p_t=args.power, mu=args.mu, gamma=args.gamma,
-                             d_tr=args.dtr, lambda_l=p.lambda_l_min,
-                             lambda_e=p.lambda_e_max, n_legit=n_legit)
-    except ValueError as exc:  # every other field passed the probe
-        raise planner.InfeasiblePlanError("network_extent", str(exc)) from None
 
 
 def _planning_inputs(args):
@@ -101,26 +77,22 @@ def _open_outputs(stack: contextlib.ExitStack, paths):
 
 def cmd_plan(args) -> int:
     probe, target = _planning_inputs(args)
-    # the output opens before planning; a file it created is removed again
-    # when the target is infeasible, and an existing one is left as it was
-    created = bool(args.out) and not os.path.lexists(args.out)
+    try:
+        p = planner.plan(probe, target)
+        cfg = planner.network(probe, p, args.nlegit)
+    except planner.InfeasiblePlanError as exc:
+        raise Refusal(f"infeasible: {exc}") from None
     with contextlib.ExitStack() as stack:
         out_fh, = _open_outputs(stack, [args.out])
-        try:
-            p = planner.plan(probe, target)
-            cfg = _build_config(args, p)
-        except planner.InfeasiblePlanError as exc:
-            if created:
-                os.remove(args.out)
-            raise Refusal(f"infeasible: {exc}") from None
         # the plan is written before anything is printed, so a reader that
         # closes stdout early (``| head -1``) cannot leave the file empty
         if out_fh:
             planner.write_plan(out_fh, cfg, target, p,
                                extra={"manifest": _manifest("plan", args, [args.out])})
-    print(f"mode={p.mode}  n_r={p.n_r}  a_l={p.a_l:.6g}  a_e={p.a_e:.6g}")
-    print(f"lambda_l_min={p.lambda_l_min:.6g}  lambda_e_max={p.lambda_e_max:.6g}  "
-          f"n_e_max={p.n_e_max}  eta={p.eta:.6g}  nu={p.nu:.6g}")
+    fields = vars(p)
+    print("mode={mode}  n_r={n_r}  a_l={a_l:.6g}  a_e={a_e:.6g}".format_map(fields))
+    print("lambda_l_min={lambda_l_min:.6g}  lambda_e_max={lambda_e_max:.6g}  "
+          "n_e_max={n_e_max}  eta={eta:.6g}  nu={nu:.6g}".format_map(fields))
     # plan() refuses a target whose plan fails any of these checks
     for c in planner.validate_plan(cfg, target, p):
         print(f"  {c.name:26s} {'ok':8s} margin={c.margin:.6g}")
@@ -131,8 +103,8 @@ def cmd_plan(args) -> int:
 
 def _load_checked_plan(path):
     """Load a plan file and rerun validate_plan on it; returns (cfg,
-    target, plan).  Refusal when the file is unreadable, malformed,
-    violates a design constraint or holds a direct-mode plan."""
+    target, plan).  Refusal when the file is unreadable, malformed or
+    violates a design constraint."""
     try:
         cfg, target, p = planner.load_plan(path)
         checks = planner.validate_plan(cfg, target, p)
@@ -141,23 +113,15 @@ def _load_checked_plan(path):
     violated = [f"{c.name}: margin={c.margin:.6g}" for c in checks if not c.satisfied]
     if violated:
         raise Refusal("plan violates " + ", ".join(violated))
-    if p.mode != "beamforming":
-        raise Refusal("cannot use a direct-mode plan: the receiver is within "
-                      "2*a_l of the transmitter, so no relay beamforms")
     return cfg, target, p
 
 
 def cmd_simulate(args) -> int:
     cfg, target, p = _load_checked_plan(args.plan)
-    if 2.0 * p.a_l > cfg.side:
-        raise Refusal(f"cannot simulate: the relay disc (diameter {2.0 * p.a_l:.6g}) "
-                      f"does not fit inside the network square (side {cfg.side:.6g})")
-    mean_bl, mean_e = montecarlo.expected_counts(p, cfg)
-    if not (mean_bl <= montecarlo.POISSON_MEAN_MAX
-            and mean_e <= montecarlo.POISSON_MEAN_MAX):  # NaN fails too
-        raise Refusal(f"cannot simulate: a trial expects {mean_bl:.6g} nodes in the "
-                      f"relay disc and {mean_e:.6g} eavesdroppers, and a Poisson "
-                      f"count takes means up to {montecarlo.POISSON_MEAN_MAX:.6g}")
+    try:
+        montecarlo.check_runnable(p, cfg)
+    except ValueError as exc:
+        raise Refusal(f"cannot simulate: {exc}") from None
     with contextlib.ExitStack() as stack:
         csv_fh, json_fh = _open_outputs(stack, [args.csv, args.json])
         collect = montecarlo.csv_row_writer(csv_fh) if csv_fh else None
@@ -200,9 +164,9 @@ def cmd_verify(args) -> int:
     try:
         failures = _verify(args)
     except MemoryError as exc:
-        # moments and theorem4 hold a chunk of samples per thread and one
-        # window of chunk moments whatever --samples; lemmas holds
-        # --samples / --instances per instance
+        # moments and theorem4 hold a chunk of samples per thread and a
+        # window of at most TRIAL_WINDOW chunk moments whatever --samples;
+        # lemmas holds --samples / --instances per instance
         raise Refusal(f"cannot verify {args.what} with {args.samples} "
                       f"samples: {exc}") from None
     for f in failures:
@@ -226,7 +190,10 @@ def _verify(args):
         if not args.plan:
             raise Refusal("verify theorem4 requires --plan")
         cfg, _target, p = _load_checked_plan(args.plan)
-        checks = montecarlo.verify_power_bounds(p, cfg, args.samples, args.seed)
+        try:
+            checks = montecarlo.verify_power_bounds(p, cfg, args.samples, args.seed)
+        except ValueError as exc:  # raised before any draw
+            raise Refusal(f"cannot verify theorem4: {exc}") from None
         for c in checks:
             status = "VIOLATED" if c.failed else "ok"
             print(f"  {c.name:16s} bound={c.reference:.6g} "
@@ -251,6 +218,10 @@ def _verify(args):
 
 
 SWEEPABLE = ["rate", "outage", "power", "mu", "gamma", "dtr", "lambda_l"]
+
+#: the plan fields of a sweep row, after the swept value and the verdict
+SWEEP_FIELDS = ["mode", "n_r", "a_l", "a_e", "lambda_l_min", "lambda_e_max",
+                "n_e_max", "eta", "nu"]
 
 
 #: grid values computed at a time by ``_grid``
@@ -323,12 +294,10 @@ def cmd_sweep(args) -> int:
     for end in text.split(":")[:2]:
         _planning_inputs(argparse.Namespace(**vars(args) | {name: float(end)}))
 
-    header = [name, "feasible", "mode", "n_r", "a_l", "a_e", "lambda_l_min",
-              "lambda_e_max", "n_e_max", "eta", "nu"]
     with contextlib.ExitStack() as stack:
         out_fh, = _open_outputs(stack, [args.out])
         writer = csv.writer(out_fh or sys.stdout)
-        writer.writerow(header)
+        writer.writerow([name, "feasible", *SWEEP_FIELDS])
         n_rows = 0
         for value in grid:
             writer.writerow(_sweep_row(args, name, value))
@@ -347,13 +316,14 @@ def _sweep_row(args, name: str, value: float) -> list:
     try:
         p = planner.plan(probe, target)
     except planner.InfeasiblePlanError as exc:
-        return [_cell(value), "no", exc.constraint] + [""] * 8
+        return [_cell(value), "no", exc.constraint] + [""] * (len(SWEEP_FIELDS) - 1)
     feasible = "yes"
     if ns.lambda_l is not None and ns.lambda_l < p.lambda_l_min:
         feasible = "no"
-    return [_cell(value), feasible, p.mode, p.n_r, _cell(p.a_l), _cell(p.a_e),
-            _cell(p.lambda_l_min), _cell(p.lambda_e_max), p.n_e_max,
-            _cell(p.eta), _cell(p.nu)]
+    fields = vars(p)
+    return [_cell(value), feasible,
+            *(_cell(v) if isinstance(v, float) else v
+              for v in map(fields.get, SWEEP_FIELDS))]
 
 
 def _cell(x) -> str:

@@ -80,6 +80,24 @@ def var_pe_nopath(n_r: int, mu: float) -> float:
     return (n - 1) / n * m2 ** 4 + (m4 * m4 - m2 ** 4) / n
 
 
+def mu4_pl_nopath(n_r: int) -> float:
+    """Fourth central moment of P_l/P_T with unit distances, in units of
+    (2*mu)**8: with S = sum_i h_i**2 ~ Gamma(n_r, 1) in units of 2*mu,
+    P_l = S**2/n_r, and the raw moments E{S**k} = n(n+1)...(n+k-1) give
+    48n**2 + 912n + 4908 + 11592/n + 12588/n**2 + 5040/n**3."""
+    n = float(n_r)
+    return (48 * n * n + 912 * n + 4908 + 11592 / n + 12588 / (n * n)
+            + 5040 / (n * n * n))
+
+
+def mu4_pe_nopath(n_r: int) -> float:
+    """Fourth central moment of P_e/P_T with unit distances, in units of
+    (2*mu)**8: P_e = Exp(1)*S/n_r with S as in ``mu4_pl_nopath``, which
+    gives 9 + 84/n + 216/n**2 + 144/n**3."""
+    n = float(n_r)
+    return 9 + 84 / n + 216 / (n * n) + 144 / (n * n * n)
+
+
 @dataclass(frozen=True)
 class PowerBounds:
     """Envelope bounds on the first two moments of the received powers when

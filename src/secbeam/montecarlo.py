@@ -319,6 +319,27 @@ def expected_counts(plan: Plan, cfg: NetworkConfig) -> tuple[float, float]:
     return cfg.lambda_l * math.pi * plan.a_l ** 2, cfg.lambda_e * side * side
 
 
+def check_runnable(plan: Plan, cfg: NetworkConfig | None = None) -> None:
+    """Raise ValueError, naming the reason, when runs of ``plan`` cannot
+    draw: a direct-mode plan has no relay to beamform; and, for the trials
+    of ``cfg`` (None: a run that draws no trial network), a relay disc wider
+    than the network square, or a trial's Poisson means above
+    POISSON_MEAN_MAX, the largest numpy's sampler takes (NaN too)."""
+    if plan.mode != "beamforming":
+        raise ValueError("no relay beamforms in a direct-mode plan: the "
+                         "receiver is within 2*a_l of the transmitter")
+    if cfg is None:
+        return
+    if 2.0 * plan.a_l > cfg.side:
+        raise ValueError(f"the relay disc (diameter {2.0 * plan.a_l:.6g}) does "
+                         f"not fit inside the network square (side {cfg.side:.6g})")
+    mean_bl, mean_e = expected_counts(plan, cfg)
+    if not (mean_bl <= POISSON_MEAN_MAX and mean_e <= POISSON_MEAN_MAX):
+        raise ValueError(f"a trial expects {mean_bl:.6g} nodes in the relay disc "
+                         f"and {mean_e:.6g} eavesdroppers, and a Poisson count "
+                         f"takes means up to {POISSON_MEAN_MAX:.6g}")
+
+
 def sample_realization(plan: Plan, cfg: NetworkConfig,
                        rng: np.random.Generator):
     """Sample one trial's geometry and fading, reduced to the sums the two
@@ -345,11 +366,10 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
     a relay; the exponentials are float64 too.
 
     Returns (realization, n_in_bl) where the realization carries
-    min(n_in_bl, n_r) relays (all available nodes when short).
+    min(n_in_bl, n_r) relays (all available nodes when short).  The plan
+    and network are taken as runnable (``check_runnable``).
     """
     side = cfg.side
-    if 2.0 * plan.a_l > side:
-        raise ValueError("relay disc does not fit inside the network square")
     mean_bl, mean_e = expected_counts(plan, cfg)
     n_in_bl = int(rng.poisson(mean_bl))
     n_e = int(rng.poisson(mean_e))
@@ -390,10 +410,10 @@ def run_trial(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     Deterministic in (seed, trial_index).  When the relay disc falls short,
     stage-1 statistics still use the available nodes for diagnostics, the
     beamforming stage is skipped (its rates and powers report 0), and the
-    composite flag is false.
+    composite flag is false.  Raises ValueError before any draw when the
+    trial cannot run (``check_runnable``).
     """
-    if plan.mode != "beamforming":
-        raise ValueError("run_trial requires a beamforming-mode plan")
+    check_runnable(plan, cfg)
     rng = _trial_rng(seed, trial_index)
     realization, n_in_bl = sample_realization(plan, cfg, rng)
     e1 = n_in_bl >= plan.n_r
@@ -578,7 +598,8 @@ def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     count, and memory does not grow with n_trials: one window of outcomes,
     and one kernel buffer per thread (``_relay_buffer``).  When a trial
     raises, ``collect`` has received every trial before it, and the
-    exception propagates.
+    exception propagates; a plan that cannot run (``check_runnable``)
+    raises ValueError before any draw.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -689,29 +710,29 @@ def _sample_powers_nopath(mu: float, n_r: int, n_samples: int,
     return s * s / n_r, p_e
 
 
-# the sample mean or variance of ``acc`` and its standard error, both times
-# ``scale``, against ``reference``
-def _mean_check(name: str, reference: float, acc: RunningMoments, side: str,
-                scale: float = 1.0) -> Check:
-    return Check(name, reference, acc.mean * scale,
-                 math.sqrt(acc.m2 / (acc.n - 1) / acc.n) * scale, side)
+# the sample mean or variance of ``acc`` against ``reference``, with its
+# plug-in standard error
+def _mean_check(name: str, reference: float, acc: RunningMoments,
+                side: str) -> Check:
+    return Check(name, reference, acc.mean,
+                 math.sqrt(acc.m2 / (acc.n - 1) / acc.n), side)
 
 
-def _var_check(name: str, reference: float, acc: RunningMoments, side: str,
-               scale: float = 1.0) -> Check:
+def _var_check(name: str, reference: float, acc: RunningMoments,
+               side: str) -> Check:
     s2 = acc.m2 / (acc.n - 1)
     se = math.sqrt(max(acc.m4 / acc.n - s2 * s2, 0.0) / acc.n)
-    return Check(name, reference, s2 * scale, se * scale, side)
+    return Check(name, reference, s2, se, side)
 
 #: samples per chunk of ``verify_moments``: a chunk's arrays (128 KiB each)
 #: stay in cache between the sampler and the moments
 MOMENT_CHUNK = 1 << 14
 
 #: samples per window of ``_chunk_moments``, rounded down to whole chunks
-#: (at least one); it changes no result.  As MOMENT_CHUNK, so a
-#: verify-moments window is one chunk, drawn on the calling thread, where a
-#: tracer with one span stack per process nests its spans right; the
-#: reference plan's is 2**14 one-sample chunks
+#: (at least one, at most TRIAL_WINDOW); it changes no result.  As
+#: MOMENT_CHUNK, so a verify-moments window is one chunk, drawn on the
+#: calling thread, where a tracer with one span stack per process nests its
+#: spans right; the reference plan's is TRIAL_WINDOW one-sample chunks
 MOMENT_WINDOW = 1 << 14
 
 
@@ -722,17 +743,18 @@ def _chunk_moments(draw, rows: int, key: int, n_samples: int, seed: int):
     chunk c is ``draw(np.random.default_rng([seed, key, c]), m)`` for its m
     samples, reduced where it is drawn (``RunningMoments.of``).  The chunks
     run on ``_ordered_map``'s threads, MOMENT_WINDOW samples' worth (at
-    least one chunk) at a time, and their moments are merged in chunk order,
-    so the result depends on rows, n_samples and the seed alone, and memory
-    holds one window of accumulators whatever n_samples."""
+    least one chunk, at most TRIAL_WINDOW) at a time, and their moments are
+    merged in chunk order, so the result depends on rows, n_samples and the
+    seed alone, and memory holds one window of accumulators whatever
+    n_samples."""
     def chunk(c):
         x_l, x_e = draw(np.random.default_rng([seed, key, c]),
                         min(rows, n_samples - c * rows))
         return RunningMoments.of(x_l), RunningMoments.of(x_e)
 
     p_l, p_e = RunningMoments(), RunningMoments()
-    for c_l, c_e in _ordered_map(chunk, -(-n_samples // rows),
-                                 max(1, MOMENT_WINDOW // rows)):
+    window = min(TRIAL_WINDOW, max(1, MOMENT_WINDOW // rows))
+    for c_l, c_e in _ordered_map(chunk, -(-n_samples // rows), window):
         p_l.merge(c_l)
         p_e.merge(c_e)
     return p_l, p_e
@@ -745,6 +767,14 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
     The samples are drawn by ``_sample_powers_nopath`` in chunks of
     MOMENT_CHUNK from the generators of key 0 and reduced chunk by chunk
     (``_chunk_moments``), so memory does not grow with n_samples.
+
+    The standard errors are those of the exact null law, not plug-in
+    ones, which are far too small for the heavy-tailed P_l at few samples:
+    sqrt(var/N) for a mean of N samples, and for the unbiased sample
+    variance sqrt(mu4/N - var**2*(N - 3)/(N*(N - 1))), with the closed-form
+    variance and fourth central moment (``moments.mu4_pl_nopath``).  By
+    Chebyshev a correct sampler then fails each check with probability at
+    most 1/Z_GATE**2, at any N.
 
     P_l and P_e scale as (2*mu)**2, so they are drawn and reduced in that
     unit, as at mu = 1/2, and the closed forms at mu = 1/2, the estimates
@@ -760,11 +790,18 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
         unit = (2.0 * mu) ** 2
     except OverflowError:
         unit = math.inf
-    forms = [(_mean_check, "mean_P_l", moments.mean_pl_nopath(n_r, 0.5), unit),
-             (_var_check, "var_P_l", moments.var_pl_nopath(n_r, 0.5), unit * unit),
-             (_mean_check, "mean_P_e", moments.mean_pe_nopath(0.5), unit),
-             (_var_check, "var_P_e", moments.var_pe_nopath(n_r, 0.5), unit * unit)]
-    for _, name, closed, scale in forms:
+    n = n_samples
+    var_l, var_e = moments.var_pl_nopath(n_r, 0.5), moments.var_pe_nopath(n_r, 0.5)
+
+    def var_se(mu4, var):
+        return math.sqrt(mu4 / n - var * var * (n - 3) / (n * (n - 1)))
+
+    # (name, closed form, standard error, scale) in units of 2*mu
+    forms = [("mean_P_l", moments.mean_pl_nopath(n_r, 0.5), math.sqrt(var_l / n), unit),
+             ("var_P_l", var_l, var_se(moments.mu4_pl_nopath(n_r), var_l), unit * unit),
+             ("mean_P_e", moments.mean_pe_nopath(0.5), math.sqrt(var_e / n), unit),
+             ("var_P_e", var_e, var_se(moments.mu4_pe_nopath(n_r), var_e), unit * unit)]
+    for name, closed, _, scale in forms:
         # the smallest positive normal float; NaN fails too
         if not np.finfo(float).tiny <= closed * scale < math.inf:
             raise ValueError(f"the closed form of {name} at mu={mu}, n_r={n_r} "
@@ -773,8 +810,9 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
     p_l, p_e = _chunk_moments(
         lambda rng, m: _sample_powers_nopath(0.5, n_r, m, rng),
         MOMENT_CHUNK, 0, n_samples, seed)
-    return [check(name, closed * scale, acc, "both", scale)
-            for (check, name, closed, scale), acc in zip(forms, (p_l, p_l, p_e, p_e))]
+    estimates = (p_l.mean, p_l.variance(), p_e.mean, p_e.variance())
+    return [Check(name, closed * scale, estimate * scale, se * scale, "both")
+            for (name, closed, se, scale), estimate in zip(forms, estimates)]
 
 
 def _power_bounds_chunk(plan: Plan, cfg: NetworkConfig,
@@ -820,7 +858,10 @@ def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
     ``_power_bounds_chunk`` in chunks of RELAY_PIECE relay elements
     (RELAY_PIECE // n_r samples, at least one) from the generators of key 1,
     and reduced chunk by chunk (``_chunk_moments``), so memory does not grow
-    with n_samples."""
+    with n_samples.  Raises ValueError before any draw for a direct-mode
+    plan (``check_runnable``), or when the plan's geometry leaves the
+    bounds undefined (``moments.power_moment_bounds``)."""
+    check_runnable(plan)
     b = moments.power_moment_bounds(cfg.gamma, cfg.d_tr, plan.eta, plan.nu,
                                     plan.n_r, plan.a_l, plan.a_e)
     p_l, p_e = _chunk_moments(

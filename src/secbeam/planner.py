@@ -152,6 +152,14 @@ def nu_constant(mu: float) -> float:
     return math.sqrt(max(m8 - m4 * m4, m4 * m4 - m2 ** 4))
 
 
+def _moment_constants(mu: float) -> tuple[float, float]:
+    """(eta, nu) at ``mu``, both inf when nu leaves the float range."""
+    try:
+        return eta_constant(mu), nu_constant(mu)
+    except OverflowError:
+        return math.inf, math.inf
+
+
 def n_r_bound_simplified(cfg: NetworkConfig, target: SecrecyTarget, eta: float,
                          nu: float) -> float:
     """Real-valued a_l-free bound on n_r (valid when the relay radius stays
@@ -270,10 +278,7 @@ def plan(cfg: NetworkConfig, target: SecrecyTarget) -> Plan:
     as do moment constants (``moment_constants``) or a bound outside the
     float range.
     """
-    try:
-        eta, nu = eta_constant(cfg.mu), nu_constant(cfg.mu)
-    except OverflowError:
-        eta = nu = math.inf
+    eta, nu = _moment_constants(cfg.mu)
     # the n_r bound divides by eta**2 and adds nu**2
     if not (0 < eta * eta < math.inf and 0 < nu * nu < math.inf):
         raise InfeasiblePlanError(
@@ -302,6 +307,30 @@ def plan(cfg: NetworkConfig, target: SecrecyTarget) -> Plan:
         if not check.satisfied:
             raise InfeasiblePlanError(check.name, f"self-check margin {check.margin}")
     return result
+
+
+def network(probe: NetworkConfig, p: Plan, n_legit: int | None = None) -> NetworkConfig:
+    """The network plan ``p`` runs in: the physical constants of ``probe``
+    at the plan's densities, lambda_l_min and lambda_e_max, over
+    ``n_legit`` legitimate nodes.  By default that is the square of side
+    2.2*max(a_e, d_tr), which comfortably contains the protected disc and
+    the receiver.  InfeasiblePlanError ("network_extent") when the extent
+    leaves the float range: the default square holds more legitimate nodes
+    than it, or ``n_legit`` nodes at lambda_l_min need a wider square."""
+    if n_legit is None:
+        side = 2.2 * max(p.a_e, probe.d_tr)
+        try:
+            n_legit = max(1, math.ceil(p.lambda_l_min * side * side))
+        except OverflowError:
+            raise InfeasiblePlanError(
+                "network_extent", f"lambda_l_min={p.lambda_l_min} over a "
+                f"square of side {side} leaves the float range") from None
+    try:
+        return NetworkConfig(p_t=probe.p_t, mu=probe.mu, gamma=probe.gamma,
+                             d_tr=probe.d_tr, lambda_l=p.lambda_l_min,
+                             lambda_e=p.lambda_e_max, n_legit=n_legit)
+    except ValueError as exc:  # every other field passed the probe
+        raise InfeasiblePlanError("network_extent", str(exc)) from None
 
 
 def validate_plan(cfg: NetworkConfig, target: SecrecyTarget,
@@ -333,9 +362,11 @@ def validate_plan(cfg: NetworkConfig, target: SecrecyTarget,
     checks.append(ConstraintCheck("lambda_l_bound", p.lambda_l_min > lam_l_req,
                                   p.lambda_l_min - lam_l_req))
 
+    # a density in (0, cap): the margin is the nearer end's slack
     lam_e_cap = lambda_e_bound(target.eps_prime, p.a_e)
-    checks.append(ConstraintCheck("lambda_e_bound", p.lambda_e_max < lam_e_cap,
-                                  lam_e_cap - p.lambda_e_max))
+    checks.append(ConstraintCheck("lambda_e_bound",
+                                  0 < p.lambda_e_max < lam_e_cap,
+                                  min(lam_e_cap - p.lambda_e_max, p.lambda_e_max)))
 
     checks.append(ConstraintCheck("inner_radius_assumption",
                                   p.mode == "direct" or p.a_l < cfg.d_tr / 2.0,
@@ -403,8 +434,10 @@ def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:
     format version, for relay/eavesdropper counts that are not integers
     (a hand-edited ``110446.0`` or ``true``), for fewer than one relay or
     a negative eavesdropper cap, for a relay radius that is not positive,
-    or for a mode that is not the one the plan's geometry gives
-    (``transport_mode``)."""
+    for a field ``plan`` derives that differs from its derivation (a_l_raw
+    from a_l, eps_prime from the target, eta and nu from cfg_mu: runs read
+    a_l, and the plan checks a_l_raw), or for a mode that is not the one
+    the plan's geometry gives (``transport_mode``)."""
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -425,6 +458,14 @@ def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     if not p.a_l > 0:  # NaN fails too
         raise ValueError(f"a_l must be positive, got {p.a_l!r}")
+    eta, nu = _moment_constants(cfg.mu)
+    for name, rule, value in (("a_l_raw", "2*a_l", 2.0 * p.a_l),
+                              ("eps_prime", "target_outage/7", target.eps_prime),
+                              ("eta", "eta_constant(cfg_mu)", eta),
+                              ("nu", "nu_constant(cfg_mu)", nu)):
+        if getattr(p, name) != value:  # NaN differs too
+            raise ValueError(f"{name} must be {rule} = {value!r}, "
+                             f"got {getattr(p, name)!r}")
     mode = transport_mode(cfg.d_tr, p.a_l)
     if p.mode != mode:
         raise ValueError(f"mode {p.mode!r} does not match the geometry "

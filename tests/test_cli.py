@@ -464,14 +464,34 @@ def test_plan_counts_must_be_integers(tmp_path, field, value):
         assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
-@pytest.mark.parametrize("flags,field,edit", [
-    ([], "n_e_max", lambda doc: -5),
+PLAN_FILE_LOAD = "cannot load plan: {field} must be "
+
+PLAN_FILE_EDITS = [
+    ([], "n_e_max", lambda doc: -5, PLAN_FILE_LOAD),
     # a negative radius makes the stage-1 rate sum negative, so E3 could
     # never fail
-    (["--gamma", "3"], "a_l", lambda doc: -doc["a_l"]),
-], ids=["n_e_max-negative", "a_l-negated-gamma3"])
-def test_plan_file_outside_its_domain(tmp_path, capsys, flags, field, edit):
-    # both pass validate_plan; load_plan refuses them
+    (["--gamma", "3"], "a_l", lambda doc: -doc["a_l"], PLAN_FILE_LOAD),
+    # each field a run reads or reports, edited alone: every one passed
+    # the plan checks, or failed them only as a math domain error
+    ([], "lambda_e_max", lambda doc: -1.0, "plan violates lambda_e_bound: "),
+    ([], "eps_prime", lambda doc: -1.0, PLAN_FILE_LOAD),
+    ([], "a_l_raw", lambda doc: -1.0, PLAN_FILE_LOAD),
+    ([], "nu", lambda doc: -1.0, PLAN_FILE_LOAD),
+    ([], "eta", lambda doc: -1.0, PLAN_FILE_LOAD),
+    # the checks read a_l_raw, and the runs a_l
+    ([], "a_l", lambda doc: 3 * doc["a_l"], "cannot load plan: a_l_raw must be "),
+]
+
+
+@pytest.mark.parametrize("flags,field,edit,message", PLAN_FILE_EDITS,
+                         ids=["n_e_max-negative", "a_l-negated-gamma3",
+                              "lambda_e_max-negative", "eps_prime-negative",
+                              "a_l_raw-negative", "nu-negative", "eta-negative",
+                              "a_l-tripled"])
+def test_plan_file_outside_its_domain(tmp_path, capsys, flags, field, edit,
+                                      message):
+    # each passes validate_plan, or fails it by accident; load_plan and
+    # validate_plan refuse them by name
     _, out = run_plan(tmp_path, flags)
     doc = json.loads(out.read_text())
     edit_plan(out, **{field: edit(doc)})
@@ -480,7 +500,7 @@ def test_plan_file_outside_its_domain(tmp_path, capsys, flags, field, edit):
                  ["verify", "theorem4", "--plan", str(out), "--samples", "2"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"cannot load plan: {field} must be ")
+        assert captured.err.startswith(message.format(field=field))
         assert captured.err.count("\n") == 1 and captured.out == ""
 
 
@@ -904,13 +924,14 @@ def test_verify_lemmas(capsys):
 
 # --- sweep -----------------------------------------------------------------
 
-def test_plan_unwritable_out_exits_before_planning(tmp_path, capsys, monkeypatch):
+def test_plan_unwritable_out_exits_2(tmp_path, capsys):
+    # plan plans first (well under a millisecond), then opens --out
     out = tmp_path / "missing" / "plan.json"
-    monkeypatch.setattr(planner, "plan", lambda *a, **k: pytest.fail("planned"))
     assert main(["plan", *PLAN_FLAGS, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert f"cannot write {out}" in captured.err
-    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.parent.exists()
 
 
 def test_sweep_unwritable_out_exits_before_planning(tmp_path, capsys, monkeypatch):

@@ -62,14 +62,14 @@ def test_plan_matches_golden(entry, tmp_path):
     assert p == planner.Plan(**entry["plan"])
     assert repr(p) == entry["repr"]
     path = tmp_path / "plan.json"
-    planner.save_plan(path, MAKE.saved_config(probe, p), target, p)
+    planner.save_plan(path, planner.network(probe, p), target, p)
     assert path.read_bytes() == entry["saved"].encode()
 
 
 @pytest.mark.parametrize("entry", [e for e in ENTRIES if "plan" in e], ids=_label)
 def test_plan_out_writes_golden_document(entry, tmp_path, capsys):
     # secbeam plan --out at its default extent writes the document of
-    # saved_config, and a manifest after it
+    # planner.network, and a manifest after it
     inputs = entry["inputs"]
     flags = {"rate": "rate", "outage": "outage", "mu": "mu", "gamma": "gamma",
              "p_t": "power", "d_tr": "dtr", "rho": "rho", "kappa": "kappa"}
@@ -82,6 +82,28 @@ def test_plan_out_writes_golden_document(entry, tmp_path, capsys):
     assert list(doc)[-1] == "manifest"
     del doc["manifest"]
     assert json.dumps(doc, indent=2) + "\n" == entry["saved"]
+
+
+@pytest.mark.parametrize("entry", [e for e in ENTRIES if "plan" in e], ids=_label)
+def test_network_gives_the_saved_config(entry):
+    # the default extent, and the plan's densities over the probe's
+    # constants: the cfg_* fields of the saved file
+    probe, target = MAKE.planning_inputs(entry["inputs"])
+    saved = json.loads(entry["saved"])
+    cfg = planner.network(probe, planner.plan(probe, target))
+    assert {f"cfg_{k}": v for k, v in vars(cfg).items()} == {
+        k: v for k, v in saved.items() if k.startswith("cfg_")}
+    assert type(cfg.n_legit) is int
+
+
+@pytest.mark.parametrize("entry", [e for e in ENTRIES if "plan" in e], ids=_label)
+def test_saved_plan_loads(entry, tmp_path):
+    # load_plan refuses a derived field that differs from its derivation;
+    # plan() derives each exactly so, so every saved plan loads as planned
+    path = tmp_path / "plan.json"
+    path.write_text(entry["saved"])
+    _cfg, _target, p = planner.load_plan(path)
+    assert p == planner.Plan(**entry["plan"])
 
 
 def test_nu_closed_form_equals_variance_formulas():
@@ -106,7 +128,7 @@ def _asdict_document(cfg, target, p) -> dict:
 def test_plan_document_equals_asdict_oracle(entry):
     probe, target = MAKE.planning_inputs(entry["inputs"])
     p = planner.plan(probe, target)
-    cfg = MAKE.saved_config(probe, p)
+    cfg = planner.network(probe, p)
     doc = planner.plan_document(cfg, target, p)
     oracle = _asdict_document(cfg, target, p)
     assert doc == oracle

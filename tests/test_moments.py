@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from secbeam.moments import (PowerBounds, RayleighDist, TwoPointDist,
                              UniformMixtureDist, mean_pe_nopath,
-                             mean_pl_nopath, power_moment_bounds,
+                             mean_pl_nopath, mu4_pe_nopath, mu4_pl_nopath,
+                             power_moment_bounds,
                              random_distribution, rayleigh_moment,
                              third_moment_gap, var_pe_nopath, var_pl_nopath,
                              weighted_variance_check, weighted_variance_exact)
@@ -72,6 +74,26 @@ def test_var_pl_spot_values():
 def test_var_pe_spot_values():
     assert var_pe_nopath(1, 0.5) == pytest.approx(3.0)
     assert var_pe_nopath(3, 0.5) == pytest.approx(5.0 / 3.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32])
+def test_central_moments_match_the_raw_moment_expansion(n):
+    # in units of 2*mu, S = sum_i h_i**2 ~ Gamma(n, 1) has the raw moments
+    # E{S**k} = n(n+1)...(n+k-1); P_l = S**2/n and P_e = Exp(1)*S/n
+    def s_raw(k):
+        return math.prod(Fraction(n + i) for i in range(k))
+
+    def central(raw):  # the variance and the fourth central moment
+        m = raw(1)
+        return (raw(2) - m * m,
+                raw(4) - 4 * m * raw(3) + 6 * m * m * raw(2) - 3 * m ** 4)
+
+    var_l, mu4_l = central(lambda k: s_raw(2 * k) / Fraction(n) ** k)
+    var_e, mu4_e = central(lambda k: math.factorial(k) * s_raw(k) / Fraction(n) ** k)
+    assert var_pl_nopath(n, 0.5) == pytest.approx(float(var_l), rel=1e-14)
+    assert var_pe_nopath(n, 0.5) == pytest.approx(float(var_e), rel=1e-14)
+    assert mu4_pl_nopath(n) == pytest.approx(float(mu4_l), rel=1e-14)
+    assert mu4_pe_nopath(n) == pytest.approx(float(mu4_e), rel=1e-14)
 
 
 def test_moments_reject_bad_n_r():

@@ -141,12 +141,6 @@ def test_trial_repeats_across_plans_pieces_and_threads(monkeypatch):
     assert trials() == whole
 
 
-def test_sample_realization_disc_must_fit():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_realization(small_plan(a_l=20.0), small_cfg(), rng)
-
-
 def test_sample_realization_count_statistics():
     rng = np.random.default_rng(1)
     plan = small_plan()
@@ -255,6 +249,36 @@ def test_run_trial_deterministic():
 def test_run_trial_requires_beamforming_mode():
     with pytest.raises(ValueError):
         run_trial(small_plan(mode="direct"), small_cfg(), small_target(), 0, 0)
+
+
+def refuse_draws(monkeypatch):
+    """Make a trial's generator and the relay kernel fail if reached."""
+    def fail(*args):
+        raise AssertionError("drew before refusing")
+    monkeypatch.setattr(montecarlo, "_trial_rng", fail)
+    monkeypatch.setattr(montecarlo, "_relay_field", fail)
+
+
+@pytest.mark.parametrize("plan,cfg,reason", [
+    (small_plan(mode="direct"), small_cfg(), "direct-mode plan"),
+    # one legitimate node: a square of side 0.14 around a disc of diameter 2
+    (small_plan(), small_cfg(n_legit=1), "relay disc .* network square"),
+    # 1e32 eavesdroppers expected in the square, past numpy's largest
+    # Poisson mean
+    (small_plan(), small_cfg(lambda_e=1e30), "eavesdroppers, .* Poisson"),
+], ids=["direct-mode", "disc-wider-than-square", "poisson-mean"])
+def test_trials_refuse_before_any_draw(monkeypatch, plan, cfg, reason):
+    refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=reason):
+        run_trial(plan, cfg, small_target(), 0, 0)
+    with pytest.raises(ValueError, match=reason):
+        estimate_outage(plan, cfg, small_target(), 5, seed=0)
+
+
+def test_power_bounds_refuse_a_direct_mode_plan_before_any_draw(monkeypatch):
+    refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="direct-mode plan"):
+        verify_power_bounds(small_plan(mode="direct"), small_cfg(), 10, 0)
 
 
 def test_run_trial_no_eavesdroppers():
@@ -517,6 +541,16 @@ def test_verify_moments_within_noise(n_r, mu):
     for c in checks:
         assert c.side == "both"
         assert abs(c.z) < 5
+
+
+@pytest.mark.parametrize("n_r", [1, 32])
+def test_verify_moments_false_alarms_at_few_samples(n_r):
+    # at 30 samples a correct sampler failed some check in 171 (n_r = 1)
+    # and 35 (n_r = 32) of these 400 runs with plug-in standard errors;
+    # those of the exact null law bound each check's false alarms by 1/25
+    failed = [seed for seed in range(400)
+              if any(c.failed for c in verify_moments(0.5, n_r, 30, seed))]
+    assert failed == []
 
 
 def test_verify_moments_deterministic():

@@ -521,9 +521,11 @@ def moments_state(acc):
 
 
 def test_chunk_samples_do_not_depend_on_thread_count(monkeypatch, engine):
-    # 200 samples in 67 or 200 chunks; more threads than cores and a short
-    # switch interval: a chunk taken twice or skipped, or merged out of
-    # order, would change the count or the sums
+    # 200 samples in 67 or 200 chunks, so in 2 or 4 windows of at most
+    # TRIAL_WINDOW chunks, each on its own threads; more threads than cores
+    # and a short switch interval: a chunk taken twice or skipped, or merged
+    # out of order, would change the count or the sums
+    windows = math.ceil(math.ceil(200 / engine.rows) / montecarlo.TRIAL_WINDOW)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -535,7 +537,7 @@ def test_chunk_samples_do_not_depend_on_thread_count(monkeypatch, engine):
             CountingThread.started = 0
             runs.append([moments_state(acc) for acc in montecarlo._chunk_moments(
                 engine.chunk, engine.rows, engine.key, 200, 41)])
-            assert CountingThread.started == n - 1
+            assert CountingThread.started == (n - 1) * windows
     finally:
         sys.setswitchinterval(interval)
     assert runs[0][0][0] == runs[0][1][0] == 200
@@ -729,8 +731,16 @@ def test_verify_moments_memory_does_not_grow_with_samples():
     assert large < 1.1 * small, (small, large)
 
 
-def test_verify_power_bounds_memory_does_not_grow_with_samples():
+def test_verify_power_bounds_memory_does_not_grow_with_samples(monkeypatch):
     plan, cfg = small_plan(), small_cfg()
     small = peak_bytes(montecarlo.verify_power_bounds, plan, cfg, 1 << 16, 3)
     large = peak_bytes(montecarlo.verify_power_bounds, plan, cfg, 1 << 20, 3)
     assert large < 1.1 * small, (small, large)
+    # a piece below n_r = 20 makes every chunk one sample, as at the
+    # reference plan: a window holds at most TRIAL_WINDOW chunks' moments,
+    # about 25 KiB, and the peak varies by a few KiB from run to run; a
+    # window of every chunk would hold 0.7 MiB at 2**11 samples
+    monkeypatch.setattr(montecarlo, "RELAY_PIECE", 16)
+    small = peak_bytes(montecarlo.verify_power_bounds, plan, cfg, 1 << 8, 3)
+    large = peak_bytes(montecarlo.verify_power_bounds, plan, cfg, 1 << 11, 3)
+    assert large < 1.5 * small, (small, large)
