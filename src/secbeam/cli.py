@@ -141,8 +141,7 @@ def cmd_simulate(args) -> int:
                                        "secbeam": __version__}
         doc["manifest"]["stream_version"] = montecarlo.STREAM_VERSION
         doc["manifest"]["usable_cpus"] = montecarlo.usable_cpus()
-        doc["manifest"]["workers"] = montecarlo.workers(
-            args.trials, montecarlo.TRIAL_WINDOW)
+        doc["manifest"]["workers"] = montecarlo.workers(args.trials)
         if json_fh:
             json.dump(doc, json_fh, indent=2)
             json_fh.write("\n")
@@ -165,8 +164,8 @@ def cmd_verify(args) -> int:
         failures = _verify(args)
     except MemoryError as exc:
         # moments and theorem4 hold a chunk of samples per thread and a
-        # window of at most TRIAL_WINDOW chunk moments whatever --samples;
-        # lemmas holds --samples / --instances per instance
+        # window of WINDOW chunk moments whatever --samples; lemmas holds
+        # --samples / --instances per instance
         raise Refusal(f"cannot verify {args.what} with {args.samples} "
                       f"samples: {exc}") from None
     for f in failures:

@@ -463,25 +463,30 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def workers(n: int, window: int) -> int:
-    """The threads ``_ordered_map(fn, n, window)`` runs a window on: the
-    calling thread and one per further usable CPU, never more than the
-    window's calls, so a window of one call starts no thread."""
-    return min(usable_cpus(), n, window)
+#: calls per window of ``_ordered_map``, for trials and verifier chunks
+#: alike: a window's values are held until they are consumed in order, so
+#: memory does not grow with the number of calls
+WINDOW = 64
 
 
-def _ordered_map(fn, n: int, window: int):
+def workers(n: int) -> int:
+    """The threads ``_ordered_map(fn, n)`` runs a window on: the calling
+    thread and one per further usable CPU, never more than the window's
+    calls, so a window of one call starts no thread."""
+    return min(usable_cpus(), n, WINDOW)
+
+
+def _ordered_map(fn, n: int):
     """Yield fn(0), ..., fn(n - 1), in that order.
 
-    The calls run ``window`` at a time, each window on ``workers`` threads:
-    the calling thread plus ``threading.Thread``s, each taking the next
-    index as it gets free.  Every thread of a window has ended before the
-    window's first value is yielded, so memory holds one window of values.
-    Once a call has raised, no further index is handed out; the values below
-    the lowest failing index are yielded, then its exception is raised
-    here."""
-    for lo in range(0, n, window):
-        hi = min(lo + window, n)
+    The calls run WINDOW at a time, each window on ``workers`` threads: the
+    calling thread plus ``threading.Thread``s, each taking the next index as
+    it gets free.  Every thread of a window has ended before the window's
+    first value is yielded, so memory holds one window of values.  Once a
+    call has raised, no further index is handed out; the values below the
+    lowest failing index are yielded, then its exception is raised here."""
+    for lo in range(0, n, WINDOW):
+        hi = min(lo + WINDOW, n)
         results = [None] * (hi - lo)
         indices = iter(range(lo, hi))  # next() is atomic under the GIL
         errors = {}  # failing index -> its exception
@@ -496,7 +501,7 @@ def _ordered_map(fn, n: int, window: int):
                     return
 
         threads = [threading.Thread(target=work)
-                   for _ in range(workers(hi - lo, window) - 1)]
+                   for _ in range(workers(hi - lo) - 1)]
         for t in threads:
             t.start()
         work()
@@ -578,18 +583,12 @@ class RunningMoments:
         return self.m2 / (self.n - 1) if self.n > 1 else 0.0
 
 
-#: trials per window of ``estimate_outage``: a window's outcomes are held
-#: until they are consumed in trial order, so memory does not grow with
-#: n_trials
-TRIAL_WINDOW = 64
-
-
 def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
                     n_trials: int, seed: int,
                     collect=None) -> OutageReport:
     """Run n_trials independent trials and aggregate.
 
-    The trials run TRIAL_WINDOW at a time on the calling thread plus one
+    The trials run WINDOW at a time on the calling thread plus one
     thread per further usable CPU (``_ordered_map``), and each window's
     outcomes are consumed in trial order on the calling thread.  ``collect``,
     if given, receives every TrialOutcome in that order (e.g.
@@ -613,7 +612,7 @@ def estimate_outage(plan: Plan, cfg: NetworkConfig, target: SecrecyTarget,
     def trial(i):
         return run_trial(plan, cfg, target, i, seed)
 
-    for out in _ordered_map(trial, n_trials, TRIAL_WINDOW):
+    for out in _ordered_map(trial, n_trials):
         for j, ok in enumerate(out.flags()):
             ok_counts[j] += ok
         composite_ok += out.composite
@@ -728,13 +727,6 @@ def _var_check(name: str, reference: float, acc: RunningMoments,
 #: stay in cache between the sampler and the moments
 MOMENT_CHUNK = 1 << 14
 
-#: samples per window of ``_chunk_moments``, rounded down to whole chunks
-#: (at least one, at most TRIAL_WINDOW); it changes no result.  As
-#: MOMENT_CHUNK, so a verify-moments window is one chunk, drawn on the
-#: calling thread, where a tracer with one span stack per process nests its
-#: spans right; the reference plan's is TRIAL_WINDOW one-sample chunks
-MOMENT_WINDOW = 1 << 14
-
 
 def _chunk_moments(draw, rows: int, key: int, n_samples: int, seed: int):
     """RunningMoments of P_l and of P_e over the n_samples a seed draws.
@@ -742,10 +734,10 @@ def _chunk_moments(draw, rows: int, key: int, n_samples: int, seed: int):
     The samples fall into chunks of ``rows`` samples, fewer in the last, and
     chunk c is ``draw(np.random.default_rng([seed, key, c]), m)`` for its m
     samples, reduced where it is drawn (``RunningMoments.of``).  The chunks
-    run on ``_ordered_map``'s threads, MOMENT_WINDOW samples' worth (at
-    least one chunk, at most TRIAL_WINDOW) at a time, and their moments are
-    merged in chunk order, so the result depends on rows, n_samples and the
-    seed alone, and memory holds one window of accumulators whatever
+    run WINDOW at a time on ``_ordered_map``'s threads, and their moments
+    are merged in chunk order, so the result depends on rows, n_samples and
+    the seed alone, not on the threads or the window, and memory holds one
+    window of accumulators and a chunk's arrays per thread whatever
     n_samples."""
     def chunk(c):
         x_l, x_e = draw(np.random.default_rng([seed, key, c]),
@@ -753,8 +745,7 @@ def _chunk_moments(draw, rows: int, key: int, n_samples: int, seed: int):
         return RunningMoments.of(x_l), RunningMoments.of(x_e)
 
     p_l, p_e = RunningMoments(), RunningMoments()
-    window = min(TRIAL_WINDOW, max(1, MOMENT_WINDOW // rows))
-    for c_l, c_e in _ordered_map(chunk, -(-n_samples // rows), window):
+    for c_l, c_e in _ordered_map(chunk, -(-n_samples // rows)):
         p_l.merge(c_l)
         p_e.merge(c_e)
     return p_l, p_e
@@ -781,9 +772,12 @@ def verify_moments(mu: float, n_r: int, n_samples: int,
     and their standard errors are scaled to mu: the fourth powers of the
     samples, and every term of the closed forms, then stay in the float
     range at every mu whose closed forms do.  Raises ValueError, before any
-    draw, when mu is not positive and finite or a scaled closed form is not
-    a finite positive normal float: a subnormal one has lost digits, and so
-    would the z-scores against it."""
+    draw, when n_samples < 2 (no sample variance), when mu is not positive
+    and finite, or when a scaled closed form is not a finite positive normal
+    float: a subnormal one has lost digits, and so would the z-scores
+    against it."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if not (mu > 0 and math.isfinite(mu)):
         raise ValueError(f"mu must be positive and finite, got {mu}")
     try:
@@ -858,9 +852,11 @@ def verify_power_bounds(plan: Plan, cfg: NetworkConfig, n_samples: int,
     ``_power_bounds_chunk`` in chunks of RELAY_PIECE relay elements
     (RELAY_PIECE // n_r samples, at least one) from the generators of key 1,
     and reduced chunk by chunk (``_chunk_moments``), so memory does not grow
-    with n_samples.  Raises ValueError before any draw for a direct-mode
-    plan (``check_runnable``), or when the plan's geometry leaves the
-    bounds undefined (``moments.power_moment_bounds``)."""
+    with n_samples.  Raises ValueError before any draw when n_samples < 2,
+    for a direct-mode plan (``check_runnable``), or when the plan's geometry
+    leaves the bounds undefined (``moments.power_moment_bounds``)."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     check_runnable(plan)
     b = moments.power_moment_bounds(cfg.gamma, cfg.d_tr, plan.eta, plan.nu,
                                     plan.n_r, plan.a_l, plan.a_e)

@@ -353,7 +353,7 @@ def test_simulate_outputs_do_not_depend_on_thread_count(
         edit_plan(plan_path, cfg_lambda_e=20 * p.lambda_e_max)
     else:
         edit_plan(plan_path, cfg_lambda_l=p.n_r / (np.pi * p.a_l ** 2))
-    monkeypatch.setattr(montecarlo, "TRIAL_WINDOW", 4)
+    monkeypatch.setattr(montecarlo, "WINDOW", 4)
     csvs, docs = [], []
     for n in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -751,7 +751,7 @@ def test_simulate_memory_error_exits_2(tmp_path, capsys, monkeypatch):
     n_r = json.loads(plan_path.read_text())["n_r"]
     csv_path = tmp_path / "trials.csv"
     csv_path.write_text("x" * 10_000)
-    monkeypatch.setattr(montecarlo, "TRIAL_WINDOW", 4)
+    monkeypatch.setattr(montecarlo, "WINDOW", 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     run_trial = montecarlo.run_trial
 

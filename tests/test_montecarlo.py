@@ -281,6 +281,20 @@ def test_power_bounds_refuse_a_direct_mode_plan_before_any_draw(monkeypatch):
         verify_power_bounds(small_plan(mode="direct"), small_cfg(), 10, 0)
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_verifiers_refuse_fewer_than_two_samples_before_any_draw(
+        monkeypatch, n_samples):
+    # a sample variance needs two samples; both verifiers draw through the
+    # chunk engine
+    def fail(*args):
+        raise AssertionError("drew before refusing")
+    monkeypatch.setattr(montecarlo, "_chunk_moments", fail)
+    with pytest.raises(ValueError, match="^n_samples must be >= 2, got "):
+        verify_moments(0.5, 4, n_samples, 0)
+    with pytest.raises(ValueError, match="^n_samples must be >= 2, got "):
+        verify_power_bounds(small_plan(), small_cfg(), n_samples, 0)
+
+
 def test_run_trial_no_eavesdroppers():
     plan = small_plan()
     cfg = small_cfg(lambda_e=0.0)
@@ -524,7 +538,7 @@ def test_golden_trial_table(tmp_path):
 
 def test_golden_trial_table_on_threads(tmp_path, monkeypatch):
     # windows of 7, 7 and 6 trials on 1, 2 and 3 threads
-    monkeypatch.setattr(montecarlo, "TRIAL_WINDOW", 7)
+    monkeypatch.setattr(montecarlo, "WINDOW", 7)
     for n in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid, n=n: set(range(n)))
@@ -644,8 +658,23 @@ def test_verify_power_bounds_do_not_depend_on_threads_or_batches(monkeypatch):
                             lambda pid, n=n: set(range(n)))
         runs.append(verify_power_bounds(plan, cfg, n_samples=200, seed=73))
     assert runs[1] == runs[0] and runs[2] == runs[0]
-    monkeypatch.setattr(montecarlo, "MOMENT_WINDOW", 7)
+    monkeypatch.setattr(montecarlo, "WINDOW", 2)
     assert verify_power_bounds(plan, cfg, n_samples=200, seed=73) == runs[0]
+
+
+def test_verify_moments_do_not_depend_on_threads_or_windows(monkeypatch):
+    # five whole chunks and a short one at the real chunk size: one window
+    # on 1, 2 and 3 threads, then three windows of 2 chunks; the checks
+    # (estimates, standard errors) are the same bit for bit
+    n_samples = 5 * montecarlo.MOMENT_CHUNK + 7
+    runs = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=n: set(range(n)))
+        runs.append(verify_moments(0.5, 32, n_samples, seed=79))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    monkeypatch.setattr(montecarlo, "WINDOW", 2)
+    assert verify_moments(0.5, 32, n_samples, seed=79) == runs[0]
 
 
 def test_power_bound_std_errors_match_moment_checks():

@@ -522,10 +522,10 @@ def moments_state(acc):
 
 def test_chunk_samples_do_not_depend_on_thread_count(monkeypatch, engine):
     # 200 samples in 67 or 200 chunks, so in 2 or 4 windows of at most
-    # TRIAL_WINDOW chunks, each on its own threads; more threads than cores
+    # WINDOW chunks, each on its own threads; more threads than cores
     # and a short switch interval: a chunk taken twice or skipped, or merged
     # out of order, would change the count or the sums
-    windows = math.ceil(math.ceil(200 / engine.rows) / montecarlo.TRIAL_WINDOW)
+    windows = math.ceil(math.ceil(200 / engine.rows) / montecarlo.WINDOW)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -573,6 +573,16 @@ def test_chunk_engine_uses_no_more_threads_than_chunks(monkeypatch, engine):
     assert CountingThread.started == 2
 
 
+def test_verify_moments_runs_on_every_usable_cpu(monkeypatch):
+    # four chunks of MOMENT_CHUNK samples make one window, which two usable
+    # CPUs share: the calling thread and one helper
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    CountingThread.started = 0
+    montecarlo.verify_moments(0.5, 32, 4 * montecarlo.MOMENT_CHUNK, 59)
+    assert CountingThread.started == 1
+
+
 def test_chunk_engine_raises_what_a_thread_raised(monkeypatch, engine):
     def chunk(*args):
         raise MemoryError("chunk")
@@ -605,7 +615,7 @@ def test_ordered_map_runs_each_index_once(monkeypatch):
                     time.sleep(0.001)
                 return -i
 
-            got = list(montecarlo._ordered_map(fn, 500, 64))
+            got = list(montecarlo._ordered_map(fn, 500))
             assert Counter(calls) == Counter(range(500))
             assert got == [-i for i in range(500)]
     finally:
@@ -632,7 +642,7 @@ def test_failed_trial_keeps_the_serial_prefix(monkeypatch):
     # windows of 4 trials on 3 threads; trials 5 and up raise, trial 5
     # last of its window: collect has trials 0-4, trial 5's exception
     # propagates, and no thread is left running
-    monkeypatch.setattr(montecarlo, "TRIAL_WINDOW", 4)
+    monkeypatch.setattr(montecarlo, "WINDOW", 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     plan, cfg, target = small_plan(), small_cfg(), small_target()
 
@@ -724,20 +734,33 @@ def peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def test_verify_moments_memory_does_not_grow_with_samples():
-    # 2**20 samples held at once would take 16 MiB, 16x the 2**16 run
+def test_verify_moments_memory_does_not_grow_with_samples(monkeypatch):
+    # 2**20 samples held at once would take 16 MiB, 16x the 2**16 run.  On
+    # one thread the peak is one chunk's arrays at any sample count.  On two
+    # it also depends on whether the threads' arrays coincide, which no
+    # sample count fixes (0.66 to 1.08 MB from 2**16 to 2**21 samples), so
+    # there each thread is held to the factor of one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     small = peak_bytes(montecarlo.verify_moments, 0.5, 32, 1 << 16, 3)
     large = peak_bytes(montecarlo.verify_moments, 0.5, 32, 1 << 20, 3)
     assert large < 1.1 * small, (small, large)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    large = peak_bytes(montecarlo.verify_moments, 0.5, 32, 1 << 20, 3)
+    assert large < 2 * 1.1 * small, (small, large)
 
 
 def test_verify_power_bounds_memory_does_not_grow_with_samples(monkeypatch):
+    # on two threads, warmed: the calling thread makes its kernel buffer
+    # (3.5 MiB) on first use and keeps it, so a cold small run holds it on
+    # top of the helper thread's, 9 MB against a warm run's 5.4 MB
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     plan, cfg = small_plan(), small_cfg()
+    montecarlo.verify_power_bounds(plan, cfg, 2, 3)
     small = peak_bytes(montecarlo.verify_power_bounds, plan, cfg, 1 << 16, 3)
     large = peak_bytes(montecarlo.verify_power_bounds, plan, cfg, 1 << 20, 3)
     assert large < 1.1 * small, (small, large)
     # a piece below n_r = 20 makes every chunk one sample, as at the
-    # reference plan: a window holds at most TRIAL_WINDOW chunks' moments,
+    # reference plan: a window holds at most WINDOW chunks' moments,
     # about 25 KiB, and the peak varies by a few KiB from run to run; a
     # window of every chunk would hold 0.7 MiB at 2**11 samples
     monkeypatch.setattr(montecarlo, "RELAY_PIECE", 16)
