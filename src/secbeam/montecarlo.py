@@ -222,6 +222,26 @@ def _neg_power(a: np.ndarray, e: float, out=None) -> np.ndarray:
     return np.power(a, a.dtype.type(e), out=out)
 
 
+#: relative error the far-field expansion of ``_relay_field`` may make in an
+#: eavesdropper's sum T_j: 2**-24, half the float32 epsilon, below the
+#: precision of the float32 per-relay values the sum is made of
+FAR_FIELD_ERROR = float(np.finfo(np.float32).eps) / 2
+
+
+def _far_field_q2(gamma: float) -> float:
+    """q**2 for a q = a_l / rho up to which the far-field expansion of
+    ``_relay_field`` keeps its relative error bound
+    E(q) = c * q**2 / h(q) within FAR_FIELD_ERROR, where
+    c = gamma*(gamma + 1)/2 and h(q) = (1 - q)**(gamma + 2) / (1 + q)**gamma
+    falls with q.  From q0 = sqrt(FAR_FIELD_ERROR / c), the value
+    q = q0 * sqrt(h(q0)) <= q0 has E(q) = FAR_FIELD_ERROR * h(q0) / h(q),
+    at most FAR_FIELD_ERROR.  About 1 / 7097**2 at gamma 2; 0 when
+    FAR_FIELD_ERROR is 0, so that no eavesdropper takes the expansion."""
+    q0_2 = FAR_FIELD_ERROR / (gamma * (gamma + 1.0) / 2.0)
+    q0 = math.sqrt(q0_2)
+    return q0_2 * (1.0 - q0) ** (gamma + 2.0) / (1.0 + q0) ** gamma
+
+
 def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
                  cfg: NetworkConfig, ex: np.ndarray, ey: np.ndarray,
                  stage1: bool):
@@ -240,13 +260,40 @@ def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
     so memory does not grow with k.  Without eavesdroppers a relay takes one
     transcendental, sin(theta/2), and the law of cosines written without
     cancellation, (d_tr - r)**2 + 4*d_tr*r*sin(theta/2)**2; with them two,
-    cos(theta) and sin(theta) for its position, and
+    cos(theta) and sin(theta) for its position (x, y), and
     d_rx**2 = (x - d_tr)**2 + y**2.
+
+    A far eavesdropper, at rho = |(ex, ey)| with q = a_l / rho small
+    (``_far_field_q2``), takes T_j from a first-order multipole expansion
+    about the disc centre, the transmitter:
+    T_j = rho**-gamma * (S + gamma * (ex*G_x + ey*G_y) / rho**2), with
+    G_x = sum_i g_i x_i and G_y = sum_i g_i y_i, two more sums per row.
+    Every other eavesdropper takes the exact sum, one pass of squared
+    distances and powers over its row's relays; with m > 1 rows, a column
+    with a near eavesdropper in some row is summed exactly in every row,
+    and its far rows then take the expansion.
+
+    The expansion's error: with relay i at the complex position p_i and
+    the eavesdropper at e, z_i = p_i / e has |z_i| <= q < 1 and
+    d_ij**-gamma = rho**-gamma * |1 - z_i|**-gamma.  With
+    (1 - z)**(-gamma/2) = sum_k c_k z**k, all c_k >= 0 and c_1 = gamma/2,
+    |1 - z|**-gamma = sum_(k,l) c_k c_l z**k conj(z)**l
+    = 1 + gamma*Re(z) + R, where Re(z_i) = (ex*x_i + ey*y_i) / rho**2 and
+    |R| <= sum_(k+l>=2) c_k c_l q**(k+l) = (1 - q)**-gamma - 1 - gamma*q,
+    which is at most gamma*(gamma + 1)/2 * q**2 * (1 - q)**(-gamma - 2)
+    (Taylor's remainder).  So the expansion is off by at most
+    rho**-gamma * S times that, and as T_j >= S * (rho + a_l)**-gamma its
+    relative error is at most E(q) of ``_far_field_q2``, about
+    gamma*(gamma + 1)/2 * q**2, kept within FAR_FIELD_ERROR (2**-24).  At
+    gamma 2 that takes rho >= 7097 * a_l.  The first-order term is at most
+    gamma*q*(1 + q)**gamma of T_j (5e-4 at most), so G_x and G_y are summed
+    in float32 (pairwise, about 1e-6 relative), which moves T_j by
+    below 1e-9.
 
     Precision: per-relay values (u, angle, h**2, positions, squared
     receiver distances, gains) are float32, about 1e-7 relative each; every
-    sum over relays is float64.  The relay->eavesdropper squared distances
-    and their powers take the dtype of ``ex``.
+    sum over relays is float64 except G_x and G_y.  The relay->eavesdropper
+    squared distances and their powers take the dtype of ``ex``.
     """
     f32 = np.float32
     e = -cfg.gamma / 2.0
@@ -255,6 +302,15 @@ def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
     piece = len(buf) // KERNEL_SLOTS
     q = ex.dtype.itemsize // 4  # float32 slots per eavesdropper distance
     rate, s, t = np.zeros(m), np.zeros(m), np.zeros((m, n_e))
+    far = None  # (rows, columns) of the eavesdroppers taking the expansion
+    if n_e:
+        ex64, ey64 = ex.astype(np.float64), ey.astype(np.float64)
+        rho2 = ex64 * ex64 + ey64 * ey64
+        is_far = rho2 * _far_field_q2(cfg.gamma) > a_l * a_l
+        near = np.flatnonzero(~is_far.all(axis=0))
+        if is_far.any():
+            far = np.nonzero(is_far)
+            gx, gy = np.zeros(m), np.zeros(m)
     width = max(1, min(k, piece // m))
     for start in range(0, k, width):
         n = m * min(width, k - start)
@@ -290,11 +346,14 @@ def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
         s += g.sum(axis=1, dtype=np.float64)
         if not n_e:
             continue
+        if far is not None:  # r is free: the products g*x and g*y go there
+            gx += np.multiply(g, x, out=r).sum(axis=1)
+            gy += np.multiply(g, y, out=r).sum(axis=1)
         # the slots of r and d2 are free: squared distances go there, with
         # room beyond for float64
         d, dy = (buf[i * piece:i * piece + q * n].view(ex.dtype).reshape(m, -1)
                  for i in (3, 3 + q))
-        for j in range(n_e):
+        for j in near:
             np.subtract(x, ex[:, j:j + 1], out=d)
             d *= d
             np.subtract(y, ey[:, j:j + 1], out=dy)
@@ -304,6 +363,10 @@ def _relay_field(rng: np.random.Generator, m: int, k: int, a_l: float,
             d *= g
             t[:, j] += d.sum(axis=1, dtype=np.float64)
     rate *= a_l ** cfg.gamma
+    if far is not None:
+        row, rho2 = far[0], rho2[far]
+        t[far] = rho2 ** e * (s[row] + cfg.gamma * (ex64[far] * gx[row]
+                                                    + ey64[far] * gy[row]) / rho2)
     return rate, s, t
 
 
@@ -363,7 +426,10 @@ def sample_realization(plan: Plan, cfg: NetworkConfig,
 
     Precision: as in ``_relay_field``, with the relay->eavesdropper
     distances in float64, since an eavesdropper can sit arbitrarily close to
-    a relay; the exponentials are float64 too.
+    a relay; the exponentials are float64 too.  An eavesdropper at 7097 or
+    more relay-disc radii from the transmitter (at gamma 2; more at larger
+    gamma) takes T_j from ``_relay_field``'s far-field expansion, within
+    2**-24 relative of the exact sum, and every other one the exact sum.
 
     Returns (realization, n_in_bl) where the realization carries
     min(n_in_bl, n_r) relays (all available nodes when short).  The plan
@@ -542,8 +608,19 @@ class RunningMoments:
     @classmethod
     def of(cls, x: np.ndarray) -> "RunningMoments":
         """The moments of a non-empty float64 array: its mean, then the
-        deviations d and their squares d2, with m4 = sum(d2 * d2)."""
+        deviations d and their squares d2, with m4 = sum(d2 * d2).  One
+        value takes the same steps on Python floats, with no array pass:
+        its mean is a sum from 0.0 (so -0.0 gives 0.0), and d is 0, or NaN
+        when the value is not finite."""
         acc = cls()
+        if len(x) == 1:
+            acc.n = 1
+            acc.mean = 0.0 + float(x[0])
+            d = acc.mean - acc.mean
+            acc.m2 = d * d
+            acc.m3 = d * acc.m2
+            acc.m4 = acc.m2 * acc.m2
+            return acc
         acc.n = len(x)
         acc.mean = float(x.mean())
         d = x - acc.mean

@@ -431,6 +431,28 @@ def test_running_moments_of_merge_push_agree_with_two_pass(sizes):
     assert moments_of(pushed)[:3] == pytest.approx(want[:3], rel=1e-12)
 
 
+@pytest.mark.parametrize("value", [0.0, -0.0, 1e3 + 1 / 3, -2.5, 5e-324,
+                                   1.7e308, math.nan, math.inf, -math.inf])
+def test_running_moments_of_one_value_matches_the_array_path(value):
+    # one value skips the array passes: bit for bit the two-pass steps on a
+    # one-element array for a finite value, NaN moments for any other
+    x = np.array([value])
+    with np.errstate(invalid="ignore"):
+        mean = float(x.mean())
+        d = x - mean
+        d2 = d * d
+        want = [1, mean, float(d2.sum()), float((d * d2).sum()),
+                float((d2 * d2).sum())]
+    got = moments_of(RunningMoments.of(x))
+    if math.isfinite(value):
+        assert np.array(got[1:]).tobytes() == np.array(want[1:]).tobytes()
+        assert got[0] == 1 and got[2:] == [0.0, 0.0, 0.0]
+    else:
+        assert got[0] == 1
+        np.testing.assert_array_equal(got[1], want[1])  # NaN equals NaN here
+        assert all(math.isnan(v) for v in want[2:] + got[2:])
+
+
 def test_running_moments_merge_with_empty_is_a_copy():
     x = 1e3 + np.random.default_rng(34).exponential(1.0, 300)
     one = RunningMoments.of(x)

@@ -21,13 +21,17 @@ minimum of independent exponentials, the power of a weighted sum of
 circular Gaussians, the float32 exponential, and the E6 failure
 probability given the relay field.  Where values can be compared, float64
 evaluations of a sampler's own draws check it: the kernel's relay sums, a
-large trial, and trials without eavesdroppers.  The chunk engine is
+large trial, and trials without eavesdroppers.  The kernel's far-field
+eavesdropper sums are held to their error bound against its exact sums, in
+one row and in rows that mix near and far eavesdroppers, and trials and
+theorem-4 estimates with and without them agree.  The chunk engine is
 checked for both verifiers: each chunk's generator, and the same merged
 moments for any thread count; the ordered map under it, which simulate's
 trials run on too, for each index run once, the threads it starts and the
 failures it passes on.
 """
 
+import dataclasses
 import math
 import os
 import sys
@@ -303,6 +307,22 @@ def test_trial_without_eavesdroppers_replays_its_draws(gamma, monkeypatch):
                 assert float(got[c]) == pytest.approx(want[c], rel=1e-6), c
 
 
+def float64_field(rng, k, a_l, cfg, piece):
+    """The radii, positions and gains of the float32 draws of a one-row
+    ``_relay_field`` call on ``rng``, evaluated in float64."""
+    u, turn, h2 = (v.astype(np.float64) for v in kernel_draws(rng, k, cfg.mu, piece))
+    r = a_l * np.sqrt(u)
+    ang = 2.0 * math.pi * turn
+    x, y = r * np.cos(ang), r * np.sin(ang)
+    return r, x, y, h2 * ((x - cfg.d_tr) ** 2 + y ** 2) ** (-cfg.gamma / 2)
+
+
+def eaves_sums_fsum(x, y, gain, ex, ey, gamma):
+    """T_j = sum_i g_i d_ij**-gamma, summed exactly, for each eavesdropper."""
+    return [math.fsum(gain * ((x - float(a)) ** 2 + (y - float(b)) ** 2)
+                      ** (-gamma / 2)) for a, b in zip(ex, ey)]
+
+
 @pytest.mark.parametrize("gamma", [2.0, 3.0])
 def test_relay_sums_float64_over_float32_field(gamma, monkeypatch):
     # the kernel's sums (rate, S and the eavesdropper sums T_j) against a
@@ -316,19 +336,14 @@ def test_relay_sums_float64_over_float32_field(gamma, monkeypatch):
     seeds = np.random.default_rng(int(gamma))
     radius = seeds.uniform(1.5, 6.0, 7)
     phase = seeds.uniform(0.0, 2.0 * math.pi, 7)
-    u, turn, h2 = (v.astype(np.float64) for v in kernel_draws(
-        np.random.default_rng([int(gamma), 1]), k, cfg.mu, 1 << 15))
-    r = a_l * np.sqrt(u)
-    ang = 2.0 * math.pi * turn
-    x, y = r * np.cos(ang), r * np.sin(ang)
-    gain = h2 * ((x - cfg.d_tr) ** 2 + y ** 2) ** (-gamma / 2)
+    r, x, y, gain = float64_field(np.random.default_rng([int(gamma), 1]), k,
+                                  a_l, cfg, 1 << 15)
     for dtype in (np.float64, np.float32):
         ex, ey = (v.astype(dtype) for v in (radius * np.cos(phase),
                                             radius * np.sin(phase)))
         rate, s, t = _relay_field(np.random.default_rng([int(gamma), 1]), 1, k,
                                   a_l, cfg, ex[None, :], ey[None, :], True)
-        want = [math.fsum(gain * ((x - float(a)) ** 2 + (y - float(b)) ** 2)
-                          ** (-gamma / 2)) for a, b in zip(ex, ey)]
+        want = eaves_sums_fsum(x, y, gain, ex, ey, gamma)
         assert t.shape == (1, 7) and rate.shape == s.shape == (1,)
         np.testing.assert_allclose(t[0], want, rtol=1e-5)
         assert s[0] == pytest.approx(math.fsum(gain), rel=1e-5)
@@ -340,6 +355,148 @@ def test_relay_sums_float64_over_float32_field(gamma, monkeypatch):
     assert t0.shape == (1, 0)
     assert rate0[0] == rate[0]
     assert s0[0] == pytest.approx(s[0], rel=1e-5)
+
+
+# --- far-field eavesdropper sums -----------------------------------------------
+
+def far_radius(a_l, gamma):
+    """The distance from the transmitter beyond which an eavesdropper's sum
+    takes the far-field expansion."""
+    return a_l / math.sqrt(montecarlo._far_field_q2(gamma))
+
+
+def field_sums(monkeypatch, m, k, a_l, cfg, ex, ey, exact=False):
+    """``_relay_field`` on fixed draws; with ``exact``, no eavesdropper
+    takes the expansion."""
+    with monkeypatch.context() as mp:
+        if exact:
+            mp.setattr(montecarlo, "FAR_FIELD_ERROR", 0.0)
+        return _relay_field(np.random.default_rng([int(cfg.gamma), 7]), m, k,
+                            a_l, cfg, ex, ey, False)
+
+
+def eavesdropper_ring(a_l, gamma):
+    """Eavesdroppers 1e-4 inside and outside the far radius at three
+    angles, and in the corners of a square of side 17; whether each takes
+    the expansion."""
+    r_far = far_radius(a_l, gamma)
+    phase = np.array([0.3, 2.0, 4.4])
+    radius = np.concatenate([np.full(3, r_far * (1 - 1e-4)),
+                             np.full(3, r_far * (1 + 1e-4)),
+                             np.full(2, 8.5 * math.sqrt(2.0))])
+    phase = np.concatenate([phase, phase, [math.pi / 4, 5 * math.pi / 4]])
+    far = np.array([False] * 3 + [True] * 5)
+    return radius * np.cos(phase), radius * np.sin(phase), far
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0, 4.0])
+def test_far_field_sums_within_their_bound_of_the_exact_sums(
+        gamma, monkeypatch, reference_plan):
+    # at the reference a_l, 1000 relays in pieces of 300: the first-order
+    # term is then a few 1e-6 of T_j near the far radius, so a dropped term
+    # or factor gamma moves T_j by far more than the bound, 2**-24.  S does
+    # not change, and near eavesdroppers keep the exact sum bit for bit
+    monkeypatch.setattr(montecarlo, "RELAY_PIECE", 300)
+    cfg, a_l, k = small_cfg(gamma=gamma), reference_plan.a_l, 1000
+    assert far_radius(a_l, gamma) < 8.5  # inside a square of side 17
+    ex, ey, far = eavesdropper_ring(a_l, gamma)
+    got = field_sums(monkeypatch, 1, k, a_l, cfg, ex[None, :], ey[None, :])
+    want = field_sums(monkeypatch, 1, k, a_l, cfg, ex[None, :], ey[None, :],
+                      exact=True)
+    assert got[1][0] == want[1][0]
+    t, t_exact = got[2][0], want[2][0]
+    assert (t[~far] == t_exact[~far]).all()
+    err = np.abs(t[far] / t_exact[far] - 1.0)
+    assert (err <= montecarlo.FAR_FIELD_ERROR).all(), err
+    assert (err > 0).all()  # the expansion ran
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("gamma", [2.0, 3.0, 4.0])
+def test_far_field_sums_match_float64_evaluation(gamma, dtype, monkeypatch,
+                                                 reference_plan):
+    # the kernel's T_j, near or far, against a float64 evaluation of the
+    # same float32 draws, summed exactly (fsum); 20 000 relays in one piece
+    cfg, a_l, k = small_cfg(gamma=gamma), reference_plan.a_l, 20_000
+    ex, ey = (v.astype(dtype) for v in eavesdropper_ring(a_l, gamma)[:2])
+    _, x, y, gain = float64_field(np.random.default_rng([int(gamma), 7]), k,
+                                  a_l, cfg, montecarlo.RELAY_PIECE)
+    want = eaves_sums_fsum(x, y, gain, ex, ey, gamma)
+    _, _, t = field_sums(monkeypatch, 1, k, a_l, cfg, ex[None, :], ey[None, :])
+    np.testing.assert_allclose(t[0], want, rtol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_far_field_rows_mix_near_and_far(dtype, monkeypatch, reference_plan):
+    # a theorem-4 layout: 5 rows of 400 relays, side by side in pieces of
+    # 1000 elements, 200 relays a row; column 0 is far in every row, column
+    # 1 near in rows 1 and 3 only, so the exact pass runs over column 1 and
+    # its far rows then take the expansion with their own S, G_x and G_y
+    monkeypatch.setattr(montecarlo, "RELAY_PIECE", 1000)
+    cfg, a_l = small_cfg(gamma=3.0), reference_plan.a_l
+    r_far = far_radius(a_l, cfg.gamma)
+    radius = np.array([[3.0, r_far * 1.01], [5.0, r_far * 0.99],
+                       [8.0, 12.0], [2 * r_far, 0.5 * r_far], [4.0, 1.2 * r_far]])
+    phase = np.random.default_rng(3).uniform(0, 2 * math.pi, radius.shape)
+    ex, ey = ((radius * f(phase)).astype(dtype) for f in (np.cos, np.sin))
+    far = radius > r_far
+    _, s, t = field_sums(monkeypatch, 5, 400, a_l, cfg, ex, ey)
+    _, s_exact, t_exact = field_sums(monkeypatch, 5, 400, a_l, cfg, ex, ey,
+                                     exact=True)
+    assert (s == s_exact).all() and len(np.unique(s)) == 5
+    assert (t[~far] == t_exact[~far]).all()
+    # float32 distances give the exact pass about 1e-7 of its own
+    rtol = montecarlo.FAR_FIELD_ERROR if dtype is np.float64 else 1e-6
+    np.testing.assert_allclose(t[far], t_exact[far], rtol=rtol)
+
+
+@pytest.fixture(scope="module")
+def eaves_plan(reference_plan, reference_config):
+    """The reference plan at 20x lambda_e_max in the side-20 square: about
+    2.2 eavesdroppers per trial, nearly all beyond the far radius (1.7)."""
+    return reference_plan, dataclasses.replace(
+        reference_config, lambda_e=20.0 * reference_plan.lambda_e_max)
+
+
+def test_far_field_keeps_trial_outputs(monkeypatch, eaves_plan, reference_target):
+    # 200 trials with and without the expansion: integer CSV columns equal,
+    # float columns within 1e-6, and some max_P_e changed, so the expansion
+    # ran
+    plan, cfg = eaves_plan
+    rows = {}
+    for exact in (False, True):
+        with monkeypatch.context() as mp:
+            if exact:
+                mp.setattr(montecarlo, "FAR_FIELD_ERROR", 0.0)
+            out = []
+            estimate_outage(plan, cfg, reference_target, 200, 2525,
+                            collect=out.append)
+            rows[exact] = [dict(zip(CSV_COLUMNS, o.csv_row())) for o in out]
+    floats = [c for c in CSV_COLUMNS if c not in INTEGER_COLUMNS]
+    assert len(rows[False]) == len(rows[True]) == 200
+    assert sum(float(row["max_P_e"]) > 0 for row in rows[True]) > 100
+    for got, want in zip(rows[False], rows[True]):
+        assert [got[c] for c in INTEGER_COLUMNS] == [want[c] for c in INTEGER_COLUMNS]
+        np.testing.assert_allclose([float(got[c]) for c in floats],
+                                   [float(want[c]) for c in floats], rtol=1e-6)
+    assert any(g["max_P_e"] != w["max_P_e"] for g, w in zip(rows[False], rows[True]))
+
+
+def test_far_field_keeps_power_bound_estimates(monkeypatch, reference_plan,
+                                               reference_config):
+    # every theorem-4 eavesdropper lies outside the protected disc, far
+    # beyond the far radius: 200 samples with and without the expansion
+    plan, cfg = reference_plan, reference_config
+    assert plan.a_e > far_radius(plan.a_l, cfg.gamma)
+    got = montecarlo.verify_power_bounds(plan, cfg, 200, 77)
+    monkeypatch.setattr(montecarlo, "FAR_FIELD_ERROR", 0.0)
+    want = montecarlo.verify_power_bounds(plan, cfg, 200, 77)
+    for g, w in zip(got, want):
+        assert g.name == w.name and g.reference == w.reference
+        assert g.estimate == pytest.approx(w.estimate, rel=1e-6)
+        assert g.std_err == pytest.approx(w.std_err, rel=1e-6)
+    assert [g.estimate for g in got if "P_e" in g.name] != [
+        w.estimate for w in want if "P_e" in w.name]
 
 
 # --- memory -------------------------------------------------------------------
