@@ -164,8 +164,8 @@ def cmd_verify(args) -> int:
         failures = _verify(args)
     except MemoryError as exc:
         # moments and theorem4 hold a chunk of samples per thread and a
-        # window of WINDOW chunk moments whatever --samples; lemmas holds
-        # --samples / --instances per instance
+        # window of WINDOW chunk moments whatever --samples; lemmas draws
+        # no samples
         raise Refusal(f"cannot verify {args.what} with {args.samples} "
                       f"samples: {exc}") from None
     for f in failures:
@@ -200,7 +200,6 @@ def _verify(args):
         return [f"{c.name} margin={c.z:+.2f} SE" for c in checks if c.failed]
     failures = []
     rng = np.random.default_rng(args.seed)
-    per_instance = max(2, args.samples // max(args.instances, 1))
     for i in range(args.instances):
         dist = moments.random_distribution(rng)
         gap = moments.third_moment_gap(dist)
@@ -208,15 +207,15 @@ def _verify(args):
             failures.append(f"third-moment gap {gap} < 0 (instance {i})")
         a = rng.uniform(0.05, 0.95)
         b = rng.uniform(a + 0.05, 2.0)
-        chk = moments.weighted_variance_check(a, b, dist, per_instance, rng)
-        if montecarlo.Check("variance cap", chk.var_rhs, chk.var_lhs,
-                            chk.se_diff, "upper").failed:
+        lhs, rhs = moments.weighted_variance_exact(a, b, dist)
+        if not lhs < rhs:
             failures.append(f"variance cap violated at instance {i}")
     print(f"  {args.instances} instances checked, {len(failures)} failures")
     return failures
 
 
-SWEEPABLE = ["rate", "outage", "power", "mu", "gamma", "dtr", "lambda_l"]
+SWEEPABLE = ["rate", "outage", "rho", "kappa", "power", "mu", "gamma", "dtr",
+             "lambda_l"]
 
 #: the plan fields of a sweep row, after the swept value and the verdict
 SWEEP_FIELDS = ["mode", "n_r", "a_l", "a_e", "lambda_l_min", "lambda_e_max",
@@ -361,8 +360,8 @@ def _add_target_flags(sub, value):
                      help="target secure rate, bits/use")
     sub.add_argument("--outage", required=True, type=value,
                      help="target outage level in (0, 1)")
-    sub.add_argument("--rho", type=float, default=1.0)
-    sub.add_argument("--kappa", type=float, default=1.0)
+    sub.add_argument("--rho", type=value, default=1.0)
+    sub.add_argument("--kappa", type=value, default=1.0)
     sub.add_argument("--power", type=value, default=1.0)
     sub.add_argument("--mu", type=value, default=0.5)
     sub.add_argument("--gamma", type=value, default=2.0)
@@ -390,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = subs.add_parser("verify", help="moment / bound spot checks")
     sv.add_argument("what", choices=["moments", "theorem4", "lemmas"])
-    sv.add_argument("--mu", type=float, default=0.5)
-    sv.add_argument("--nr", type=_positive, default=1)
-    sv.add_argument("--samples", type=_positive, default=100_000)
+    sv.add_argument("--mu", type=float, default=0.5, help="(moments only)")
+    sv.add_argument("--nr", type=_positive, default=1, help="relays (moments only)")
+    sv.add_argument("--samples", type=_positive, default=100_000,
+                    help="sample count (moments and theorem4 only)")
     sv.add_argument("--seed", type=_non_negative, default=0)
     sv.add_argument("--plan", default=None, help="plan JSON (theorem4 only)")
     sv.add_argument("--instances", type=_positive, default=200,

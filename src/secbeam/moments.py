@@ -1,6 +1,7 @@
 """Exact moments of the beamformed received powers without path loss, the
-path-loss mean/variance envelope bounds, and the two variance inequalities
-they rest on, expressed as testable predicates.
+path-loss mean/variance envelope bounds, and the two moment inequalities
+they rest on, each evaluated exactly from a distribution family's raw
+moments.
 
 Channel model: fading magnitudes are Rayleigh with parameter mu, so the
 squared magnitude is exponential with mean 2*mu.  Phases are uniform on
@@ -143,9 +144,6 @@ class RayleighDist:
     def moment(self, p: int) -> float:
         return rayleigh_moment(self.mu, p)
 
-    def sample(self, size, rng: np.random.Generator) -> np.ndarray:
-        return rng.rayleigh(math.sqrt(self.mu), size)
-
 
 class TwoPointDist:
     """Takes value ``lo`` with probability 1-p_hi and ``hi`` with p_hi."""
@@ -159,12 +157,6 @@ class TwoPointDist:
 
     def moment(self, p: int) -> float:
         return (1 - self.p_hi) * self.lo ** p + self.p_hi * self.hi ** p
-
-    def sample(self, size, rng: np.random.Generator) -> np.ndarray:
-        return np.where(rng.random(size) < self.p_hi, self.hi, self.lo)
-
-    def support(self):
-        return [(self.lo, 1 - self.p_hi), (self.hi, self.p_hi)]
 
 
 class UniformMixtureDist:
@@ -188,12 +180,6 @@ class UniformMixtureDist:
         for (a, b), w in zip(self.intervals, self.weights):
             total += w * (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
         return total
-
-    def sample(self, size, rng: np.random.Generator) -> np.ndarray:
-        comp = rng.choice(len(self.intervals), size=size, p=self.weights)
-        lo = np.array([iv[0] for iv in self.intervals])[comp]
-        hi = np.array([iv[1] for iv in self.intervals])[comp]
-        return lo + (hi - lo) * rng.random(size)
 
 
 def random_distribution(rng: np.random.Generator):
@@ -219,45 +205,17 @@ def third_moment_gap(dist) -> float:
     return dist.moment(3) - dist.moment(2) * dist.moment(1)
 
 
-@dataclass(frozen=True)
-class WeightedVarianceCheck:
-    """Monte Carlo comparison of Var[(a*X + b*Y)**2] against the cap
-    b**4 * Var[(X + Y)**2] for i.i.d. X, Y; the first should be smaller."""
-
-    var_lhs: float
-    var_rhs: float
-    se_diff: float
-
-
-def weighted_variance_check(a: float, b: float, dist, n_samples: int,
-                            rng: np.random.Generator) -> WeightedVarianceCheck:
-    """Estimate both variances from common draws of (X, Y).
-
-    ``se_diff`` is the standard error of the difference of the two variance
-    estimates (influence-function form), suited to a one-sided noise
-    tolerance on the inequality.
-    """
-    if not 0 < a < b:
-        raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    x = dist.sample(n_samples, rng)
-    y = dist.sample(n_samples, rng)
-    u = (a * x + b * y) ** 2
-    s = (x + y) ** 2
-    var_u = u.var(ddof=1)
-    var_v = b ** 4 * s.var(ddof=1)
-    w = (u - u.mean()) ** 2 - b ** 4 * (s - s.mean()) ** 2
-    se = w.std(ddof=1) / math.sqrt(n_samples)
-    return WeightedVarianceCheck(float(var_u), float(var_v), float(se))
-
-
 def weighted_variance_exact(a: float, b: float, dist):
     """Exact (var_lhs, var_rhs) from the family's moments up to order 4.
 
     Expansion of Var[(a*X + b*Y)**2] for i.i.d. X, Y in raw moments m1..m4:
     (a**4 + b**4)*(m4 - m2**2) + 4*a**2*b**2*(m2**2 - m1**4)
     + 4*a*b*(a**2 + b**2)*m1*(m3 - m1*m2).
+
+    The cap var_lhs <= var_rhs holds because each of m4 - m2**2,
+    m2**2 - m1**4 and m1*(m3 - m1*m2) is >= 0, and for a <= b each left
+    coefficient (a**4 + b**4, 4*a**2*b**2, 4*a*b*(a**2 + b**2)) is at most
+    its right one (2*b**4, 4*b**4, 8*b**4).
     """
     if not 0 < a <= b:
         raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")

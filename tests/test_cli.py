@@ -780,18 +780,18 @@ def test_verify_moments_streams_samples_in_bounded_memory():
     assert "var_P_e" in verify.stdout
 
 
-@pytest.mark.parametrize("what,flags", [
-    ("lemmas", ["--samples", str(10 ** 12), "--instances", "1"]),
-])
-def test_verify_samples_that_cannot_fit_exit_2(tmp_path, what, flags):
-    # each needs gigabytes at once: one line and exit 2, not a traceback
-    _, plan_path = run_plan(tmp_path)
-    verify = run_limited(["verify", what, "--plan", str(plan_path), *flags],
-                         1 << 30)
-    assert verify.returncode == 2, verify.stderr
-    assert "Traceback" not in verify.stderr
-    assert verify.stderr.startswith(f"cannot verify {what} with ")
-    assert verify.stderr.count("\n") == 1
+def test_verify_lemmas_memory_does_not_grow_with_samples():
+    # lemmas checks its inequalities exactly and draws no samples, so
+    # --samples 10**12 fits in a 1 GiB address space and prints what
+    # --samples 2 prints
+    runs = [run_limited(["verify", "lemmas", "--samples", samples,
+                         "--instances", "1"], 1 << 30)
+            for samples in (str(10 ** 12), "2")]
+    for verify in runs:
+        assert verify.returncode == 0, verify.stderr
+        assert verify.stderr == ""
+    assert runs[0].stdout == runs[1].stdout
+    assert "1 instances checked, 0 failures" in runs[0].stdout
 
 
 def test_verify_theorem4_missing_plan_file(tmp_path, capsys):
@@ -916,10 +916,31 @@ def test_verify_check_lines_match_the_benchmark_parsers(tmp_path, capsys,
 
 
 def test_verify_lemmas(capsys):
-    code = main(["verify", "lemmas", "--instances", "50",
-                 "--samples", "50000", "--seed", "3"])
+    code = main(["verify", "lemmas", "--instances", "10000", "--seed", "3"])
     assert code == 0
-    assert "50 instances checked, 0 failures" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == "  10000 instances checked, 0 failures\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("broken", ["gap", "cap", "both"])
+def test_verify_lemmas_failures_exit_1(capsys, monkeypatch, broken):
+    # each broken inequality gives one FAIL line per instance, and exit 1
+    if broken in ("gap", "both"):
+        monkeypatch.setattr(moments, "third_moment_gap", lambda dist: -1.0)
+    if broken in ("cap", "both"):
+        monkeypatch.setattr(moments, "weighted_variance_exact",
+                            lambda a, b, dist: (2.0, 1.0))
+    assert main(["verify", "lemmas", "--instances", "3"]) == 1
+    captured = capsys.readouterr()
+    want = []
+    for i in range(3):
+        if broken in ("gap", "both"):
+            want.append(f"  FAIL third-moment gap -1.0 < 0 (instance {i})")
+        if broken in ("cap", "both"):
+            want.append(f"  FAIL variance cap violated at instance {i}")
+    assert captured.err.splitlines() == want
+    assert captured.out == f"  3 instances checked, {len(want)} failures\n"
 
 
 # --- sweep -----------------------------------------------------------------
@@ -949,6 +970,45 @@ def test_sweep_requires_exactly_one_range(capsys):
     assert code == 2
     code = main(["sweep", "--rate", "0.1:1:3", "--outage", "0.1:0.3:3"])
     assert code == 2
+    capsys.readouterr()
+    code = main(["sweep", *PLAN_FLAGS, "--rho", "0.1:1:3", "--kappa", "0.1:1:3"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "exactly one flag must carry a lo:hi:steps range, and every other a "
+        "number; not numbers: --rho, --kappa\n")
+
+
+@pytest.mark.parametrize("name", ["rho", "kappa"])
+def test_sweep_rho_and_kappa_grids(tmp_path, name):
+    # every row is the plan of its target: rho moves the eavesdropper side
+    # alone, kappa the relay count
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *PLAN_FLAGS, f"--{name}", "0.05:3:4",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    probe = NetworkConfig(p_t=1.0, mu=0.5, gamma=2.0, d_tr=5.0,
+                          lambda_l=1.0, lambda_e=0.0, n_legit=1)
+    values = np.linspace(0.05, 3.0, 4)
+    assert [float(r[name]) for r in rows] == list(values)
+    for row, value in zip(rows, values):
+        p = plan(probe, SecrecyTarget(secure_rate=0.5, outage=0.35,
+                                      **{name: float(value)}))
+        assert row["feasible"] == "yes"
+        assert int(row["n_r"]) == p.n_r
+        assert float(row["lambda_e_max"]) == p.lambda_e_max
+    n_r = [int(r["n_r"]) for r in rows]
+    lambda_e = [float(r["lambda_e_max"]) for r in rows]
+    if name == "rho":
+        assert n_r == [110446] * 4 and lambda_e == sorted(set(lambda_e))
+    else:
+        assert n_r == sorted(set(n_r)) and len(set(lambda_e)) == 1
+
+
+def test_sweep_kappa_range_outside_domain(capsys):
+    assert main(["sweep", *PLAN_FLAGS, "--kappa", "0:1:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "bad input: kappa must be positive, got 0.0\n"
+    assert captured.out == ""
 
 
 def test_sweep_rate_grid(tmp_path):

@@ -12,7 +12,7 @@ from secbeam.moments import (PowerBounds, RayleighDist, TwoPointDist,
                              power_moment_bounds,
                              random_distribution, rayleigh_moment,
                              third_moment_gap, var_pe_nopath, var_pl_nopath,
-                             weighted_variance_check, weighted_variance_exact)
+                             weighted_variance_exact)
 
 
 def brute_force_powers(n_r, mu, n_samples, rng):
@@ -215,16 +215,39 @@ def test_uniform_mixture_moments():
         UniformMixtureDist([(0.0, 1.0)], [0.0])
 
 
-def test_family_samples_match_moments():
-    rng = np.random.default_rng(11)
-    fams = [RayleighDist(0.5), TwoPointDist(0.5, 2.0, 0.3),
-            UniformMixtureDist([(0.0, 1.0), (3.0, 5.0)], [0.7, 0.3])]
-    for dist in fams:
-        x = dist.sample(100_000, rng)
-        for p in (1, 2):
-            xp = x ** p
-            se = xp.std(ddof=1) / math.sqrt(len(xp))
-            assert abs(xp.mean() - dist.moment(p)) < 5 * se
+def rayleigh_density(mu):
+    """Density of the Rayleigh magnitude with parameter mu (E{H^2} = 2*mu)."""
+    return lambda x: x / mu * math.exp(-x * x / (2 * mu))
+
+
+def quad(f, lo, hi):
+    from scipy import integrate
+    return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+def test_rayleigh_moments_match_quadrature():
+    for mu in (0.1, 0.5, 3.0):
+        pdf = rayleigh_density(mu)
+        for p in (1, 2, 3, 4):
+            want = quad(lambda x: x ** p * pdf(x), 0.0, math.inf)
+            assert RayleighDist(mu).moment(p) == pytest.approx(want, rel=1e-9)
+
+
+def test_uniform_mixture_moments_match_quadrature():
+    d = UniformMixtureDist([(0.0, 1.0), (1.5, 2.0), (3.0, 5.0)], [0.7, 0.2, 0.4])
+    for p in (1, 2, 3, 4):
+        want = sum(w * quad(lambda x: x ** p, a, b) / (b - a)
+                   for (a, b), w in zip(d.intervals, d.weights))
+        assert d.moment(p) == pytest.approx(want, rel=1e-12)
+
+
+def test_two_point_moments_match_enumeration():
+    # exact rational sum over the two support points
+    lo, hi, p_hi = Fraction(1, 2), Fraction(2), Fraction(3, 10)
+    d = TwoPointDist(float(lo), float(hi), float(p_hi))
+    for p in (1, 2, 3, 4):
+        want = (1 - p_hi) * lo ** p + p_hi * hi ** p
+        assert d.moment(p) == pytest.approx(float(want), rel=1e-15)
 
 
 def test_random_distribution_draws_every_family():
@@ -271,6 +294,8 @@ def test_weighted_variance_exact_equal_weights():
     d = RayleighDist(0.5)
     lhs, rhs = weighted_variance_exact(1.0, 1.0, d)
     assert lhs == pytest.approx(rhs)
+    with pytest.raises(ValueError):
+        weighted_variance_exact(1.0, 0.5, d)
 
 
 def test_weighted_variance_exact_holds_across_families():
@@ -287,7 +312,8 @@ def test_weighted_variance_two_point_enumeration():
     # exact check by enumerating the four-point joint support of (X, Y)
     d = TwoPointDist(0.5, 3.0, 0.4)
     a, b = 0.7, 1.3
-    pairs = list(itertools.product(d.support(), repeat=2))
+    support = [(d.lo, 1 - d.p_hi), (d.hi, d.p_hi)]
+    pairs = list(itertools.product(support, repeat=2))
     vals = np.array([(a * x + b * y) ** 2 for (x, _), (y, _) in pairs])
     probs = np.array([px * py for (_, px), (_, py) in pairs])
     mean = (vals * probs).sum()
@@ -301,25 +327,27 @@ def test_weighted_variance_two_point_enumeration():
     assert var_lhs < var_rhs
 
 
-def test_weighted_variance_check_agrees_with_exact():
-    rng = np.random.default_rng(21)
-    d = RayleighDist(0.5)
+def test_weighted_variance_exact_matches_2d_quadrature():
+    # both variances by quadrature over the joint density of i.i.d. (X, Y);
     # b deliberately not 1 so the b**4 scaling of the cap is exercised
-    chk = weighted_variance_check(0.3, 0.7, d, 400_000, rng)
-    lhs, rhs = weighted_variance_exact(0.3, 0.7, d)
-    assert chk.var_lhs < chk.var_rhs
-    assert chk.var_lhs == pytest.approx(lhs, rel=0.05)
-    assert chk.var_rhs == pytest.approx(rhs, rel=0.05)
-    assert (chk.var_rhs - chk.var_lhs) > -3 * chk.se_diff
+    from scipy import integrate
+    a, b, mu = 0.3, 0.7, 0.5
+    pdf = rayleigh_density(mu)
 
+    def variance(g):
+        def expect(h):
+            return integrate.dblquad(lambda y, x: h(g(x, y)) * pdf(x) * pdf(y),
+                                     0.0, math.inf, 0.0, math.inf,
+                                     epsabs=0.0, epsrel=1e-10)[0]
+        mean = expect(lambda v: v)
+        return expect(lambda v: (v - mean) ** 2)
 
-def test_weighted_variance_check_validation():
-    rng = np.random.default_rng(0)
-    d = RayleighDist(1.0)
-    with pytest.raises(ValueError):
-        weighted_variance_check(1.0, 0.5, d, 100, rng)
-    with pytest.raises(ValueError):
-        weighted_variance_check(0.5, 1.0, d, 1, rng)
+    lhs, rhs = weighted_variance_exact(a, b, RayleighDist(mu))
+    assert lhs == pytest.approx(variance(lambda x, y: (a * x + b * y) ** 2),
+                                rel=1e-8)
+    assert rhs == pytest.approx(b ** 4 * variance(lambda x, y: (x + y) ** 2),
+                                rel=1e-8)
+    assert lhs < rhs
 
 
 @settings(max_examples=25, deadline=None)
