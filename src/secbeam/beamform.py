@@ -59,26 +59,21 @@ class ReceivedPowers:
     total: float
 
 
-def stage1_rates(realization: NetworkRealization, p_t: float, gamma: float,
-                 a_e: float) -> tuple[float, float, bool]:
-    """Worst relay rate, best eavesdropper rate and the disc-violation flag
-    for the broadcast stage.
+def stage1_rates(realization: NetworkRealization, p_t: float,
+                 gamma: float) -> tuple[float, float]:
+    """Worst relay rate and best eavesdropper rate of the broadcast stage.
 
     The worst relay rate reads the realization's minimum relay gain.  The
     eavesdropper maximum runs over every sampled eavesdropper, inside or
-    outside the protected disc; the flag reports whether any lies inside so
-    the two failure modes can be scored separately.  Empty extrema are 0.
+    outside the protected disc; whether any lies inside is E2's, scored by
+    the trial from the eavesdropper distances.  Empty extrema are 0.
     """
     r = realization
     min_rate = math.log2(1.0 + p_t * r.relay_min_gain) if r.n_relays else 0.0
     if r.n_eaves == 0:
-        max_rate = 0.0
-        violated = False
-    else:
-        snr_e = p_t * r.eaves_h2_tx * r.eaves_dist_tx ** (-gamma)
-        max_rate = math.log2(1.0 + float(snr_e.max()))
-        violated = bool(np.any(r.eaves_dist_tx <= a_e))
-    return min_rate, max_rate, violated
+        return min_rate, 0.0
+    snr_e = p_t * r.eaves_h2_tx * r.eaves_dist_tx ** (-gamma)
+    return min_rate, math.log2(1.0 + float(snr_e.max()))
 
 
 def received_powers(realization: NetworkRealization,

@@ -135,28 +135,22 @@ def test_stage1_rates_hand_case():
         eaves_sum_var=np.array([2.0]),
         eaves_sum_power=np.array([4.0]),
     )
-    min_rate, max_rate, violated = stage1_rates(r, 1.0, 2.0, 0.5)
+    min_rate, max_rate = stage1_rates(r, 1.0, 2.0)
     # relay SNRs: 1 and 1, eavesdropper SNR: 3
     assert min_rate == pytest.approx(1.0)
     assert max_rate == pytest.approx(2.0)
-    assert violated is False
-    _, _, violated = stage1_rates(r, 1.0, 2.0, 1.0)
-    assert violated is True
 
 
 def test_stage1_rates_empty_sets():
     r = realization_of(random_channels(0, 0, np.random.default_rng(0)))
-    min_rate, max_rate, violated = stage1_rates(r, 1.0, 2.0, 1.0)
-    assert min_rate == 0.0
-    assert max_rate == 0.0
-    assert violated is False
+    assert stage1_rates(r, 1.0, 2.0) == (0.0, 0.0)
 
 
 def test_stage1_min_is_worst_relay():
     rng = np.random.default_rng(3)
     ch = random_channels(20, 5, rng)
     r = realization_of(ch)
-    min_rate, max_rate, _ = stage1_rates(r, 2.0, 2.0, 0.1)
+    min_rate, max_rate = stage1_rates(r, 2.0, 2.0)
     rates = np.log2(1 + 2.0 * ch.h_tx ** 2 * ch.d_tx ** -2.0)
     assert min_rate == pytest.approx(rates.min())
     rates_e = np.log2(1 + 2.0 * ch.eh_tx ** 2 * ch.e_tx ** -2.0)

@@ -323,21 +323,34 @@ def eaves_sums_fsum(x, y, gain, ex, ey, gamma):
                       ** (-gamma / 2)) for a, b in zip(ex, ey)]
 
 
-@pytest.mark.parametrize("gamma", [2.0, 3.0])
-def test_relay_sums_float64_over_float32_field(gamma, monkeypatch):
+def gain_sum_error(gamma, b):
+    """The relative error the ``_relay_field`` docstring allows S at
+    a_l = b*d_tr: gamma/2 times that of d_rx**2, (3 + 30*b)/(1 - b)**2
+    units of 2**-24, and 3 units more."""
+    return (gamma / 2.0 * (3.0 + 30.0 * b) / (1.0 - b) ** 2 + 3.0) * 2.0 ** -24
+
+
+@pytest.mark.parametrize("gamma, a_l", [
+    pytest.param(2.0, 1.2, id="2.0"), pytest.param(3.0, 1.2, id="3.0"),
+    pytest.param(2.0, 0.49 * 5.0, id="2.0-edge"),
+    pytest.param(4.0, 0.49 * 5.0, id="4.0-edge")])
+def test_relay_sums_float64_over_float32_field(gamma, a_l, monkeypatch):
     # the kernel's sums (rate, S and the eavesdropper sums T_j) against a
     # float64 evaluation of the same float32 draws, summed exactly (fsum);
-    # 100 003 relays walk pieces of 2**15 and a shorter last one.
+    # 100 003 relays walk pieces of 2**15 and a shorter last one.  At the
+    # edge a_l = 0.49*d_tr, near the largest ratio a plan reaches (0.493),
+    # the law of cosines cancels most, and S still holds its docstring bound.
     # Eavesdroppers lie outside the relay disc, as the protected disc keeps
     # them in a plan.  A trial passes their coordinates in float64 and a
     # theorem-4 chunk in float32, and the kernel's distances take that dtype
     monkeypatch.setattr(montecarlo, "RELAY_PIECE", 1 << 15)
-    cfg, a_l, k = small_cfg(gamma=gamma), 1.2, 100_003
+    cfg, k = small_cfg(gamma=gamma), 100_003
     seeds = np.random.default_rng(int(gamma))
-    radius = seeds.uniform(1.5, 6.0, 7)
+    radius = a_l * seeds.uniform(1.25, 5.0, 7)
     phase = seeds.uniform(0.0, 2.0 * math.pi, 7)
     r, x, y, gain = float64_field(np.random.default_rng([int(gamma), 1]), k,
                                   a_l, cfg, 1 << 15)
+    sums = []
     for dtype in (np.float64, np.float32):
         ex, ey = (v.astype(dtype) for v in (radius * np.cos(phase),
                                             radius * np.sin(phase)))
@@ -346,15 +359,17 @@ def test_relay_sums_float64_over_float32_field(gamma, monkeypatch):
         want = eaves_sums_fsum(x, y, gain, ex, ey, gamma)
         assert t.shape == (1, 7) and rate.shape == s.shape == (1,)
         np.testing.assert_allclose(t[0], want, rtol=1e-5)
-        assert s[0] == pytest.approx(math.fsum(gain), rel=1e-5)
+        assert s[0] == pytest.approx(math.fsum(gain),
+                                     rel=gain_sum_error(gamma, a_l / cfg.d_tr))
         assert rate[0] == pytest.approx(math.fsum(r ** gamma), rel=1e-5)
-    # without eavesdroppers: the same draws and sums, no T_j
+        sums.append((rate[0], s[0]))
+    # without eavesdroppers: the same draws, the same rate and S bit for
+    # bit, no T_j
     none = np.empty((1, 0))
     rate0, s0, t0 = _relay_field(np.random.default_rng([int(gamma), 1]), 1, k,
                                  a_l, cfg, none, none, True)
     assert t0.shape == (1, 0)
-    assert rate0[0] == rate[0]
-    assert s0[0] == pytest.approx(s[0], rel=1e-5)
+    assert sums == [(rate0[0], s0[0])] * 2
 
 
 # --- far-field eavesdropper sums -----------------------------------------------
@@ -395,7 +410,8 @@ def test_far_field_sums_within_their_bound_of_the_exact_sums(
     # at the reference a_l, 1000 relays in pieces of 300: the first-order
     # term is then a few 1e-6 of T_j near the far radius, so a dropped term
     # or factor gamma moves T_j by far more than the bound, 2**-24.  S does
-    # not change, and near eavesdroppers keep the exact sum bit for bit
+    # not change, nor without eavesdroppers, and near eavesdroppers keep
+    # the exact sum bit for bit
     monkeypatch.setattr(montecarlo, "RELAY_PIECE", 300)
     cfg, a_l, k = small_cfg(gamma=gamma), reference_plan.a_l, 1000
     assert far_radius(a_l, gamma) < 8.5  # inside a square of side 17
@@ -403,7 +419,9 @@ def test_far_field_sums_within_their_bound_of_the_exact_sums(
     got = field_sums(monkeypatch, 1, k, a_l, cfg, ex[None, :], ey[None, :])
     want = field_sums(monkeypatch, 1, k, a_l, cfg, ex[None, :], ey[None, :],
                       exact=True)
-    assert got[1][0] == want[1][0]
+    none = np.empty((1, 0))
+    assert got[1][0] == want[1][0] == field_sums(monkeypatch, 1, k, a_l, cfg,
+                                                 none, none)[1][0]
     t, t_exact = got[2][0], want[2][0]
     assert (t[~far] == t_exact[~far]).all()
     err = np.abs(t[far] / t_exact[far] - 1.0)
@@ -431,7 +449,8 @@ def test_far_field_rows_mix_near_and_far(dtype, monkeypatch, reference_plan):
     # a theorem-4 layout: 5 rows of 400 relays, side by side in pieces of
     # 1000 elements, 200 relays a row; column 0 is far in every row, column
     # 1 near in rows 1 and 3 only, so the exact pass runs over column 1 and
-    # its far rows then take the expansion with their own S, G_x and G_y
+    # its far rows then take the expansion with their own S, G_x and G_y.
+    # Without eavesdroppers the rows have the same S bit for bit
     monkeypatch.setattr(montecarlo, "RELAY_PIECE", 1000)
     cfg, a_l = small_cfg(gamma=3.0), reference_plan.a_l
     r_far = far_radius(a_l, cfg.gamma)
@@ -443,7 +462,9 @@ def test_far_field_rows_mix_near_and_far(dtype, monkeypatch, reference_plan):
     _, s, t = field_sums(monkeypatch, 5, 400, a_l, cfg, ex, ey)
     _, s_exact, t_exact = field_sums(monkeypatch, 5, 400, a_l, cfg, ex, ey,
                                      exact=True)
-    assert (s == s_exact).all() and len(np.unique(s)) == 5
+    none = np.empty((5, 0), dtype)
+    _, s_none, _ = field_sums(monkeypatch, 5, 400, a_l, cfg, none, none)
+    assert (s == s_exact).all() and (s == s_none).all() and len(np.unique(s)) == 5
     assert (t[~far] == t_exact[~far]).all()
     # float32 distances give the exact pass about 1e-7 of its own
     rtol = montecarlo.FAR_FIELD_ERROR if dtype is np.float64 else 1e-6
