@@ -157,9 +157,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.what in ("moments", "theorem4") and args.samples < 2:
-        raise Refusal(f"verify {args.what} needs --samples >= 2 for a sample "
-                      f"variance, got {args.samples}")
     try:
         failures = _verify(args)
     except MemoryError as exc:
@@ -222,13 +219,9 @@ SWEEP_FIELDS = ["mode", "n_r", "a_l", "a_e", "lambda_l_min", "lambda_e_max",
                 "n_e_max", "eta", "nu"]
 
 
-#: grid values computed at a time by ``_grid``
-GRID_BLOCK = 4096
-
-
-def _parse_range(text: str, log: bool):
-    """The grid of a ``lo:hi:steps`` range (see ``_grid``); raises
-    ValueError for a malformed one."""
+def _parse_range(text: str):
+    """The ``(lo, hi, steps)`` of a ``lo:hi:steps`` range; raises ValueError
+    for a malformed one."""
     try:
         lo, hi, steps = text.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
@@ -237,41 +230,29 @@ def _parse_range(text: str, log: bool):
                          f"number of steps, got {text!r}") from None
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    return _grid(lo, hi, steps, log)
+    return lo, hi, steps
 
 
 def _grid(lo: float, hi: float, steps: int, log: bool):
     """Yield the values of np.linspace(lo, hi, steps), or of
     np.geomspace(lo, hi, steps) with ``log`` for positive lo and hi (lo only
-    when steps is 1), computed as numpy computes them but GRID_BLOCK at a
-    time, so that no grid array is built: i*step + start, endpoints exact,
-    and for geomspace 10**(that) between log10(lo) and log10(hi)."""
+    when steps is 1), each computed on its own as numpy computes it, so that
+    no grid array is built."""
     if steps == 1:
         yield lo
         return
-    if log:
-        start, stop = np.log10(lo), np.log10(hi)
-    else:
-        start, stop = np.float64(lo), np.float64(hi)
+    start, stop = map(np.log10 if log else np.float64, (lo, hi))
     div = steps - 1
     step = (stop - start) / div
-    for first in range(0, steps, GRID_BLOCK):
-        y = np.arange(first, min(first + GRID_BLOCK, steps), dtype=float)
-        if step == 0:  # denormal steps, as np.linspace
-            y /= div
-            y *= stop - start
-        else:
-            y *= step
-        y += start
-        if first + len(y) == steps:
-            y[-1] = stop
-        if log:
-            y = np.power(10.0, y)
-            if first == 0:
-                y[0] = lo
-            if first + len(y) == steps:
-                y[-1] = hi
-        yield from y
+    for i in range(steps):
+        if log and i in (0, div):  # geomspace's endpoints are exact
+            yield np.float64(hi if i else lo)
+        elif i == div:
+            yield stop
+        else:  # i/div*delta for denormal steps, as np.linspace
+            y = (i / div * (stop - start) if step == 0
+                 else np.float64(i) * step) + start
+            yield np.power(10.0, y) if log else y
 
 
 def cmd_sweep(args) -> int:
@@ -282,22 +263,21 @@ def cmd_sweep(args) -> int:
         raise Refusal("exactly one flag must carry a lo:hi:steps range, and "
                       f"every other a number; not numbers: {texts}")
     name, = swept
-    text = getattr(args, name)
     try:
-        grid = _parse_range(text, args.log)
+        lo, hi, steps = _parse_range(getattr(args, name))
     except ValueError as exc:
         raise Refusal(f"bad range: {exc}") from None
     # every grid value lies between the endpoints and every domain is an
     # interval, so checking both endpoints checks each row before the first
-    for end in text.split(":")[:2]:
-        _planning_inputs(argparse.Namespace(**vars(args) | {name: float(end)}))
+    for end in (lo, hi):
+        _planning_inputs(argparse.Namespace(**vars(args) | {name: end}))
 
     with contextlib.ExitStack() as stack:
         out_fh, = _open_outputs(stack, [args.out])
         writer = csv.writer(out_fh or sys.stdout)
         writer.writerow([name, "feasible", *SWEEP_FIELDS])
         n_rows = 0
-        for value in grid:
+        for value in _grid(lo, hi, steps, args.log):
             writer.writerow(_sweep_row(args, name, value))
             n_rows += 1
     if args.out:
@@ -421,11 +401,17 @@ def main(argv=None) -> int:
     except Refusal as exc:
         print(exc, file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout (``| head``): send what is left to
-        # devnull, so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    except OSError as exc:
+        # a write failed.  An error without a file name is stdout's (open
+        # outputs name theirs, planner.open_output): send what is left of it
+        # to devnull, so the flush at exit cannot raise again
+        if exc.filename is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader left (``| head``)
+            return 1
+        print(f"cannot write {exc.filename or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     return code
 
 

@@ -404,14 +404,21 @@ def open_output(path):
     written to keeps its bytes, and a stream that cannot seek has no tail.
     Opening with O_TRUNC instead makes ext4 start writeback when a file
     emptied that way is closed, and the next run's truncation then waits
-    for that disk write."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-              newline="") as fh:
-        try:
-            yield fh
-        finally:
-            if fh.seekable() and fh.tell():
-                fh.truncate()
+    for that disk write.  An OSError without a file name raised while it
+    is open (a write, the flush or the close of ``fh``) is re-raised with
+    ``path`` as its file name."""
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  newline="") as fh:
+            try:
+                yield fh
+            finally:
+                if fh.seekable() and fh.tell():
+                    fh.truncate()
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
 
 
 def write_plan(fh, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
@@ -423,10 +430,9 @@ def write_plan(fh, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
     fh.write(json.dumps(doc, indent=2) + "\n")
 
 
-def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan,
-              extra: dict | None = None) -> None:
+def save_plan(path, cfg: NetworkConfig, target: SecrecyTarget, p: Plan) -> None:
     with open_output(path) as fh:
-        write_plan(fh, cfg, target, p, extra)
+        write_plan(fh, cfg, target, p)
 
 
 def load_plan(path) -> tuple[NetworkConfig, SecrecyTarget, Plan]:

@@ -620,6 +620,35 @@ def test_plan_into_a_closed_pipe(tmp_path, buffered):
     assert p.mode == "beamforming"
 
 
+FULL_WRITES = {"plan --out": (["plan", *PLAN_FLAGS, "--out", "/dev/full"], False),
+               "plan stdout": (["plan", *PLAN_FLAGS], True),
+               "sweep --out": (["sweep", "--rate", "0.25:2.0:5", "--outage",
+                                "0.35", "--out", "/dev/full"], False),
+               "simulate --csv": (["simulate", "--trials", "2", "--csv",
+                                   "/dev/full"], False),
+               "simulate --json": (["simulate", "--trials", "2", "--json",
+                                    "/dev/full"], False)}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("case", FULL_WRITES)
+def test_failed_write_is_one_line(tmp_path, case):
+    # a write that fails (a full disk) ends in one line and exit 2, whether
+    # it is an output file's or stdout's
+    argv, to_stdout = FULL_WRITES[case]
+    if argv[0] == "simulate":
+        _, plan_path = run_plan(tmp_path)
+        argv = [*argv, "--plan", str(plan_path)]
+    src = str(Path(secbeam.__file__).resolve().parents[1])
+    with open("/dev/full" if to_stdout else os.devnull, "w") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "secbeam.cli", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 2
+    where = "stdout" if to_stdout else "/dev/full"
+    assert proc.stderr == f"cannot write {where}: No space left on device\n"
+
+
 def test_simulate_reruns_byte_identical(tmp_path):
     _, plan_path = run_plan(tmp_path)
     blobs = []
@@ -802,13 +831,14 @@ def test_verify_theorem4_missing_plan_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("what", ["moments", "theorem4"])
 def test_verify_rejects_single_sample(tmp_path, capsys, what):
-    # a sample variance needs two samples: one would give z=nan
+    # a sample variance needs two samples: one would give z=nan.  The
+    # library refuses before any draw, theorem4 once its plan has loaded
     _, plan_path = run_plan(tmp_path)
     capsys.readouterr()
     assert main(["verify", what, "--plan", str(plan_path),
                  "--samples", "1"]) == 2
     captured = capsys.readouterr()
-    assert "--samples >= 2" in captured.err
+    assert captured.err == f"cannot verify {what}: n_samples must be >= 2, got 1\n"
     assert captured.out == ""
 
 
@@ -1078,38 +1108,21 @@ def test_sweep_lambda_l_feasibility(tmp_path):
 
 
 GRIDS = [("0.25:1.0:4", False), ("0.1:1:7", False), ("5:1e-6:2", False),
-         ("1:1:5", False), ("0.5:0.5:1", False), ("1e-3:10:9", True),
-         ("2:2:3", True)]
+         ("1:1:5", False), ("0.5:0.5:1", False), ("5e-324:1e-323:5", False),
+         ("1e-3:10:9", True), ("2:2:3", True), ("1e-300:1e300:2001", True)]
 
 
-@pytest.mark.parametrize("block", [2, 3, 4096])
-def test_sweep_grid_values_are_numpy_values(monkeypatch, block):
+def test_sweep_grid_values_are_numpy_values():
     # the grid yields the values np.linspace / np.geomspace give, bit for
-    # bit and as numpy floats, whatever the block they are computed in
-    monkeypatch.setattr(cli, "GRID_BLOCK", block)
+    # bit and as numpy floats; 5e-324:1e-323 has a step that underflows to 0
     for text, log in GRIDS:
         lo, hi, steps = text.split(":")
         space = np.geomspace if log else np.linspace
         want = ([float(lo)] if steps == "1" else
                 list(space(float(lo), float(hi), int(steps))))
-        got = list(cli._parse_range(text, log))
+        got = list(cli._grid(*cli._parse_range(text), log))
         assert [type(x) for x in got] == [type(x) for x in want], text
         assert np.array(got).tobytes() == np.array(want).tobytes(), text
-
-
-def test_sweep_csv_does_not_depend_on_grid_block(tmp_path, monkeypatch):
-    runs = {}
-    for block in (2, 4096):
-        monkeypatch.setattr(cli, "GRID_BLOCK", block)
-        for name, flags in (("linear", ["--rate", "0.25:2.0:5"]),
-                            ("log", ["--rate", "0.25:2.0:5", "--log"])):
-            out = tmp_path / f"{name}-{block}.csv"
-            assert main(["sweep", *flags, "--outage", "0.35",
-                         "--out", str(out)]) == 0
-            runs[name, block] = out.read_bytes()
-    assert runs["linear", 2] == runs["linear", 4096]
-    assert runs["log", 2] == runs["log", 4096]
-    assert runs["linear", 2] != runs["log", 2]
 
 
 def test_sweep_huge_grid_streams_rows():
